@@ -28,14 +28,22 @@ def _jacobi(n: int, a: float, b: float):
     return x, w
 
 
-def singular_rule(a: float, b: float, n: int, left_exp: float = 0.0,
-                  right_exp: float = 0.0):
+def singular_rule(a, b, n: int, left_exp: float = 0.0, right_exp: float = 0.0):
     """Product rule on (a, b) for integrands ~ (x-a)^left * (b-x)^right * smooth.
 
     Returns nodes strictly inside (a, b) and weights applying to the raw
-    integrand.  With both exponents zero this is plain Gauss-Legendre.
+    integrand.  With both exponents zero this is plain Gauss-Legendre.  The
+    ends a and b may be arrays that broadcast together: nodes and weights
+    then carry one trailing axis of n points per interval, each the affine
+    image of the cached reference rule.
     """
-    if b <= a:
+    if isinstance(a, float) and isinstance(b, float):
+        empty = b <= a
+    else:
+        a = np.asarray(a, dtype=float)[..., None]
+        b = np.asarray(b, dtype=float)[..., None]
+        empty = np.any(b <= a)
+    if empty:
         raise ValueError(f"empty interval ({a}, {b})")
     half = 0.5 * (b - a)
     if left_exp == 0.0 and right_exp == 0.0:

@@ -22,6 +22,12 @@ kernels is handled through the split into a weakly singular piece and a
 factored strongly singular piece; the theta-integral appearing in the
 factorization has an affine exponent and is therefore evaluated in closed
 form.
+
+Everything is evaluated on arrays (product-integration Nystrom): the
+kernels on the (mesh node, tau node) array with the Holmgren rho nodes as a
+trailing axis, the right-hand side on the mesh nodes with the same trailing
+axis, a block of mesh nodes at a time; each successive approximation is one
+gather of precomputed interpolation brackets and one contraction.
 """
 
 from __future__ import annotations
@@ -61,41 +67,58 @@ class SolverConfig:
     contraction_onset: int = 10
 
 
+# mesh nodes evaluated together: the kernel holds (node, tau, rho) arrays and
+# the right-hand side (node, rho, Poisson window) arrays.  The whole default
+# 64-node mesh at once measured 15 MB more peak memory than these blocks
+# (2-core x86 machine, constant-coefficient solves at t = 1.25).
+KERNEL_BLOCK = 8
+RHS_BLOCK = 4
+
+
 # ---------------------------------------------------------------------------
 # Holmgren transform
 # ---------------------------------------------------------------------------
 
-def holmgren_transform(f, s: float, t: float, f_s: float | None = None,
-                       n: int = 24, left_exp: float = -0.5) -> float:
-    """Differentiated Holmgren transform of f over (s, t).
+def holmgren_transform(f, s, t, f_s=None, n: int = 24, left_exp: float = -0.5):
+    """Differentiated Holmgren transform of f over (s, t), elementwise.
 
-    f must be callable on arrays of interior times; f_s overrides the left
-    endpoint value f(s) (useful when f has a removable definition there).
-    The integral is split at the midpoint: the left half uses a Jacobi rule
-    matched to the decay of f(rho) - f(s), the right half plain Gauss.
+    s and t are scalars or arrays that broadcast together.  f is called on
+    arrays of interior times whose leading axes are those of s and t and
+    whose trailing axis holds the points of one interval, and returns values
+    of the same shape.  f_s overrides the left endpoint values f(s) (useful
+    when f has a removable definition there).  Each integral is split at the
+    midpoint: the left half uses a Jacobi rule matched to the decay of
+    f(rho) - f(s), the right half plain Gauss.  Returns a float for scalar
+    s and t.
     """
-    if s >= t:
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    if np.any(s >= t):
         raise TimeOrderError("holmgren transform needs s < t")
-    fs_val = float(f(np.array([s]))[0]) if f_s is None else float(f_s)
+
+    def at(rho):
+        return np.asarray(f(rho[..., None]), dtype=float)[..., 0]
+
+    fs_val = at(s) if f_s is None else np.broadcast_to(np.asarray(f_s, dtype=float),
+                                                       s.shape)
     mid = 0.5 * (s + t)
-    scale = abs(fs_val) + 1.0
+    scale = np.abs(fs_val) + 1.0
 
     span = t - s
     d_small, d_large = 1e-8 * span, 1e-4 * span
-    f_near = float(f(np.array([s + d_small]))[0])
-    f_far = float(f(np.array([s + d_large]))[0])
-    q_near = abs(f_near - fs_val) / math.sqrt(d_small)
-    q_far = abs(f_far - fs_val) / math.sqrt(d_large)
-    if q_near > 4.0 * q_far + 1e3 * scale:
+    q_near = np.abs(at(s + d_small) - fs_val) / np.sqrt(d_small)
+    q_far = np.abs(at(s + d_large) - fs_val) / np.sqrt(d_large)
+    if np.any(q_near > 4.0 * q_far + 1e3 * scale):
         raise SingularIntegrandError(
             "integrand increment does not decay at the left endpoint")
 
+    s_col, fs_col = s[..., None], fs_val[..., None]
     rho_l, w_l = singular_rule(s, mid, n, left_exp=left_exp)
-    vals_l = (np.asarray(f(rho_l)) - fs_val) * (rho_l - s) ** (-1.5)
+    vals_l = (np.asarray(f(rho_l)) - fs_col) * (rho_l - s_col) ** (-1.5)
     rho_r, w_r = singular_rule(mid, t, n)
-    vals_r = (np.asarray(f(rho_r)) - fs_val) * (rho_r - s) ** (-1.5)
-    integral = float(np.sum(vals_l * w_l) + np.sum(vals_r * w_r))
-    return INV_SQRT_2PI * integral - SQRT_2_OVER_PI * fs_val / math.sqrt(t - s)
+    vals_r = (np.asarray(f(rho_r)) - fs_col) * (rho_r - s_col) ** (-1.5)
+    integral = np.sum(vals_l * w_l, axis=-1) + np.sum(vals_r * w_r, axis=-1)
+    out = INV_SQRT_2PI * integral - SQRT_2_OVER_PI * fs_val / np.sqrt(t - s)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -119,28 +142,8 @@ def theta_blend_integral(sq_far, sq_near, denom):
     return out if out.shape else float(out)
 
 
-@dataclass
-class SingularKernelPart:
-    """Factored strongly singular kernel piece of one (equation, side) pair.
-
-    value = prefactor * sum over near atoms of weight_k * theta_integral_k,
-    with prefactor = -d_i(s) / (2 sqrt(2 pi) [b_j(tau,h(tau)) (tau-s)]^(3/2)),
-    weight_k = (y_k - h(s))^2 w_k(s).
-    """
-
-    prefactor: float
-    weights: np.ndarray
-    theta_integrals: np.ndarray
-
-    @property
-    def value(self) -> float:
-        if len(self.weights) == 0:
-            return 0.0
-        return self.prefactor * float(np.sum(self.weights * self.theta_integrals))
-
-
 class KernelAssembler:
-    """Pointwise evaluation of the interface kernels of one problem."""
+    """The interface kernels of one problem on arrays of (s, tau) pairs."""
 
     def __init__(self, problem: Problem, evaluator: PotentialEvaluator | None = None,
                  config: SolverConfig | None = None):
@@ -162,53 +165,82 @@ class KernelAssembler:
 
     # -- coupling weights ---------------------------------------------------
 
-    def coupling_weights(self, s: float):
+    def coupling_weights(self, s):
         """The pair (d_1, d_2) entering the eliminated second-kind system."""
-        h = float(self.problem.h(s))
-        b1 = float(self.problem.diffusion(1, s, h))
-        b2 = float(self.problem.diffusion(2, s, h))
-        q1 = float(self.problem.q(1, s))
-        q2 = float(self.problem.q(2, s))
-        denom = q1 * math.sqrt(b2) + q2 * math.sqrt(b1)
-        return (b1 * math.sqrt(b2) / denom, b2 * math.sqrt(b1) / denom)
+        prob = self.problem
+        h = prob.h(s)
+        b1, b2 = prob.diffusion(1, s, h), prob.diffusion(2, s, h)
+        denom = prob.q(1, s) * np.sqrt(b2) + prob.q(2, s) * np.sqrt(b1)
+        return (b1 * np.sqrt(b2) / denom, b2 * np.sqrt(b1) / denom)
 
-    # -- flux kernel ----------------------------------------------------------
+    # -- fundamental solution on anchors ---------------------------------------
 
-    def _g(self, j, s, x, tau, y, p=0):
+    def _g(self, j, s, x, tau, y, p=0, mask=None):
+        """G_j^(p)(s, x; tau, y) on broadcast arrays.
+
+        The trailing axis holds points that share one terminal anchor
+        (tau, y).  A side with a correction term is evaluated one anchor at
+        a time, all its points in one call and only where mask (over the
+        leading axes) is set: the first call per anchor fixes the extent of
+        its cached correction table.
+        """
         fs = self.evaluator.fs[j]
         if fs.is_exact:
             return fs.principal(s, x, tau, y, p)
-        return fs.eval(s, x, tau, y, p)
-
-    def _atom_data(self, s: float):
-        meas = self.problem.wentzell.measure
-        if meas.is_null:
-            return np.empty(0), np.empty(0), np.empty(0, dtype=int)
-        h = float(self.problem.h(s))
-        y = meas.positions(s)
-        w = meas.weights(s)
-        sides = np.where(y < h, 1, 2)
-        return y, w, sides
-
-    def flux_kernel(self, j: int, s: float, tau: float) -> float:
-        """Kernel of the flux condition: reflection term plus measure term."""
-        if s >= tau:
-            raise TimeOrderError("flux kernel needs s < tau")
-        h_s = float(self.problem.h(s))
-        h_tau = float(self.problem.h(tau))
-        q_j = float(self.problem.q(j, s))
-        out = (-1.0) ** j * q_j * float(self._g(j, s, h_s, tau, h_tau, p=1))
-        y, w, sides = self._atom_data(s)
-        for yk, wk, side in zip(y, w, sides):
-            if side != j or wk == 0.0:
-                continue
-            out += wk * float(self._g(j, s, yk, tau, h_tau)
-                              - self._g(j, s, h_s, tau, h_tau))
+        s, x, tau, y = np.broadcast_arrays(s, x, tau, y)
+        out = np.zeros(s.shape)
+        for idx in np.ndindex(s.shape[:-1]):
+            if mask is None or mask[idx]:
+                out[idx] = fs.eval(s[idx], x[idx], float(tau[idx][0]),
+                                   float(y[idx][0]), p)
         return out
 
-    # -- Holmgren-transformed continuity kernel --------------------------------
+    # -- the system kernel ------------------------------------------------------
 
-    def holmgren_kernel(self, j: int, s: float, tau: float) -> float:
+    def _side_kernel(self, j: int, s, tau, h_s, h_tau):
+        """Side-j parts shared by both equations: (regular plus factored
+        singular part, transformed continuity kernel)."""
+        prob = self.problem
+        fs = self.evaluator.fs[j]
+        b_tau = prob.diffusion(j, tau, h_tau)
+        dt = tau - s
+        denom = 2.0 * b_tau * dt
+
+        def g(x, p=0, mask=None):
+            return self._g(j, s[..., None], x[..., None], tau[..., None],
+                           h_tau[..., None], p, mask)[..., 0]
+
+        # reflection term first: it opens every anchor of a correction side
+        k_reg = (-1.0) ** j * prob.q(j, s) * g(h_s, p=1)
+        near_sum = 0.0
+        for atom in prob.wentzell.measure.atoms:
+            y = np.broadcast_to(atom.position(s), s.shape)
+            w = np.broadcast_to(atom.weight(s), s.shape)
+            on_side = (np.where(y < h_s, 1, 2) == j) & (w != 0.0)
+            if not np.any(on_side):
+                continue
+            near = on_side & (np.abs(y - h_s) < self.delta)
+            far = on_side & ~near
+            g_y, g_h = g(y, mask=on_side), g(h_s, mask=on_side)
+            k_reg = k_reg + np.where(far, w * (g_y - g_h), 0.0)
+            if not np.any(near):
+                continue
+            # near atom: the correction-part difference stays regular, the
+            # principal difference is factored through the theta integral
+            if not fs.is_exact:
+                k_reg = k_reg + np.where(near, w * (
+                    (g_y - fs.principal(s, y, tau, h_tau))
+                    - (g_h - fs.principal(s, h_s, tau, h_tau))), 0.0)
+            theta = theta_blend_integral((y - h_tau) ** 2, (h_s - h_tau) ** 2, denom)
+            # membrane-motion part of the factored principal difference
+            k_reg = k_reg + np.where(
+                near, (h_tau - h_s) / (math.sqrt(2 * math.pi) * (b_tau * dt) ** 1.5)
+                * (y - h_s) * w * theta, 0.0)
+            near_sum = near_sum + np.where(near, (y - h_s) ** 2 * w * theta, 0.0)
+        bare_pref = -1.0 / (2.0 * math.sqrt(2 * math.pi) * (b_tau * dt) ** 1.5)
+        return k_reg + bare_pref * near_sum, self._holmgren_kernel(j, s, tau, h_tau)
+
+    def _holmgren_kernel(self, j: int, s, tau, h_tau):
         """Kernel produced by transforming the continuity equation.
 
         Evaluates the differentiated representation: the (rho-s)^(-3/2)
@@ -217,116 +249,45 @@ class KernelAssembler:
         membrane-motion increment), split at the midpoint, plus the boundary
         term with the (tau-s)^(-1/2) factor.
         """
-        if s >= tau:
-            raise TimeOrderError("holmgren kernel needs s < tau")
         if self._flat_exact[j]:
-            return 0.0
-        h_tau = float(self.problem.h(tau))
+            return np.zeros(np.shape(s))
         fs = self.evaluator.fs[j]
+        tau_col, h_col = tau[..., None], h_tau[..., None]
 
         def trace_f(rho):
             # the three increments of the representation telescope to
             # G(rho, h(rho)) - Z0(rho, h(tau)), both anchored at (tau, h(tau))
-            rho = np.asarray(rho, dtype=float)
-            h_rho = np.asarray(self.problem.h(rho), dtype=float)
-            g_moved = np.asarray(self._g(j, rho, h_rho, tau, h_tau))
-            z0_flat = np.asarray(fs.principal(rho, h_tau, tau, h_tau))
-            return g_moved - z0_flat
+            g_moved = self._g(j, rho, self.problem.h(rho), tau_col, h_col)
+            return g_moved - fs.principal(rho, h_col, tau_col, h_col)
 
-        n = self.config.n_holmgren
-        value = holmgren_transform(trace_f, s, tau, n=n,
+        value = holmgren_transform(trace_f, s, tau, n=self.config.n_holmgren,
                                    left_exp=self.problem.kernel_time_exponent())
         return (-1.0) ** j * value
 
-    # -- combined system kernel ---------------------------------------------------
+    def system_kernel_matrix(self, s, tau) -> np.ndarray:
+        """Full kernel values N_ij(s, tau), shape (2, 2) + broadcast shape.
 
-    def _kernel_pieces(self, j: int, s: float, tau: float, delta: float):
-        """Side-j kernel pieces shared by both equations.
-
-        Returns (k_reg, near_weights, near_thetas, bare_prefactor, r_val):
-        the regular flux/measure part, the factored near-atom data with the
-        prefactor before multiplication by d_i, and the transformed
-        continuity kernel.
+        s and tau broadcast together.  N_ij = d_i (K_j + (-1)^i q_other /
+        sqrt(b_other) R_j): K_j carries the reflection term, the far-atom
+        and correction measure terms, the membrane-motion atom term and the
+        factored near-atom part, whose atom weights are squared distances to
+        the membrane; R_j is the Holmgren-transformed continuity kernel.
         """
-        h_s = float(self.problem.h(s))
-        h_tau = float(self.problem.h(tau))
-        q_j = float(self.problem.q(j, s))
-        b_j_tau = float(self.problem.diffusion(j, tau, h_tau))
-        dt = tau - s
-        denom = 2.0 * b_j_tau * dt
-
-        k_reg = (-1.0) ** j * q_j * float(self._g(j, s, h_s, tau, h_tau, p=1))
-        y, w, sides = self._atom_data(s)
-        near_w, near_theta = [], []
-        fs = self.evaluator.fs[j]
-        for yk, wk, side in zip(y, w, sides):
-            if side != j or wk == 0.0:
-                continue
-            if abs(yk - h_s) >= delta:
-                k_reg += wk * float(self._g(j, s, yk, tau, h_tau)
-                                    - self._g(j, s, h_s, tau, h_tau))
-                continue
-            # near atom: the correction-part difference stays regular
-            if not fs.is_exact:
-                k_reg += wk * float(
-                    (fs.eval(s, yk, tau, h_tau) - fs.principal(s, yk, tau, h_tau))
-                    - (fs.eval(s, h_s, tau, h_tau) - fs.principal(s, h_s, tau, h_tau)))
-            theta = float(theta_blend_integral((yk - h_tau) ** 2,
-                                               (h_s - h_tau) ** 2, denom))
-            # membrane-motion part of the factored principal difference
-            k_reg += ((h_tau - h_s) / (math.sqrt(2 * math.pi) * (b_j_tau * dt) ** 1.5)
-                      * (yk - h_s) * wk * theta)
-            near_w.append((yk - h_s) ** 2 * wk)
-            near_theta.append(theta)
-        bare_pref = -1.0 / (2.0 * math.sqrt(2 * math.pi) * (b_j_tau * dt) ** 1.5)
-        r_val = self.holmgren_kernel(j, s, tau)
-        return k_reg, np.asarray(near_w), np.asarray(near_theta), bare_pref, r_val
-
-    def system_kernel(self, i: int, j: int, s: float, tau: float,
-                      delta: float | None = None):
-        """Regular and factored singular parts of the system kernel N_ij.
-
-        The regular part carries the reflection term, the far-atom and
-        correction measure terms, the membrane-motion atom term, and the
-        Holmgren-transformed continuity kernel; the singular part is the
-        factored piece whose atom weights are squared distances to the
-        membrane.  Their sum is the full kernel.
-        """
-        if s >= tau:
+        s, tau = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                     np.asarray(tau, dtype=float))
+        if np.any(s >= tau):
             raise TimeOrderError("system kernel needs s < tau")
-        delta = self.delta if delta is None else delta
-        d1, d2 = self.coupling_weights(s)
-        d_i = d1 if i == 1 else d2
-        h_s = float(self.problem.h(s))
-        q_other = float(self.problem.q(3 - i, s))
-        b_other = float(self.problem.diffusion(3 - i, s, h_s))
-        k_reg, near_w, near_theta, bare_pref, r_val = \
-            self._kernel_pieces(j, s, tau, delta)
-        regular = d_i * (k_reg + (-1.0) ** i * q_other / math.sqrt(b_other) * r_val)
-        singular = SingularKernelPart(d_i * bare_pref, near_w, near_theta)
-        return regular, singular
-
-    def system_kernel_value(self, i: int, j: int, s: float, tau: float) -> float:
-        reg, sing = self.system_kernel(i, j, s, tau)
-        return reg + sing.value
-
-    def system_kernel_matrix(self, s: float, tau_nodes: np.ndarray) -> np.ndarray:
-        """Full kernel values N_ij(s, tau_q), shape (2, 2, len(tau_nodes))."""
+        prob = self.problem
+        h_s = np.broadcast_to(prob.h(s), s.shape)
+        h_tau = np.broadcast_to(prob.h(tau), s.shape)
+        sides = [self._side_kernel(j, s, tau, h_s, h_tau) for j in (1, 2)]
         d = self.coupling_weights(s)
-        h_s = float(self.problem.h(s))
-        out = np.zeros((2, 2, len(tau_nodes)))
-        for q_idx, tq in enumerate(tau_nodes):
-            for j in (1, 2):
-                k_reg, near_w, near_theta, bare_pref, r_val = \
-                    self._kernel_pieces(j, float(s), float(tq), self.delta)
-                sing = bare_pref * float(np.sum(near_w * near_theta)) \
-                    if len(near_w) else 0.0
-                base = k_reg + sing
-                for i in (1, 2):
-                    q_other = float(self.problem.q(3 - i, s))
-                    b_other = float(self.problem.diffusion(3 - i, s, h_s))
-                    out[i - 1, j - 1, q_idx] = d[i - 1] * (
-                        base + (-1.0) ** i * q_other / math.sqrt(b_other) * r_val)
+        out = np.empty((2, 2) + s.shape)
+        for i in (1, 2):
+            transfer = (-1.0) ** i * prob.q(3 - i, s) / np.sqrt(
+                prob.diffusion(3 - i, s, h_s))
+            for j, (base, r_val) in enumerate(sides):
+                out[i - 1, j] = d[i - 1] * (base + transfer * r_val)
         return out
 
 
@@ -368,7 +329,7 @@ def m_delta_witness(problem: Problem, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 class RightHandSide:
-    """Mesh values of the trace gap, the flux data and their combinations."""
+    """Trace gap, flux data and their combinations on arrays of mesh times."""
 
     def __init__(self, assembler: KernelAssembler, phi: InitialFunction, t: float):
         self.assembler = assembler
@@ -383,55 +344,63 @@ class RightHandSide:
             and (left.diffusion.kind, left.diffusion.params)
             == (right.diffusion.kind, right.diffusion.params))
 
-    def trace_gap(self, s: float) -> float:
+    def trace_gap(self, s):
         """Difference of the Poisson traces on the membrane (right minus left)."""
-        if s >= self.t:
+        s = np.asarray(s, dtype=float)
+        if np.any(s >= self.t):
             raise TimeOrderError("trace gap needs s < t")
         if self._identical_sides:
-            return 0.0
+            return np.zeros(s.shape) if s.shape else 0.0
         ev = self.assembler.evaluator
-        h = float(self.assembler.problem.h(s))
+        h = self.assembler.problem.h(s)
         return (ev.poisson(2, s, h, self.t, self.phi)
                 - ev.poisson(1, s, h, self.t, self.phi))
 
-    def flux_gap(self, s: float) -> float:
+    def flux_gap(self, s):
         """Flux data: weighted Poisson-derivative gap plus measure increments."""
+        s = np.asarray(s, dtype=float)
         ev = self.assembler.evaluator
         prob = self.assembler.problem
-        h = float(prob.h(s))
-        out = (float(prob.q(2, s)) * ev.poisson(2, s, h, self.t, self.phi, p=1)
-               - float(prob.q(1, s)) * ev.poisson(1, s, h, self.t, self.phi, p=1))
-        y, w, sides = self.assembler._atom_data(s)
-        for yk, wk, side in zip(y, w, sides):
-            if wk == 0.0:
-                continue
-            out += wk * (ev.poisson(side, s, yk, self.t, self.phi)
-                         - ev.poisson(side, s, h, self.t, self.phi))
-        return out
+        h = np.broadcast_to(prob.h(s), s.shape)
+        out = np.array(prob.q(2, s) * ev.poisson(2, s, h, self.t, self.phi, p=1)
+                       - prob.q(1, s) * ev.poisson(1, s, h, self.t, self.phi, p=1),
+                       dtype=float)
+        for atom in prob.wentzell.measure.atoms:
+            y = np.broadcast_to(atom.position(s), s.shape)
+            w = np.broadcast_to(atom.weight(s), s.shape)
+            for side in (1, 2):
+                on = (np.where(y < h, 1, 2) == side) & (w != 0.0)
+                if np.any(on):
+                    out[on] += w[on] * (ev.poisson(side, s[on], y[on], self.t, self.phi)
+                                        - ev.poisson(side, s[on], h[on], self.t, self.phi))
+        return out if out.shape else float(out)
 
-    def transformed_trace_gap(self, s: float) -> float:
-        """Holmgren transform of the trace gap at s."""
+    def transformed_trace_gap(self, s, gap=None):
+        """Holmgren transform of the trace gap at s; gap, when given, holds
+        the trace gap at s itself."""
         if self._identical_sides:
-            return 0.0
+            return np.zeros(np.shape(s)) if np.shape(s) else 0.0
 
         def f(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            return np.array([self.trace_gap(min(r, self.t - 1e-14)) for r in rho])
+            return self.trace_gap(np.minimum(rho, self.t - 1e-14))
 
-        return holmgren_transform(f, s, self.t, n=self.assembler.config.n_holmgren,
+        return holmgren_transform(f, s, self.t, f_s=gap,
+                                  n=self.assembler.config.n_holmgren,
                                   left_exp=self.assembler.problem.kernel_time_exponent())
 
-    def combined(self, i: int, s: float) -> float:
-        """Right-hand side Psi_i of the eliminated second-kind system."""
+    def combined(self, s) -> np.ndarray:
+        """Right-hand sides (Psi_1, Psi_2) of the eliminated second-kind
+        system at the times s, shape (2,) + shape of s."""
+        s = np.asarray(s, dtype=float)
         prob = self.assembler.problem
-        h = float(prob.h(s))
-        d1, d2 = self.assembler.coupling_weights(s)
-        d_i = d1 if i == 1 else d2
-        q_other = float(prob.q(3 - i, s))
-        b_other = float(prob.diffusion(3 - i, s, h))
-        phi_term = self.transformed_trace_gap(s)
-        return d_i * (self.flux_gap(s)
-                      + (-1.0) ** i * q_other / math.sqrt(b_other) * phi_term)
+        h = prob.h(s)
+        phi_term = self.transformed_trace_gap(s, self.trace_gap(s))
+        flux = self.flux_gap(s)
+        d = self.assembler.coupling_weights(s)
+        return np.stack([
+            d[i - 1] * (flux + (-1.0) ** i * prob.q(3 - i, s)
+                        / np.sqrt(prob.diffusion(3 - i, s, h)) * phi_term)
+            for i in (1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -470,27 +439,32 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     mesh = graded_mesh(t, s_min, config.mesh_n, config.mesh_gamma)
     n = len(mesh)
     sqrt_rem = np.sqrt(t - mesh)
+    # a side with a correction term widens its cached Poisson table as the
+    # evaluation points move, so there the nodes go one at a time, in order
+    rhs_block = RHS_BLOCK if all(fs.is_exact for fs in assembler.evaluator.fs.values()) else 1
+    w = np.concatenate([rhs.combined(mesh[lo:lo + rhs_block])
+                        for lo in range(0, n, rhs_block)], axis=1) * sqrt_rem
 
-    w = np.zeros((2, n))
-    for idx, s in enumerate(mesh):
-        w[0, idx] = rhs.combined(1, float(s)) * sqrt_rem[idx]
-        w[1, idx] = rhs.combined(2, float(s)) * sqrt_rem[idx]
-
-    # kernel tables: per node, quadrature times and full kernel values
-    exponent = problem.kernel_time_exponent()
-    tau_nodes = np.zeros((n, config.n_kernel))
-    kern = np.zeros((n, 2, 2, config.n_kernel))
+    # kernel tables: per node, quadrature times and weighted kernel values
+    tau_nodes, wt = singular_rule(mesh, t, config.n_kernel,
+                                  left_exp=problem.kernel_time_exponent(),
+                                  right_exp=-0.5)
+    kern = np.zeros((2, 2) + tau_nodes.shape)
     if not assembler.kernels_vanish:
-        for idx, s in enumerate(mesh):
-            tau, wt = singular_rule(float(s), t, config.n_kernel,
-                                    left_exp=exponent, right_exp=-0.5)
-            tau_nodes[idx] = tau
-            kern[idx] = assembler.system_kernel_matrix(float(s), tau) \
-                * (wt * (t - tau) ** (-0.5))[None, None, :]
-    else:
-        for idx, s in enumerate(mesh):
-            tau_nodes[idx] = singular_rule(float(s), t, config.n_kernel,
-                                           left_exp=exponent, right_exp=-0.5)[0]
+        for lo in range(0, n, KERNEL_BLOCK):
+            block = slice(lo, lo + KERNEL_BLOCK)
+            kern[:, :, block] = assembler.system_kernel_matrix(
+                mesh[block, None], tau_nodes[block])
+        kern *= wt * (t - tau_nodes) ** (-0.5)
+
+    # linear interpolation of the iterates at the tau nodes, with the
+    # arithmetic of np.interp: nodes past the last mesh node take its value
+    clamp = tau_nodes >= mesh[-1]
+    left = np.minimum(np.searchsorted(mesh, tau_nodes, side="right") - 1, n - 2)
+    left = np.where(clamp, n - 1, left)
+    right = np.where(clamp, n - 1, left + 1)
+    offset = np.where(clamp, 0.0, tau_nodes - mesh[left])
+    spacing = np.where(clamp, 1.0, mesh[right] - mesh[left])
 
     diag = SolveDiagnostics(delta=assembler.delta,
                             m_delta=m_delta_witness(problem, assembler.delta))
@@ -504,14 +478,9 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
         if sup <= config.tol_v * scale:
             diag.converged = True
             break
-        nxt = np.zeros_like(current)
-        for idx in range(n):
-            w_interp = np.stack([np.interp(tau_nodes[idx], mesh, current[jd])
-                                 for jd in (0, 1)])
-            for i in (0, 1):
-                nxt[i, idx] = sqrt_rem[idx] * float(
-                    np.sum(kern[idx, i] * w_interp))
-        current = nxt
+        at_left = current[:, left]
+        w_interp = (current[:, right] - at_left) / spacing * offset + at_left
+        current = sqrt_rem * np.einsum("ijnq,jnq->in", kern, w_interp)
         total += current
         sup = float(np.max(np.abs(current)))
         diag.iterate_sups.append(sup)
@@ -544,15 +513,12 @@ def first_kind_residual(problem: Problem, phi: InitialFunction, t: float,
     independent consistency witness of the equivalence.
     """
     ev = evaluator or PotentialEvaluator(problem)
-    assembler = KernelAssembler(problem, ev)
-    rhs = RightHandSide(assembler, phi, t)
-    out = np.zeros(len(densities.mesh))
-    for idx, s in enumerate(densities.mesh):
-        h = float(problem.h(s))
-        lhs = (ev.layer(1, float(s), h, t, densities)
-               - ev.layer(2, float(s), h, t, densities))
-        out[idx] = lhs - rhs.trace_gap(float(s))
-    return out
+    rhs = RightHandSide(KernelAssembler(problem, ev), phi, t)
+    mesh = densities.mesh
+    h = np.broadcast_to(problem.h(mesh), mesh.shape)
+    lhs = np.array([ev.layer(1, s, x, t, densities) - ev.layer(2, s, x, t, densities)
+                    for s, x in zip(mesh.tolist(), h.tolist())])
+    return lhs - rhs.trace_gap(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +544,9 @@ def singular_part_time_integral(assembler: KernelAssembler, i: int, j: int,
     b_j_s = float(prob.diffusion(j, s, h_s))
     d1, d2 = assembler.coupling_weights(s)
     d_i = d1 if i == 1 else d2
-    y, w, sides = assembler._atom_data(s)
+    meas = prob.wentzell.measure
+    y, w = meas.positions(s), meas.weights(s)
+    sides = np.where(y < h_s, 1, 2)
     total = 0.0
     theta, w_theta = singular_rule(0.0, 1.0, config.n_theta, right_exp=-0.5)
     for yk, wk, side in zip(y, w, sides):

@@ -21,7 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary_system import SolverConfig, first_kind_residual, solve_densities
+from .boundary_system import (  # noqa: F401  perfbench traces cli.solve_densities
+    KernelAssembler,
+    SolverConfig,
+    first_kind_residual,
+    solve_densities,
+)
 from .errors import (
     ConfigError,
     MemdiffError,
@@ -66,6 +71,14 @@ def load_run_config(path: str) -> dict:
 
 def build_problem(cfg: dict) -> Problem:
     return Problem.from_dict(cfg["problem"])
+
+
+def validated_problem(cfg: dict) -> Problem:
+    """The config's problem, audited before any solve."""
+    problem = build_problem(cfg)
+    if not validate(problem, cfg.get("grid_resolution", 33)).passed:
+        raise ConfigError("problem failed validation; run the validate command")
+    return problem
 
 
 def build_phi(cfg: dict) -> InitialFunction:
@@ -142,14 +155,11 @@ def cmd_validate(cfg: dict, args) -> int:
 
 
 def cmd_solve(cfg: dict, args) -> int:
-    problem = build_problem(cfg)
+    problem = validated_problem(cfg)
     phi = build_phi(cfg)
     s, t = times(cfg)
     grid = build_grid(cfg)
     precision = int(cfg.get("precision", 12))
-    report = validate(problem, cfg.get("grid_resolution", 33))
-    if not report.passed:
-        raise ConfigError("problem failed validation; run the validate command")
     op = SemigroupOperator(problem, build_solver(cfg))
     s_values = s if isinstance(s, list) else [s]
     lines = ["s,x,u,side"]
@@ -163,25 +173,19 @@ def cmd_solve(cfg: dict, args) -> int:
                                    fmt_sig(float(u_val), precision), side]))
     write_text(args.out, "\n".join(lines) + "\n")
     if args.dump_kernels:
-        _dump_kernels(problem, phi, t, float(s_values[0]), build_solver(cfg),
-                      args.dump_kernels)
+        _dump_kernels(op, phi, t, float(s_values[0]), args.dump_kernels)
     return 0
 
 
-def _dump_kernels(problem, phi, t, s_min, solver, path):
-    from .boundary_system import KernelAssembler
-    dens = solve_densities(problem, phi, t, s_min=s_min, config=solver)
-    assembler = KernelAssembler(problem, config=solver)
-    sample_s = [float(v) for v in dens.mesh[:: max(1, len(dens.mesh) // 8)]]
-    kernels = []
-    for sv in sample_s:
-        taus = [float(v) for v in np.linspace(sv, t, 6)[1:-1]]
-        kernels.append({
-            "s": sv,
-            "tau": taus,
-            "values": [[assembler.system_kernel_value(i, j, sv, tv)
-                        for tv in taus] for i in (1, 2) for j in (1, 2)],
-        })
+def _dump_kernels(op, phi, t, s_min, path):
+    dens = op.densities(s_min, t, phi)
+    assembler = KernelAssembler(op.problem, op.evaluator, op.solver)
+    sample_s = dens.mesh[:: max(1, len(dens.mesh) // 8)]
+    taus = np.linspace(sample_s, t, 6)[1:-1].T
+    values = assembler.system_kernel_matrix(sample_s[:, None], taus)
+    kernels = [{"s": float(sv), "tau": taus[k].tolist(),
+                "values": values[:, :, k].reshape(4, -1).tolist()}
+               for k, sv in enumerate(sample_s)]
     payload = {
         "schema": "kernel-dump.v1",
         "terminal_time": t,
@@ -194,7 +198,7 @@ def _dump_kernels(problem, phi, t, s_min, solver, path):
 
 
 def cmd_check(cfg: dict, args) -> int:
-    problem = build_problem(cfg)
+    problem = validated_problem(cfg)
     phi = build_phi(cfg)
     s, t = times(cfg)
     s = float(s if not isinstance(s, list) else s[0])

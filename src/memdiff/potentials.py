@@ -134,29 +134,27 @@ class PotentialEvaluator:
 
     # -- Poisson potential --------------------------------------------------
 
-    def poisson(self, i: int, s: float, x, t: float, phi: InitialFunction,
-                p: int = 0):
-        """u_i0 and its x-derivatives; x may be an array."""
-        if s >= t:
+    def poisson(self, i: int, s, x, t: float, phi: InitialFunction, p: int = 0):
+        """u_i0 and its x-derivatives; s and x may be arrays that broadcast."""
+        if np.any(np.asarray(s) >= t):
             raise TimeOrderError("poisson potential needs s < t")
         fs = self.fs[i]
+        s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
         if fs.is_exact:
-            return self._poisson_direct(fs, s, x, t, phi, p)
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        # keying the correction table by the phi object itself (identity
-        # hash) keeps the object alive while the cache entry exists
-        out = np.array([fs.terminal_integral(s, xi, t, phi, ("phi", phi), p)
-                        for xi in x_arr])
-        return float(out[0]) if np.ndim(x) == 0 else out
+            out = self._poisson_direct(fs, s, x, t, phi, p)
+        else:
+            # keying the correction table by the phi object itself (identity
+            # hash) keeps the object alive while the cache entry exists
+            out = np.array([fs.terminal_integral(float(sv), float(xv), t, phi,
+                                                 ("phi", phi), p)
+                            for sv, xv in zip(s.ravel(), x.ravel())]).reshape(s.shape)
+        return out if out.ndim else float(out)
 
     def _poisson_direct(self, fs, s, x, t, phi, p):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         b = fs.side.diffusion(t, self.problem.h(t))
-        y, wy = window_nodes(x_arr, math.sqrt(b * (t - s)),
-                             self.quad.n_space, self.quad.r_cut)
-        vals = fs.principal(s, x_arr[:, None], t, y, p) * phi(y)
-        out = np.sum(vals * wy, axis=-1)
-        return float(out[0]) if np.ndim(x) == 0 else out
+        y, wy = window_nodes(x, np.sqrt(b * (t - s)), self.quad.n_space, self.quad.r_cut)
+        vals = fs.principal(s[..., None], x[..., None], t, y, p) * phi(y)
+        return np.sum(vals * wy, axis=-1)
 
     # -- simple-layer potential ----------------------------------------------
 

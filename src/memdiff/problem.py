@@ -115,14 +115,14 @@ class CoefficientField:
         s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            out = np.broadcast_to(self.params[0], np.broadcast_shapes(s.shape, x.shape))
-            return out.copy() if out.shape else float(self.params[0])
+            shape = np.broadcast_shapes(s.shape, x.shape)
+            return np.full(shape, self.params[0]) if shape else self.params[0]
         if self.kind == "affine-in-x":
             c0, c1 = self.params
             return c0 + c1 * x + 0.0 * s
         if self.kind == "sinusoidal-in-s-and-x":
             c0, ax, wx, amp_s, ws = self.params
-            return c0 + ax * np.sin(wx * x) + amp_s * np.sin(ws * s) + 0.0 * (s + x) * 0.0
+            return c0 + ax * np.sin(wx * x) + amp_s * np.sin(ws * s)
         sq = np.clip(s, *self._s_range)
         xq = np.clip(x, *self._x_range)
         sq, xq = np.broadcast_arrays(sq, xq)
@@ -190,8 +190,7 @@ class TimeFunction:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         if self.kind == "constant":
-            out = np.broadcast_to(self.params[0], s.shape)
-            return out.copy() if out.shape else float(self.params[0])
+            return np.full(s.shape, self.params[0]) if s.shape else self.params[0]
         if self.kind == "linear":
             c0, c1 = self.params
             return c0 + c1 * s

@@ -1,0 +1,322 @@
+"""Scalar reference for the interface system: one (s, tau) pair at a time.
+
+Point-by-point evaluation of the Holmgren transform, the flux and
+transformed continuity kernels, the combined system kernel with its
+factored singular part, the right-hand side, and the successive
+approximations with per-node np.interp.  The library evaluates the same
+formulas on whole node arrays; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from memdiff._quadrature import singular_rule
+from memdiff.boundary_system import KernelAssembler, theta_blend_integral
+from memdiff.errors import SingularIntegrandError, TimeOrderError
+from memdiff.potentials import graded_mesh
+
+SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def scalar_holmgren_transform(f, s: float, t: float, f_s: float | None = None,
+                              n: int = 24, left_exp: float = -0.5) -> float:
+    """Differentiated Holmgren transform of f over one interval (s, t)."""
+    if s >= t:
+        raise TimeOrderError("holmgren transform needs s < t")
+    fs_val = float(f(np.array([s]))[0]) if f_s is None else float(f_s)
+    mid = 0.5 * (s + t)
+    scale = abs(fs_val) + 1.0
+
+    span = t - s
+    d_small, d_large = 1e-8 * span, 1e-4 * span
+    f_near = float(f(np.array([s + d_small]))[0])
+    f_far = float(f(np.array([s + d_large]))[0])
+    q_near = abs(f_near - fs_val) / math.sqrt(d_small)
+    q_far = abs(f_far - fs_val) / math.sqrt(d_large)
+    if q_near > 4.0 * q_far + 1e3 * scale:
+        raise SingularIntegrandError(
+            "integrand increment does not decay at the left endpoint")
+
+    rho_l, w_l = singular_rule(s, mid, n, left_exp=left_exp)
+    vals_l = (np.asarray(f(rho_l)) - fs_val) * (rho_l - s) ** (-1.5)
+    rho_r, w_r = singular_rule(mid, t, n)
+    vals_r = (np.asarray(f(rho_r)) - fs_val) * (rho_r - s) ** (-1.5)
+    integral = float(np.sum(vals_l * w_l) + np.sum(vals_r * w_r))
+    return INV_SQRT_2PI * integral - SQRT_2_OVER_PI * fs_val / math.sqrt(t - s)
+
+
+@dataclass
+class SingularKernelPart:
+    """Factored strongly singular kernel piece of one (equation, side) pair.
+
+    value = prefactor * sum over near atoms of weight_k * theta_integral_k,
+    with prefactor = -d_i(s) / (2 sqrt(2 pi) [b_j(tau,h(tau)) (tau-s)]^(3/2)),
+    weight_k = (y_k - h(s))^2 w_k(s).
+    """
+
+    prefactor: float
+    weights: np.ndarray
+    theta_integrals: np.ndarray
+
+    @property
+    def value(self) -> float:
+        if len(self.weights) == 0:
+            return 0.0
+        return self.prefactor * float(np.sum(self.weights * self.theta_integrals))
+
+
+class ScalarKernels:
+    """Pointwise kernels of the assembler's problem, evaluator and config."""
+
+    def __init__(self, assembler: KernelAssembler):
+        self.problem = assembler.problem
+        self.config = assembler.config
+        self.evaluator = assembler.evaluator
+        self.delta = assembler.delta
+        self._flat_exact = {
+            i: self.evaluator.fs[i].is_exact and self.problem.membrane.is_constant
+            for i in (1, 2)
+        }
+        self.kernels_vanish = (all(self._flat_exact.values())
+                               and self.problem.wentzell.measure.is_null)
+
+    def coupling_weights(self, s: float):
+        h = float(self.problem.h(s))
+        b1 = float(self.problem.diffusion(1, s, h))
+        b2 = float(self.problem.diffusion(2, s, h))
+        q1 = float(self.problem.q(1, s))
+        q2 = float(self.problem.q(2, s))
+        denom = q1 * math.sqrt(b2) + q2 * math.sqrt(b1)
+        return (b1 * math.sqrt(b2) / denom, b2 * math.sqrt(b1) / denom)
+
+    def _g(self, j, s, x, tau, y, p=0):
+        fs = self.evaluator.fs[j]
+        if fs.is_exact:
+            return fs.principal(s, x, tau, y, p)
+        return fs.eval(s, x, tau, y, p)
+
+    def _atom_data(self, s: float):
+        meas = self.problem.wentzell.measure
+        if meas.is_null:
+            return np.empty(0), np.empty(0), np.empty(0, dtype=int)
+        h = float(self.problem.h(s))
+        y = meas.positions(s)
+        w = meas.weights(s)
+        return y, w, np.where(y < h, 1, 2)
+
+    def flux_kernel(self, j: int, s: float, tau: float) -> float:
+        """Kernel of the flux condition: reflection term plus measure term."""
+        if s >= tau:
+            raise TimeOrderError("flux kernel needs s < tau")
+        h_s = float(self.problem.h(s))
+        h_tau = float(self.problem.h(tau))
+        q_j = float(self.problem.q(j, s))
+        out = (-1.0) ** j * q_j * float(self._g(j, s, h_s, tau, h_tau, p=1))
+        y, w, sides = self._atom_data(s)
+        for yk, wk, side in zip(y, w, sides):
+            if side != j or wk == 0.0:
+                continue
+            out += wk * float(self._g(j, s, yk, tau, h_tau)
+                              - self._g(j, s, h_s, tau, h_tau))
+        return out
+
+    def holmgren_kernel(self, j: int, s: float, tau: float) -> float:
+        """Kernel produced by transforming the continuity equation."""
+        if s >= tau:
+            raise TimeOrderError("holmgren kernel needs s < tau")
+        if self._flat_exact[j]:
+            return 0.0
+        h_tau = float(self.problem.h(tau))
+        fs = self.evaluator.fs[j]
+
+        def trace_f(rho):
+            rho = np.asarray(rho, dtype=float)
+            h_rho = np.asarray(self.problem.h(rho), dtype=float)
+            g_moved = np.asarray(self._g(j, rho, h_rho, tau, h_tau))
+            z0_flat = np.asarray(fs.principal(rho, h_tau, tau, h_tau))
+            return g_moved - z0_flat
+
+        value = scalar_holmgren_transform(
+            trace_f, s, tau, n=self.config.n_holmgren,
+            left_exp=self.problem.kernel_time_exponent())
+        return (-1.0) ** j * value
+
+    def _kernel_pieces(self, j: int, s: float, tau: float, delta: float):
+        """(k_reg, near_weights, near_thetas, bare_prefactor, r_val) of side j."""
+        h_s = float(self.problem.h(s))
+        h_tau = float(self.problem.h(tau))
+        q_j = float(self.problem.q(j, s))
+        b_j_tau = float(self.problem.diffusion(j, tau, h_tau))
+        dt = tau - s
+        denom = 2.0 * b_j_tau * dt
+
+        k_reg = (-1.0) ** j * q_j * float(self._g(j, s, h_s, tau, h_tau, p=1))
+        y, w, sides = self._atom_data(s)
+        near_w, near_theta = [], []
+        fs = self.evaluator.fs[j]
+        for yk, wk, side in zip(y, w, sides):
+            if side != j or wk == 0.0:
+                continue
+            if abs(yk - h_s) >= delta:
+                k_reg += wk * float(self._g(j, s, yk, tau, h_tau)
+                                    - self._g(j, s, h_s, tau, h_tau))
+                continue
+            if not fs.is_exact:
+                k_reg += wk * float(
+                    (fs.eval(s, yk, tau, h_tau) - fs.principal(s, yk, tau, h_tau))
+                    - (fs.eval(s, h_s, tau, h_tau) - fs.principal(s, h_s, tau, h_tau)))
+            theta = float(theta_blend_integral((yk - h_tau) ** 2,
+                                               (h_s - h_tau) ** 2, denom))
+            k_reg += ((h_tau - h_s) / (math.sqrt(2 * math.pi) * (b_j_tau * dt) ** 1.5)
+                      * (yk - h_s) * wk * theta)
+            near_w.append((yk - h_s) ** 2 * wk)
+            near_theta.append(theta)
+        bare_pref = -1.0 / (2.0 * math.sqrt(2 * math.pi) * (b_j_tau * dt) ** 1.5)
+        r_val = self.holmgren_kernel(j, s, tau)
+        return k_reg, np.asarray(near_w), np.asarray(near_theta), bare_pref, r_val
+
+    def system_kernel(self, i: int, j: int, s: float, tau: float,
+                      delta: float | None = None):
+        """Regular and factored singular parts of N_ij; their sum is N_ij."""
+        if s >= tau:
+            raise TimeOrderError("system kernel needs s < tau")
+        delta = self.delta if delta is None else delta
+        d_i = self.coupling_weights(s)[i - 1]
+        h_s = float(self.problem.h(s))
+        q_other = float(self.problem.q(3 - i, s))
+        b_other = float(self.problem.diffusion(3 - i, s, h_s))
+        k_reg, near_w, near_theta, bare_pref, r_val = \
+            self._kernel_pieces(j, s, tau, delta)
+        regular = d_i * (k_reg + (-1.0) ** i * q_other / math.sqrt(b_other) * r_val)
+        return regular, SingularKernelPart(d_i * bare_pref, near_w, near_theta)
+
+    def system_kernel_value(self, i: int, j: int, s: float, tau: float) -> float:
+        reg, sing = self.system_kernel(i, j, s, tau)
+        return reg + sing.value
+
+    def system_kernel_matrix(self, s: float, tau_nodes) -> np.ndarray:
+        """Full kernel values N_ij(s, tau_q), shape (2, 2, len(tau_nodes))."""
+        d = self.coupling_weights(s)
+        h_s = float(self.problem.h(s))
+        out = np.zeros((2, 2, len(tau_nodes)))
+        for q_idx, tq in enumerate(tau_nodes):
+            for j in (1, 2):
+                k_reg, near_w, near_theta, bare_pref, r_val = \
+                    self._kernel_pieces(j, float(s), float(tq), self.delta)
+                sing = bare_pref * float(np.sum(near_w * near_theta)) \
+                    if len(near_w) else 0.0
+                base = k_reg + sing
+                for i in (1, 2):
+                    q_other = float(self.problem.q(3 - i, s))
+                    b_other = float(self.problem.diffusion(3 - i, s, h_s))
+                    out[i - 1, j - 1, q_idx] = d[i - 1] * (
+                        base + (-1.0) ** i * q_other / math.sqrt(b_other) * r_val)
+        return out
+
+
+class ScalarRightHandSide:
+    """Pointwise trace gap, flux data and right-hand sides Psi_i."""
+
+    def __init__(self, kernels: ScalarKernels, phi, t: float):
+        self.kernels = kernels
+        self.phi = phi
+        self.t = t
+        left, right = kernels.problem.left, kernels.problem.right
+        self._identical_sides = (
+            (left.drift.kind, left.drift.params)
+            == (right.drift.kind, right.drift.params)
+            and (left.diffusion.kind, left.diffusion.params)
+            == (right.diffusion.kind, right.diffusion.params))
+
+    def trace_gap(self, s: float) -> float:
+        if s >= self.t:
+            raise TimeOrderError("trace gap needs s < t")
+        if self._identical_sides:
+            return 0.0
+        ev = self.kernels.evaluator
+        h = float(self.kernels.problem.h(s))
+        return (ev.poisson(2, s, h, self.t, self.phi)
+                - ev.poisson(1, s, h, self.t, self.phi))
+
+    def flux_gap(self, s: float) -> float:
+        ev = self.kernels.evaluator
+        prob = self.kernels.problem
+        h = float(prob.h(s))
+        out = (float(prob.q(2, s)) * ev.poisson(2, s, h, self.t, self.phi, p=1)
+               - float(prob.q(1, s)) * ev.poisson(1, s, h, self.t, self.phi, p=1))
+        y, w, sides = self.kernels._atom_data(s)
+        for yk, wk, side in zip(y, w, sides):
+            if wk == 0.0:
+                continue
+            out += wk * (ev.poisson(side, s, yk, self.t, self.phi)
+                         - ev.poisson(side, s, h, self.t, self.phi))
+        return out
+
+    def transformed_trace_gap(self, s: float) -> float:
+        if self._identical_sides:
+            return 0.0
+
+        def f(rho):
+            rho = np.atleast_1d(np.asarray(rho, dtype=float))
+            return np.array([self.trace_gap(min(r, self.t - 1e-14)) for r in rho])
+
+        return scalar_holmgren_transform(
+            f, s, self.t, n=self.kernels.config.n_holmgren,
+            left_exp=self.kernels.problem.kernel_time_exponent())
+
+    def combined(self, i: int, s: float) -> float:
+        prob = self.kernels.problem
+        h = float(prob.h(s))
+        d_i = self.kernels.coupling_weights(s)[i - 1]
+        q_other = float(prob.q(3 - i, s))
+        b_other = float(prob.diffusion(3 - i, s, h))
+        phi_term = self.transformed_trace_gap(s)
+        return d_i * (self.flux_gap(s)
+                      + (-1.0) ** i * q_other / math.sqrt(b_other) * phi_term)
+
+
+def reference_solve(assembler: KernelAssembler, phi, t: float, s_min: float = 0.0):
+    """Successive approximations node by node.
+
+    Returns (mesh, W of shape (2, n), iterate sup norms).
+    """
+    config = assembler.config
+    kernels = ScalarKernels(assembler)
+    rhs = ScalarRightHandSide(kernels, phi, t)
+    mesh = graded_mesh(t, s_min, config.mesh_n, config.mesh_gamma)
+    n = len(mesh)
+    sqrt_rem = np.sqrt(t - mesh)
+    w = np.array([[rhs.combined(i, float(s)) * sqrt_rem[idx]
+                   for idx, s in enumerate(mesh)] for i in (1, 2)])
+    exponent = assembler.problem.kernel_time_exponent()
+    tau_nodes = np.zeros((n, config.n_kernel))
+    kern = np.zeros((n, 2, 2, config.n_kernel))
+    for idx, s in enumerate(mesh):
+        tau, wt = singular_rule(float(s), t, config.n_kernel,
+                                left_exp=exponent, right_exp=-0.5)
+        tau_nodes[idx] = tau
+        if not kernels.kernels_vanish:
+            kern[idx] = kernels.system_kernel_matrix(float(s), tau) \
+                * (wt * (t - tau) ** (-0.5))[None, None, :]
+    scale = max(phi.sup_norm, 1e-300)
+    total = w.copy()
+    current = w
+    sups = [float(np.max(np.abs(current)))]
+    for _ in range(config.k_max):
+        if sups[-1] <= config.tol_v * scale:
+            break
+        nxt = np.zeros_like(current)
+        for idx in range(n):
+            w_interp = np.stack([np.interp(tau_nodes[idx], mesh, current[jd])
+                                 for jd in (0, 1)])
+            for i in (0, 1):
+                nxt[i, idx] = sqrt_rem[idx] * float(np.sum(kern[idx, i] * w_interp))
+        current = nxt
+        total += current
+        sups.append(float(np.max(np.abs(current))))
+    return mesh, total, sups

@@ -22,6 +22,7 @@ from memdiff.potentials import PotentialEvaluator
 from memdiff.problem import InitialFunction, MembranePath
 
 from conftest import atom_at, make_problem
+from kernel_oracle import ScalarKernels, scalar_holmgren_transform
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -50,6 +51,28 @@ def test_holmgren_zero():
 def test_holmgren_rejects_nondecaying_increment():
     with pytest.raises(SingularIntegrandError):
         holmgren_transform(lambda r: np.ones_like(r), 0.0, 1.0, f_s=0.0)
+
+
+def test_holmgren_array_matches_scalar_reference():
+    def f(r):
+        return np.cos(3.0 * r) * (2.0 - r)
+
+    s = np.array([[0.0], [0.3]])
+    t = np.array([0.5, 0.9, 1.4])
+    got = holmgren_transform(f, s, t, n=16)
+    assert got.shape == (2, 3)
+    for (k, m), value in np.ndenumerate(got):
+        want = scalar_holmgren_transform(f, float(s[k, 0]), float(t[m]), n=16)
+        assert value == pytest.approx(want, rel=1e-12)
+    assert isinstance(holmgren_transform(f, 0.1, 0.5), float)
+
+
+def test_holmgren_checks_every_element():
+    one = lambda r: np.ones_like(r)  # noqa: E731
+    ok = holmgren_transform(one, [0.0, 0.0], 1.0, f_s=[1.0, 1.0])
+    assert np.allclose(ok, -SQ2PI)
+    with pytest.raises(SingularIntegrandError):
+        holmgren_transform(one, [0.0, 0.0], 1.0, f_s=[1.0, 0.0])
 
 
 def test_holmgren_time_order():
@@ -88,14 +111,14 @@ def test_trace_gap_vanishes_at_terminal_time(two_scale_problem):
 # -- flux kernel ------------------------------------------------------------------
 
 def test_flux_kernel_vanishes_flat_symmetric(symmetric_problem):
-    asm = KernelAssembler(symmetric_problem)
+    asm = ScalarKernels(KernelAssembler(symmetric_problem))
     assert asm.flux_kernel(1, 0.2, 0.7) == pytest.approx(0.0, abs=1e-15)
     assert asm.flux_kernel(2, 0.2, 0.7) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_flux_kernel_sloped_membrane_closed_form():
     prob = make_problem(membrane=MembranePath("linear", [0.0, 0.1]), q1=1.0, q2=1.0)
-    asm = KernelAssembler(prob)
+    asm = ScalarKernels(KernelAssembler(prob))
     s, tau = 0.2, 0.8
     dt = tau - s
     z0 = math.exp(-(0.1 * dt) ** 2 / (2 * dt)) / math.sqrt(2 * math.pi * dt)
@@ -106,7 +129,7 @@ def test_flux_kernel_sloped_membrane_closed_form():
 
 def test_flux_kernel_single_atom_formula():
     prob = make_problem(q1=1e-12, q2=1e-12, atoms=(atom_at(1.0),))
-    asm = KernelAssembler(prob)
+    asm = ScalarKernels(KernelAssembler(prob))
     s, tau = 0.1, 0.6
     dt = tau - s
     want = (math.exp(-1.0 / (2 * dt)) - 1.0) / math.sqrt(2 * math.pi * dt)
@@ -117,12 +140,12 @@ def test_flux_kernel_single_atom_formula():
 # -- transformed continuity kernel ---------------------------------------------------
 
 def test_holmgren_kernel_vanishes_flat_constant(symmetric_problem):
-    asm = KernelAssembler(symmetric_problem)
+    asm = ScalarKernels(KernelAssembler(symmetric_problem))
     assert asm.holmgren_kernel(1, 0.1, 0.8) == 0.0
 
 
 def test_holmgren_kernel_bound_shape(moving_membrane_problem):
-    asm = KernelAssembler(moving_membrane_problem)
+    asm = ScalarKernels(KernelAssembler(moving_membrane_problem))
     alpha = moving_membrane_problem.alpha
     s = 0.1
     vals = []
@@ -135,10 +158,10 @@ def test_holmgren_kernel_bound_shape(moving_membrane_problem):
 
 def test_holmgren_kernel_quadrature_consistency(moving_membrane_problem):
     # same differentiated transform evaluated at doubled resolution
-    asm_c = KernelAssembler(moving_membrane_problem,
-                            config=SolverConfig(n_holmgren=24))
-    asm_f = KernelAssembler(moving_membrane_problem,
-                            config=SolverConfig(n_holmgren=96))
+    asm_c = ScalarKernels(KernelAssembler(moving_membrane_problem,
+                                          config=SolverConfig(n_holmgren=24)))
+    asm_f = ScalarKernels(KernelAssembler(moving_membrane_problem,
+                                          config=SolverConfig(n_holmgren=96)))
     for (s, tau) in ((0.1, 0.4), (0.3, 0.9)):
         a = asm_c.holmgren_kernel(1, s, tau)
         b = asm_f.holmgren_kernel(1, s, tau)
@@ -154,7 +177,7 @@ def test_coupling_weights_reference_values(two_scale_problem):
 
 
 def test_system_kernel_no_measure_has_null_singular_part(skew_problem):
-    asm = KernelAssembler(skew_problem)
+    asm = ScalarKernels(KernelAssembler(skew_problem))
     reg, sing = asm.system_kernel(1, 2, 0.2, 0.7)
     assert sing.value == 0.0
     assert len(sing.weights) == 0
@@ -168,17 +191,22 @@ def test_system_kernel_split_matches_direct_assembly():
                         atoms=(atom_at(0.6), atom_at(-0.8)))
     asm = KernelAssembler(prob, config=SolverConfig(delta=2.0))
     asm_far = KernelAssembler(prob, config=SolverConfig(delta=1e-6))
-    for (i, j, s, tau) in ((1, 1, 0.1, 0.5), (2, 1, 0.2, 0.4), (1, 2, 0.3, 1.2)):
-        reg, sing = asm.system_kernel(i, j, s, tau)
-        split_total = reg + sing.value
-        reg_f, sing_f = asm_far.system_kernel(i, j, s, tau)
-        assert sing_f.value == 0.0
-        assert split_total == pytest.approx(reg_f, rel=1e-10, abs=1e-13)
+    s = np.array([[0.1], [0.2], [0.3]])
+    tau = np.array([[0.5, 0.7], [0.4, 0.9], [1.2, 0.31]])
+    split = asm.system_kernel_matrix(s, tau)
+    plain = asm_far.system_kernel_matrix(s, tau)
+    assert np.allclose(split, plain, rtol=1e-10, atol=1e-13)
+    # the scalar reference splits the same way
+    for (i, j, sv, tv) in ((1, 1, 0.1, 0.5), (2, 1, 0.2, 0.4), (1, 2, 0.3, 1.2)):
+        reg, sing = ScalarKernels(asm).system_kernel(i, j, sv, tv)
+        reg_f, sing_f = ScalarKernels(asm_far).system_kernel(i, j, sv, tv)
+        assert sing.value != 0.0 and sing_f.value == 0.0
+        assert reg + sing.value == pytest.approx(reg_f, rel=1e-10, abs=1e-13)
 
 
 def test_system_kernel_singular_shape_as_time_gap_closes():
     prob = make_problem(atoms=(atom_at(0.5),))
-    asm = KernelAssembler(prob, config=SolverConfig(delta=1.0))
+    asm = ScalarKernels(KernelAssembler(prob, config=SolverConfig(delta=1.0)))
     s = 0.2
     prods = []
     for dt in (0.2, 0.05, 0.01, 0.002):
@@ -303,7 +331,8 @@ def test_flux_equation_residual_moving_membrane(skew_moving_problem, gaussian_ph
         tau, wt = singular_rule(s, t, 24, left_exp=-0.5, right_exp=-0.5)
         total = rhs.flux_gap(s)
         for j in (1, 2):
-            kj = np.array([asm.flux_kernel(j, s, float(tq)) for tq in tau])
+            kj = np.array([ScalarKernels(asm).flux_kernel(j, s, float(tq))
+                           for tq in tau])
             total += float(np.sum(kj * dens.v(j, tau) * wt))
         assert lhs == pytest.approx(total, abs=5e-3 * gaussian_phi.sup_norm)
 
@@ -326,7 +355,7 @@ def test_singular_route_matches_direct_product_rule():
     tau, wt = singular_rule(s, t, 128, left_exp=-0.5, right_exp=-0.5)
     vals = []
     for tq in tau:
-        _, sing = asm.system_kernel(2, 2, s, float(tq))
+        _, sing = ScalarKernels(asm).system_kernel(2, 2, s, float(tq))
         vals.append(sing.value)
     direct = float(np.sum(np.array(vals) * dens.v(2, tau) * wt))
     assert via_usub == pytest.approx(direct, rel=5e-3)

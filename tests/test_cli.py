@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memdiff.cli import fmt_sig, main
+from memdiff.problem import InitialFunction, Problem
+from memdiff.semigroup import SemigroupOperator
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -158,5 +161,30 @@ def test_dump_kernels(tmp_path):
                 "--out", out, "--dump-kernels", dump]) == 0
     payload = read_json(dump)
     assert payload["schema"] == "kernel-dump.v1"
+    assert set(payload) == {"schema", "terminal_time", "mesh", "w1", "w2", "kernels"}
     assert len(payload["mesh"]) == len(payload["w1"]) == len(payload["w2"])
     assert payload["kernels"]
+    for block in payload["kernels"]:
+        assert set(block) == {"s", "tau", "values"}
+        assert np.shape(block["values"]) == (4, len(block["tau"]))
+    # the dumped densities are the solve's own, bit for bit
+    cfg = read_json(CONFIGS / "moving_membrane.json")
+    op = SemigroupOperator(Problem.from_dict(cfg["problem"]))
+    phi = InitialFunction.from_dict(cfg["phi"])
+    dens = op.densities(cfg["s"], cfg["t"], phi)
+    assert np.array_equal(payload["w1"], dens.w1)
+    assert np.array_equal(payload["w2"], dens.w2)
+    assert np.array_equal(payload["mesh"], dens.mesh)
+
+
+def test_check_rejects_config_failing_validation(tmp_path, capsys):
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["problem"]["left"]["diffusion"] = {"kind": "constant", "params": [3.0]}
+    cfg["problem"]["left"]["diffusion_max"] = 2.0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["check", "--config", cfg_path, "--suite", "semigroup",
+                "--out", out]) == 2
+    assert "failed validation" in capsys.readouterr().err
+    assert not out.exists()

@@ -122,6 +122,34 @@ def test_time_function_catalog():
     assert tab(0.25) == pytest.approx(0.5)
 
 
+def test_constant_and_sinusoidal_values_keep_shape_and_bits():
+    # reference forms: broadcast copy for constants, the sinusoid with an
+    # explicit broadcast of s against x
+    inputs = [(0.3, -1.2), (np.linspace(0.0, 1.0, 5), 0.4),
+              (0.2, np.linspace(-1.0, 1.0, 7)),
+              (np.linspace(0.0, 1.0, 3)[:, None], np.linspace(-1.0, 1.0, 4)[None, :])]
+    const = CoefficientField.constant(1.7)
+    sine = CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.2, 1.5, 0.1, 2.0])
+    for s, x in inputs:
+        s_a, x_a = np.asarray(s, dtype=float), np.asarray(x, dtype=float)
+        shape = np.broadcast_shapes(s_a.shape, x_a.shape)
+        got = const(s, x)
+        assert np.shape(got) == shape and np.all(got == 1.7)
+        assert isinstance(got, np.ndarray) == bool(shape)
+        want = (1.0 + 0.2 * np.sin(1.5 * x_a) + 0.1 * np.sin(2.0 * s_a)
+                + 0.0 * (s_a + x_a) * 0.0)
+        assert np.array_equal(sine(s, x), want)
+        assert np.shape(sine(s, x)) == shape
+    tf = TimeFunction.constant(-0.5)
+    for s in (0.25, np.linspace(0.0, 1.0, 6), np.zeros((2, 3))):
+        got = tf(s)
+        assert np.shape(got) == np.shape(s) and np.all(got == -0.5)
+        assert isinstance(got, float) == (np.ndim(s) == 0)
+    out = tf(np.zeros(3))
+    out[0] = 9.0  # a fresh array, not a view of shared data
+    assert np.all(tf(np.zeros(3)) == -0.5)
+
+
 def test_initial_function_values_and_derivatives():
     phi = InitialFunction.gaussian(amp=2.0, center=0.5, width=0.7)
     assert phi(0.5) == pytest.approx(2.0)
