@@ -23,7 +23,6 @@ from .parametrix import (
     CorrectionQuadrature,
     FundamentalSolution,
     PrincipalKernel,
-    build_correction,
     moment_residuals,
 )
 from .potentials import DensityPair, PotentialEvaluator, PotentialQuadrature, graded_mesh
@@ -38,7 +37,6 @@ from .problem import (
     TimeFunction,
     ValidationReport,
     WentzellData,
-    side_of,
     validate,
 )
 from .semigroup import EffectiveCoefficients, SemigroupField, SemigroupOperator
@@ -68,13 +66,11 @@ __all__ = [
     "TimeFunction",
     "ValidationReport",
     "WentzellData",
-    "build_correction",
     "compare",
     "first_kind_residual",
     "graded_mesh",
     "holmgren_transform",
     "moment_residuals",
-    "side_of",
     "simulate",
     "skew_density",
     "solve_densities",

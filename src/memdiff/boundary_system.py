@@ -59,8 +59,6 @@ class SolverConfig:
     mesh_gamma: float = 2.0
     n_kernel: int = 16
     n_holmgren: int = 24
-    n_theta: int = 24
-    n_u: int = 20
     tol_v: float = 1e-8
     k_max: int = 200
     delta: float | None = None
@@ -162,16 +160,6 @@ class KernelAssembler:
         # is exactly zero
         self.kernels_vanish = (all(self._flat_exact.values())
                                and problem.wentzell.measure.is_null)
-
-    # -- coupling weights ---------------------------------------------------
-
-    def coupling_weights(self, s):
-        """The pair (d_1, d_2) entering the eliminated second-kind system."""
-        prob = self.problem
-        h = prob.h(s)
-        b1, b2 = prob.diffusion(1, s, h), prob.diffusion(2, s, h)
-        denom = prob.q(1, s) * np.sqrt(b2) + prob.q(2, s) * np.sqrt(b1)
-        return (b1 * np.sqrt(b2) / denom, b2 * np.sqrt(b1) / denom)
 
     # -- fundamental solution on anchors ---------------------------------------
 
@@ -281,14 +269,19 @@ class KernelAssembler:
         h_s = np.broadcast_to(prob.h(s), s.shape)
         h_tau = np.broadcast_to(prob.h(tau), s.shape)
         sides = [self._side_kernel(j, s, tau, h_s, h_tau) for j in (1, 2)]
-        d = self.coupling_weights(s)
+        _, d = prob.membrane_weights(s)
         out = np.empty((2, 2) + s.shape)
         for i in (1, 2):
-            transfer = (-1.0) ** i * prob.q(3 - i, s) / np.sqrt(
-                prob.diffusion(3 - i, s, h_s))
+            transfer = elimination_factor(prob, i, s, h_s)
             for j, (base, r_val) in enumerate(sides):
                 out[i - 1, j] = d[i - 1] * (base + transfer * r_val)
         return out
+
+
+def elimination_factor(problem: Problem, i: int, s, h):
+    """(-1)^i q_other / sqrt(b_other(s, h(s))): the factor that carries the
+    transformed continuity equation into equation i after elimination."""
+    return (-1.0) ** i * problem.q(3 - i, s) / np.sqrt(problem.diffusion(3 - i, s, h))
 
 
 def default_delta(problem: Problem) -> float:
@@ -396,11 +389,9 @@ class RightHandSide:
         h = prob.h(s)
         phi_term = self.transformed_trace_gap(s, self.trace_gap(s))
         flux = self.flux_gap(s)
-        d = self.assembler.coupling_weights(s)
-        return np.stack([
-            d[i - 1] * (flux + (-1.0) ** i * prob.q(3 - i, s)
-                        / np.sqrt(prob.diffusion(3 - i, s, h)) * phi_term)
-            for i in (1, 2)])
+        _, d = prob.membrane_weights(s)
+        return np.stack([d[i - 1] * (flux + elimination_factor(prob, i, s, h) * phi_term)
+                         for i in (1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -519,53 +510,3 @@ def first_kind_residual(problem: Problem, phi: InitialFunction, t: float,
     lhs = np.array([ev.layer(1, s, x, t, densities) - ev.layer(2, s, x, t, densities)
                     for s, x in zip(mesh.tolist(), h.tolist())])
     return lhs - rhs.trace_gap(mesh)
-
-
-# ---------------------------------------------------------------------------
-# secondary route for the factored singular part (validation)
-# ---------------------------------------------------------------------------
-
-def singular_part_time_integral(assembler: KernelAssembler, i: int, j: int,
-                                s: float, t: float, densities: DensityPair,
-                                delta: float | None = None) -> float:
-    """Time integral of the factored singular kernel against the density.
-
-    Substitution route: theta stays an outer quadrature variable (with the
-    inverse-square-root endpoint weight at theta = 1) and the inner time
-    integral uses u = g/sqrt(tau-s), which maps the (tau-s)^(-3/2)
-    exponential-weighted singularity onto a Gaussian-type integrand, the
-    same change of variables that produces the closed-form full-interval
-    integral.  Used to validate the direct product-quadrature route.
-    """
-    prob = assembler.problem
-    config = assembler.config
-    delta = assembler.delta if delta is None else delta
-    h_s = float(prob.h(s))
-    b_j_s = float(prob.diffusion(j, s, h_s))
-    d1, d2 = assembler.coupling_weights(s)
-    d_i = d1 if i == 1 else d2
-    meas = prob.wentzell.measure
-    y, w = meas.positions(s), meas.weights(s)
-    sides = np.where(y < h_s, 1, 2)
-    total = 0.0
-    theta, w_theta = singular_rule(0.0, 1.0, config.n_theta, right_exp=-0.5)
-    for yk, wk, side in zip(y, w, sides):
-        if side != j or wk == 0.0 or abs(yk - h_s) >= delta:
-            continue
-        for th, wth in zip(theta, w_theta):
-            g_bar = math.sqrt((1.0 - th) * (yk - h_s) ** 2 / (2.0 * b_j_s))
-            u_min = g_bar / math.sqrt(t - s)
-            parts = [singular_rule(u_min, u_min + 1.0, config.n_u, left_exp=-0.5),
-                     singular_rule(u_min + 1.0, u_min + 9.0, config.n_u)]
-            for u, wu in parts:
-                tau = s + g_bar ** 2 / u ** 2
-                b_tau = np.asarray(prob.diffusion(j, tau, prob.h(tau)), dtype=float)
-                h_tau = np.asarray(prob.h(tau), dtype=float)
-                a_val = ((1.0 - th) * (yk - h_tau) ** 2 + th * (h_s - h_tau) ** 2)
-                expo = np.exp(-a_val / (2.0 * b_tau * (tau - s)))
-                pref = -d_i / (2.0 * math.sqrt(2 * math.pi) * b_tau ** 1.5)
-                dens = densities.w(j, np.minimum(tau, densities.t - 1e-14)) \
-                    * (t - tau) ** (-0.5)
-                vals = pref * (yk - h_s) ** 2 * wk * expo * dens
-                total += (2.0 / g_bar) * float(np.sum(vals * wu)) * wth
-    return total

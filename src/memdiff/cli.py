@@ -107,12 +107,25 @@ def build_solver(cfg: dict) -> SolverConfig:
         raise ConfigError(f"bad solver override: {exc}") from exc
 
 
+def build_sim(cfg: dict, args) -> SimConfig:
+    overrides = dict(cfg.get("mc", {}))
+    if args.paths is not None:
+        overrides["paths"] = args.paths
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    try:
+        return SimConfig(**overrides)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad mc setting: {exc}") from exc
+
+
 def times(cfg: dict) -> tuple:
+    """(start times, t): the config's s is one number or a list of them."""
     s = cfg.get("s", 0.0)
     t = cfg.get("t")
     if t is None:
         raise ConfigError("config missing key 't'")
-    return s, float(t)
+    return [float(v) for v in (s if isinstance(s, list) else [s])], float(t)
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -157,23 +170,22 @@ def cmd_validate(cfg: dict, args) -> int:
 def cmd_solve(cfg: dict, args) -> int:
     problem = validated_problem(cfg)
     phi = build_phi(cfg)
-    s, t = times(cfg)
+    s_values, t = times(cfg)
     grid = build_grid(cfg)
     precision = int(cfg.get("precision", 12))
     op = SemigroupOperator(problem, build_solver(cfg))
-    s_values = s if isinstance(s, list) else [s]
     lines = ["s,x,u,side"]
     for s_val in s_values:
-        field = op.apply(float(s_val), t, phi)
+        field = op.apply(s_val, t, phi)
         values = field(grid)
         for x_val, u_val in zip(grid, np.atleast_1d(values)):
-            side = problem.side_of(float(s_val), float(x_val))
-            lines.append(",".join([fmt_sig(float(s_val), precision),
+            side = problem.side_of(s_val, float(x_val))
+            lines.append(",".join([fmt_sig(s_val, precision),
                                    fmt_sig(float(x_val), precision),
                                    fmt_sig(float(u_val), precision), side]))
     write_text(args.out, "\n".join(lines) + "\n")
     if args.dump_kernels:
-        _dump_kernels(op, phi, t, float(s_values[0]), args.dump_kernels)
+        _dump_kernels(op, phi, t, s_values[0], args.dump_kernels)
     return 0
 
 
@@ -200,8 +212,8 @@ def _dump_kernels(op, phi, t, s_min, path):
 def cmd_check(cfg: dict, args) -> int:
     problem = validated_problem(cfg)
     phi = build_phi(cfg)
-    s, t = times(cfg)
-    s = float(s if not isinstance(s, list) else s[0])
+    s_values, t = times(cfg)
+    s = s_values[0]
     grid = build_grid(cfg)
     suite = cfg.get("suite", args.suite)
     if suite not in ("semigroup", "conjugation", "generator", "parametrix"):
@@ -252,17 +264,12 @@ def cmd_check(cfg: dict, args) -> int:
 
 
 def cmd_compare_mc(cfg: dict, args) -> int:
-    problem = build_problem(cfg)
+    problem = validated_problem(cfg)
     phi = build_phi(cfg)
-    s, t = times(cfg)
-    s = float(s if not isinstance(s, list) else s[0])
+    s_values, t = times(cfg)
+    s = s_values[0]
     grid = build_grid(cfg)
-    mc_cfg = dict(cfg.get("mc", {}))
-    if args.paths is not None:
-        mc_cfg["paths"] = args.paths
-    if args.seed is not None:
-        mc_cfg["seed"] = args.seed
-    config = SimConfig(**mc_cfg)
+    config = build_sim(cfg, args)
     op = SemigroupOperator(problem, build_solver(cfg))
     field = op.apply(s, t, phi)
 

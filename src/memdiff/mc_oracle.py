@@ -171,7 +171,11 @@ def simulate(problem: Problem, s: float, x: float, t: float,
             b2h = float(problem.diffusion(2, sk, h_k))
             q1 = float(problem.q(1, sk))
             q2 = float(problem.q(2, sk))
-            l2 = q2 * math.sqrt(b1h) / (q1 * math.sqrt(b2h) + q2 * math.sqrt(b1h))
+            # the membrane weights are written out here on purpose, apart
+            # from Problem.membrane_weights, so that the oracle stays an
+            # independent check of the solver
+            denom = q1 * math.sqrt(b2h) + q2 * math.sqrt(b1h)
+            l2 = q2 * math.sqrt(b1h) / denom
 
             land_right = prop >= h_k1
             crossed = right != land_right
@@ -206,7 +210,6 @@ def simulate(problem: Problem, s: float, x: float, t: float,
                     w_at = meas.weights(sk1)
                     total_w = float(np.sum(w_at))
                     if total_w > 0:
-                        denom = q1 * math.sqrt(b2h) + q2 * math.sqrt(b1h)
                         d_sum = (b1h * math.sqrt(b2h) + b2h * math.sqrt(b1h)) / denom
                         ell = math.sqrt(dt / b_bar) / config.jump_layer
                         p_jump = min(1.0, 0.5 * d_sum * total_w * ell)

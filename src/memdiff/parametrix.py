@@ -65,36 +65,31 @@ class CorrectionQuadrature:
 class PrincipalKernel:
     """Gaussian principal part Z0 of one side, with x-derivatives up to 2."""
 
-    def __init__(self, side: SideSpec, index: int = 1):
+    def __init__(self, side: SideSpec):
         self.side = side
-        self.index = index
 
     def __call__(self, s, x, t, y, p: int = 0):
+        if p not in (0, 1, 2):
+            raise ValueError("derivative order must be 0, 1 or 2")
         s, x, t, y = map(np.asarray, (s, x, t, y))
         dt = t - s
         if np.any(dt <= 0):
             raise TimeOrderError("principal kernel needs s < t")
-        var = self.side.diffusion(t, y) * dt
-        z = y - x
-        g = np.exp(-z * z / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
-        if p == 0:
-            out = g
-        elif p == 1:
-            out = g * z / var
-        elif p == 2:
-            out = g * (z * z / var - 1.0) / var
-        else:
-            raise ValueError("derivative order must be 0, 1 or 2")
+        out = _z0(self.side.diffusion(t, y) * dt, y - x, p)
         return float(out) if out.ndim == 0 else out
 
 
-def _principal_pieces(b_ty, s, x, t, y):
-    """Z0, dZ0/dx, d2Z0/dx2 for a precomputed terminal diffusion value."""
-    dt = t - s
-    var = b_ty * dt
-    z = y - x
+def _z0(var, z, p):
+    """Z0 (p = 0) or its x-derivative of order p = 1 or 2.
+
+    var = b(t, y) (t - s) is the frozen-coefficient variance and z = y - x.
+    """
     g = np.exp(-z * z / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
-    return g, g * z / var, g * (z * z / var - 1.0) / var
+    if p == 0:
+        return g
+    if p == 1:
+        return g * z / var
+    return g * (z * z / var - 1.0) / var
 
 
 class _CorrectionSource:
@@ -111,15 +106,15 @@ class _CorrectionSource:
 
     def __call__(self, s, x, t, y):
         b_ty = self.side.diffusion(t, y)
-        _, gx, gxx = _principal_pieces(b_ty, s, x, t, y)
+        var, z = b_ty * (t - s), y - x
         out = 0.0
         if not self._diff_const:
-            out = 0.5 * (self.side.diffusion(s, x) - b_ty) * gxx
+            out = 0.5 * (self.side.diffusion(s, x) - b_ty) * _z0(var, z, 2)
         elif not self._drift_null:
             out = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(x),
                                                np.shape(t), np.shape(y)))
         if not self._drift_null:
-            out = out + self.side.drift(s, x) * gx
+            out = out + self.side.drift(s, x) * _z0(var, z, 1)
         return out
 
 
@@ -176,14 +171,16 @@ class _Table:
         zeta = ((self.t_anchor - rho) / self.span) ** (1.0 / self.gamma)
         return zeta * len(self.zeta) - 1.0
 
-    def interp_reg(self, rho, v):
+    def interp_reg(self, g, rho, v):
         pw = (v - self.w[0]) / (self.w[1] - self.w[0])
-        return _bilinear(self.g, self._zeta_index(rho), pw)
+        return _bilinear(g, self._zeta_index(rho), pw)
 
-    def eval(self, rho, v):
-        """Raw functional values u(rho, v)."""
+    def eval(self, rho, v, g=None):
+        """Raw functional values u(rho, v); g, when given, stands in for the
+        stored regularized values (one series term on the same grid)."""
         rho = np.asarray(rho, dtype=float)
-        return self.interp_reg(rho, v) * (self.t_anchor - rho) ** (-self.reg_pow)
+        g = self.g if g is None else g
+        return self.interp_reg(g, rho, v) * (self.t_anchor - rho) ** (-self.reg_pow)
 
 
 class _ScaledTable(_Table):
@@ -221,10 +218,10 @@ class _ScaledTable(_Table):
         scale = math.sqrt(self.b_ref * (self.t_anchor - self.sigma[k]))
         return self.y + self.xi * scale
 
-    def interp_reg(self, rho, v):
+    def interp_reg(self, g, rho, v):
         scale = np.sqrt(self.b_ref * (self.t_anchor - rho))
         pw = ((v - self.y) / scale - self.xi[0]) / (self.xi[1] - self.xi[0])
-        return _bilinear(self.g, self._zeta_index(rho), pw, clip_w=False)
+        return _bilinear(g, self._zeta_index(rho), pw, clip_w=False)
 
 
 class CorrectionKernel:
@@ -237,10 +234,8 @@ class CorrectionKernel:
     integral of Q against a coefficient.
     """
 
-    def __init__(self, side: SideSpec, quad: CorrectionQuadrature | None = None,
-                 index: int = 1):
+    def __init__(self, side: SideSpec, quad: CorrectionQuadrature | None = None):
         self.side = side
-        self.index = index
         self.quad = quad or CorrectionQuadrature()
         self.source = _CorrectionSource(side)
         self.alpha = side.holder_exponent
@@ -352,9 +347,6 @@ class CorrectionKernel:
     def _apply_source(self, tab: _Table, term_reg: np.ndarray, b_max) -> np.ndarray:
         """One Volterra sweep: K^(1) convolved with the previous term."""
         t = tab.t_anchor
-        prev = object.__new__(type(tab))
-        prev.__dict__.update(tab.__dict__)
-        prev.g = term_reg
         out = np.zeros_like(term_reg)
         for k, sig in enumerate(tab.sigma):
             wrow = tab.nodes(k)
@@ -364,7 +356,7 @@ class CorrectionKernel:
             scale = np.sqrt(b_max * (rho - sig))
             v, wv = self._window(wrow[:, None] + 0.0 * rho[None, :], scale[None, :])
             kern = self.source(sig, wrow[:, None, None], rho[None, :, None], v)
-            uprev = prev.eval(np.broadcast_to(rho[None, :, None], v.shape), v)
+            uprev = tab.eval(np.broadcast_to(rho[None, :, None], v.shape), v, term_reg)
             out[k] = np.sum(kern * uprev * wv * wr[None, :, None], axis=(1, 2))
         return out * (t - tab.sigma)[:, None] ** tab.reg_pow
 
@@ -372,19 +364,11 @@ class CorrectionKernel:
 class FundamentalSolution:
     """Evaluator for G = Z0 + Z1 of one side, with x-derivatives up to 2."""
 
-    def __init__(self, side: SideSpec, quad: CorrectionQuadrature | None = None,
-                 index: int = 1, horizon: float = 1.0):
+    def __init__(self, side: SideSpec, quad: CorrectionQuadrature | None = None):
         self.side = side
-        self.index = index
         self.quad = quad or CorrectionQuadrature()
-        self.horizon = horizon
-        self.principal = PrincipalKernel(side, index)
-        self.correction = CorrectionKernel(side, self.quad, index)
-
-    @classmethod
-    def build(cls, side: SideSpec, quad: CorrectionQuadrature | None = None,
-              index: int = 1, horizon: float = 1.0) -> "FundamentalSolution":
-        return cls(side, quad, index, horizon)
+        self.principal = PrincipalKernel(side)
+        self.correction = CorrectionKernel(side, self.quad)
 
     @property
     def is_exact(self) -> bool:
@@ -435,8 +419,8 @@ class FundamentalSolution:
         center = (x * vb + y * va) / (va + vb)
         scale = np.sqrt(va * vb / (va + vb))
         v, wv = self.correction._window(center, scale)
-        b_rv = self.side.diffusion(rho[:, None], v)
-        z0 = _principal_pieces(b_rv, s, x, rho[:, None], v)[p]
+        var = self.side.diffusion(rho[:, None], v) * (rho[:, None] - s)
+        z0 = _z0(var, v - x, p)
         vals = z0 * self.correction.source(rho[:, None], v, t, y)
         return float(np.sum(vals * wv * wr[:, None]))
 
@@ -453,8 +437,8 @@ class FundamentalSolution:
             center = (x * vb + spread_at * va) / (va + vb)
             scale = np.sqrt(va * vb / (va + vb))
         v, wv = self.correction._window(center, scale)
-        b_rv = self.side.diffusion(rho[:, None], v)
-        z0 = _principal_pieces(b_rv, s, x, rho[:, None], v)[p]
+        var = self.side.diffusion(rho[:, None], v) * (rho[:, None] - s)
+        z0 = _z0(var, v - x, p)
         u = tab.eval(np.broadcast_to(rho[:, None], v.shape), v)
         return float(np.sum(z0 * u * wv * wr[:, None]))
 
@@ -467,8 +451,8 @@ class FundamentalSolution:
         b_max = self._bmax_guess(t)
         y, wy = window_nodes(x, math.sqrt(b_max * (t - s)),
                              2 * self.quad.n_space, self.quad.r_cut)
-        b_ty = self.side.diffusion(t, y)
-        direct = float(np.sum(_principal_pieces(b_ty, s, x, t, y)[p] * weight(y) * wy))
+        z0 = _z0(self.side.diffusion(t, y) * (t - s), y - x, p)
+        direct = float(np.sum(z0 * weight(y) * wy))
         if self.is_exact:
             return direct
         pad = self.quad.r_cut * math.sqrt(b_max * t) + 0.5
@@ -485,8 +469,8 @@ class FundamentalSolution:
         tau, wt = singular_rule(s, t, 2 * self.quad.n_time)
         z, wz = window_nodes(np.full_like(tau, x), np.sqrt(b_max * (tau - s)),
                              self.quad.n_space, self.quad.r_cut)
-        b_tz = self.side.diffusion(tau[:, None], z)
-        z0 = _principal_pieces(b_tz, s, x, tau[:, None], z)[0]
+        var = self.side.diffusion(tau[:, None], z) * (tau[:, None] - s)
+        z0 = _z0(var, z - x, 0)
         direct = float(np.sum(z0 * coeff(tau[:, None], z) * wz * wt[:, None]))
         if self.is_exact:
             return direct
@@ -494,16 +478,6 @@ class FundamentalSolution:
         tab = self.correction.table("spacetime", key, t, 0.75 * s, x - pad, x + pad,
                                     coeff=coeff)
         return direct + self._outer(tab, s, x, t, 0, b_max, right_exp=0.0)
-
-
-def build_correction(side: SideSpec, depth: int | None = None,
-                     quad: CorrectionQuadrature | None = None,
-                     index: int = 1) -> CorrectionKernel:
-    """Construct the correction kernel for one side (series truncation knobs)."""
-    quad = quad or CorrectionQuadrature()
-    if depth is not None:
-        quad = replace(quad, depth=depth)
-    return CorrectionKernel(side, quad, index)
 
 
 def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):
@@ -532,28 +506,3 @@ def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):
     rb = fs.spacetime_integral(s, x, t, lambda tau, z: fs.side.diffusion(tau, z),
                                ("b",))
     return (abs(m0 - 1.0), abs(m1 - ra), abs(m2 - rb - 2.0 * rax))
-
-
-def audit_correction_envelope(fs: FundamentalSolution, samples):
-    """Fit the Gaussian envelope bound of the correction kernel on samples.
-
-    Regresses log|Z1| + (1-alpha)/2 log(t-s) against -(y-x)^2/(t-s) and
-    returns (C, c, max_excess) where max_excess is the largest violation of
-    the fitted bound (zero by construction of a least-squares fit up to the
-    sample spread).  Purely qualitative: finite C and positive c witness the
-    expected envelope shape.
-    """
-    alpha = fs.side.holder_exponent
-    logs, quads = [], []
-    for (s, x, t, y) in samples:
-        z1 = fs.eval(s, x, t, y) - fs.principal(s, x, t, y)
-        if abs(z1) < 1e-14:
-            continue
-        logs.append(math.log(abs(z1)) + 0.5 * (1 - alpha) * math.log(t - s))
-        quads.append((y - x) ** 2 / (t - s))
-    if not logs:
-        return (0.0, 1.0, 0.0)
-    A = np.stack([np.ones(len(logs)), -np.asarray(quads)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.asarray(logs), rcond=None)
-    resid = np.asarray(logs) - A @ coef
-    return (math.exp(coef[0]), float(coef[1]), float(np.max(resid)))

@@ -15,7 +15,6 @@ into product-integration weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +125,8 @@ class PotentialEvaluator:
                  correction_quad: CorrectionQuadrature | None = None):
         self.problem = problem
         self.quad = quad or PotentialQuadrature()
-        self.fs = {
-            i: FundamentalSolution(problem.side(i), correction_quad, index=i,
-                                   horizon=problem.horizon)
-            for i in (1, 2)
-        }
+        self.fs = {i: FundamentalSolution(problem.side(i), correction_quad)
+                   for i in (1, 2)}
 
     # -- Poisson potential --------------------------------------------------
 

@@ -251,12 +251,6 @@ class JumpMeasure:
     def weights(self, s) -> np.ndarray:
         return np.array([a.weight(s) for a in self.atoms], dtype=float)
 
-    def first_moment(self, s, h_s: float) -> float:
-        """sum over atoms of |y(s) - h(s)| * w(s)."""
-        if self.is_null:
-            return 0.0
-        return float(np.sum(np.abs(self.positions(s) - h_s) * self.weights(s)))
-
     def to_dict(self) -> dict:
         return {"atoms": [a.to_dict() for a in self.atoms]}
 
@@ -326,6 +320,23 @@ class SideSpec:
 # initial functions
 # ---------------------------------------------------------------------------
 
+def _smoothstep_taper(u, r_in: float, r_out: float) -> np.ndarray:
+    """The taper of polynomial-clamped and its first two u-derivatives.
+
+    1 for |u| <= r_in, 1 - z^2 (3 - 2z) with z = (|u| - r_in) / (r_out - r_in)
+    on the ramp, 0 for |u| >= r_out.
+    """
+    au = np.abs(u)
+    ramp = (au > r_in) & (au < r_out)
+    z = (au[ramp] - r_in) / (r_out - r_in)
+    dz = np.sign(u[ramp]) / (r_out - r_in)
+    out = np.zeros((3,) + au.shape)
+    out[0][au <= r_in] = 1.0
+    out[:, ramp] = (1.0 - z * z * (3.0 - 2.0 * z), -6.0 * z * (1.0 - z) * dz,
+                    -6.0 * (1.0 - 2.0 * z) * dz * dz)
+    return out
+
+
 class InitialFunction:
     """Bounded continuous terminal datum from the catalog.
 
@@ -392,20 +403,6 @@ class InitialFunction:
         xs = np.linspace(self._x_range[0], self._x_range[1], 4001)
         return float(np.max(np.abs(self._spline(xs))))
 
-    def _poly_pieces(self, x):
-        c, r_in, r_out = self.params[:3]
-        coeffs = self.params[3:]
-        u = x - c
-        p = np.polynomial.polynomial.polyval(u, coeffs)
-        au = np.abs(u)
-        taper = np.ones_like(au)
-        outside = au >= r_out
-        ramp = (au > r_in) & ~outside
-        z = (au[ramp] - r_in) / (r_out - r_in)
-        taper[ramp] = 1.0 - z * z * (3.0 - 2.0 * z)
-        taper[outside] = 0.0
-        return p, taper, u
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -419,8 +416,7 @@ class InitialFunction:
             a, b, eps = self.params
             out = 0.5 * (np.tanh((x - a) / eps) - np.tanh((x - b) / eps))
         elif self.kind == "polynomial-clamped":
-            p, taper, _ = self._poly_pieces(x)
-            out = p * taper
+            out = self._poly_clamped(x, 0)
         else:
             out = self._spline(np.clip(x, *self._x_range))
             out = np.where(x < self._x_range[0], self._edge_vals[0], out)
@@ -449,37 +445,26 @@ class InitialFunction:
             else:
                 out = 0.5 * (-2 * ta * (1 - ta ** 2) + 2 * tb * (1 - tb ** 2)) / eps ** 2
         elif self.kind == "polynomial-clamped":
-            out = self._poly_derivative(x, order)
+            out = self._poly_clamped(x, order)
         else:
             out = self._spline(np.clip(x, *self._x_range), nu=order)
             out = np.where((x < self._x_range[0]) | (x > self._x_range[1]), 0.0, out)
         return float(out[0]) if scalar else out
 
-    def _poly_derivative(self, x, order):
+    def _poly_clamped(self, x, order):
+        """The polynomial-clamped datum (order 0) or its derivative of order
+        1 or 2: the polynomial times the taper, by the product rule."""
         c, r_in, r_out = self.params[:3]
         coeffs = np.array(self.params[3:])
         u = x - c
-        dcoef = np.polynomial.polynomial.polyder(coeffs, order)
-        p = np.polynomial.polynomial.polyval(u, dcoef)
-        p0 = np.polynomial.polynomial.polyval(u, coeffs)
-        p1 = np.polynomial.polynomial.polyval(u, np.polynomial.polynomial.polyder(coeffs, 1))
-        au = np.abs(u)
-        sgn = np.sign(u)
-        taper = np.ones_like(au)
-        dtaper = np.zeros_like(au)
-        d2taper = np.zeros_like(au)
-        outside = au >= r_out
-        ramp = (au > r_in) & ~outside
-        z = (au[ramp] - r_in) / (r_out - r_in)
-        dz = sgn[ramp] / (r_out - r_in)
-        taper[ramp] = 1.0 - z * z * (3.0 - 2.0 * z)
-        taper[outside] = 0.0
-        dtaper[ramp] = -6.0 * z * (1.0 - z) * dz
-        d2taper[ramp] = -6.0 * (1.0 - 2.0 * z) * dz * dz
+        poly = np.polynomial.polynomial
+        p = [poly.polyval(u, poly.polyder(coeffs, m)) for m in range(order + 1)]
+        taper = _smoothstep_taper(u, r_in, r_out)
+        if order == 0:
+            return p[0] * taper[0]
         if order == 1:
-            return p * taper + p0 * dtaper
-        p2 = p
-        return p2 * taper + 2.0 * p1 * dtaper + p0 * d2taper
+            return p[1] * taper[0] + p[0] * taper[1]
+        return p[2] * taper[0] + 2.0 * p[1] * taper[1] + p[0] * taper[2]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": list(self.params), "sup_norm": self.sup_norm}
@@ -536,6 +521,22 @@ class Problem:
     def alpha(self) -> float:
         return min(self.left.holder_exponent, self.right.holder_exponent)
 
+    def membrane_weights(self, s):
+        """Weights of the two sides on the membrane at the times s.
+
+        Returns ((l_1, l_2), (d_1, d_2)) with l_i = q_i sqrt(b_other) / D and
+        d_i = b_i sqrt(b_other) / D over the one denominator
+        D = q_1 sqrt(b_2) + q_2 sqrt(b_1), diffusions taken at (s, h(s)).
+        l_i weight side i in the generator on the membrane; d_i weight
+        equation i of the eliminated interface system.
+        """
+        h = self.h(s)
+        b1, b2 = self.diffusion(1, s, h), self.diffusion(2, s, h)
+        q1, q2 = self.q(1, s), self.q(2, s)
+        r1, r2 = np.sqrt(b1), np.sqrt(b2)
+        denom = q1 * r2 + q2 * r1
+        return (q1 * r2 / denom, q2 * r1 / denom), (b1 * r2 / denom, b2 * r1 / denom)
+
     def membrane_tolerance(self, s) -> float:
         return 1e-12 * (1.0 + abs(float(self.membrane(s))))
 
@@ -579,20 +580,6 @@ class Problem:
         v = np.concatenate([np.atleast_1d(u) for u in vals])
         return float(np.min(v)), float(np.max(v))
 
-    def diffusion_bounds(self, grid_resolution: int | None = None) -> tuple:
-        """Sampled uniform ellipticity bounds (b_min, b_max) on the audit grid."""
-        n = grid_resolution or self.grid_resolution
-        lo, hi = self.sample_window()
-        ss = np.linspace(0.0, self.horizon, n)
-        xs = np.linspace(lo, hi, n)
-        S, X = np.meshgrid(ss, xs, indexing="ij")
-        vmin, vmax = np.inf, -np.inf
-        for i in (1, 2):
-            v = np.asarray(self.diffusion(i, S, X), dtype=float)
-            vmin = min(vmin, float(np.min(v)))
-            vmax = max(vmax, float(np.max(v)))
-        return vmin, vmax
-
     def side_of(self, s: float, x: float, tol_mem: float | None = None) -> str:
         """Classify x relative to the membrane at time s."""
         h = float(self.membrane(s))
@@ -627,10 +614,6 @@ class Problem:
             horizon=float(d["horizon"]),
             x_window=tuple(xw) if xw is not None else None,
         )
-
-
-def side_of(problem: Problem, s: float, x: float, tol_mem: float | None = None) -> str:
-    return problem.side_of(s, x, tol_mem)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 
 from ._quadrature import panel_rule
-from .boundary_system import KernelAssembler, SolverConfig, solve_densities
+from .boundary_system import SolverConfig, solve_densities
 from .errors import MeasureNotNullError, TimeOrderError
 from .parametrix import CorrectionQuadrature
 from .potentials import DensityPair, PotentialEvaluator, PotentialQuadrature
@@ -84,22 +84,9 @@ class EffectiveCoefficients:
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self._assembler = KernelAssembler(problem)
-
-    def membrane_weights(self, s: float):
-        h = float(self.problem.h(s))
-        b1 = float(self.problem.diffusion(1, s, h))
-        b2 = float(self.problem.diffusion(2, s, h))
-        q1 = float(self.problem.q(1, s))
-        q2 = float(self.problem.q(2, s))
-        denom = q1 * math.sqrt(b2) + q2 * math.sqrt(b1)
-        return (q1 * math.sqrt(b2) / denom, q2 * math.sqrt(b1) / denom)
-
-    def coupling_weights(self, s: float):
-        return self._assembler.coupling_weights(s)
 
     def dirac_drift(self, s: float) -> float:
-        d1, d2 = self.coupling_weights(s)
+        _, (d1, d2) = self.problem.membrane_weights(s)
         return 0.5 * (d1 + d2) * (float(self.problem.q(2, s))
                                   - float(self.problem.q(1, s)))
 
@@ -110,7 +97,7 @@ class EffectiveCoefficients:
                 "effective coefficients require an empty jump measure")
         side = self.problem.side_of(s, x)
         if side == "membrane":
-            l1, l2 = self.membrane_weights(s)
+            (l1, l2), _ = self.problem.membrane_weights(s)
             h = float(self.problem.h(s))
             b = l1 * float(self.problem.diffusion(1, s, h)) \
                 + l2 * float(self.problem.diffusion(2, s, h))
@@ -152,10 +139,6 @@ class SemigroupOperator:
         with self._lock:
             self._memo[key] = (phi, dens)
         return dens
-
-    def clear_cache(self):
-        with self._lock:
-            self._memo.clear()
 
     def apply(self, s: float, t: float, phi: InitialFunction) -> SemigroupField:
         """The operator at (s, t) as an evaluable field; identity when s == t."""
@@ -226,26 +209,32 @@ class SemigroupOperator:
     def _generator_apply(self, s: float, phi: InitialFunction, x):
         """L_s phi pointwise, with membrane weights on the interface."""
         x = np.asarray(x, dtype=float)
-        coeffs = self.coefficients
         out = np.empty(x.shape)
         for idx in np.ndindex(x.shape):
             xi = float(x[idx])
             side = self.problem.side_of(s, xi)
             if side == "membrane":
-                l1, l2 = coeffs.membrane_weights(s)
-                val = sum(l * (0.5 * float(self.problem.diffusion(i, s, xi))
-                               * phi.derivative(xi, 2)
-                               + float(self.problem.drift(i, s, xi))
-                               * phi.derivative(xi, 1))
-                          for l, i in ((l1, 1), (l2, 2)))
+                (l1, l2), _ = self.problem.membrane_weights(s)
+                out[idx] = sum(l * self._side_generator(i, s, phi, xi)
+                               for l, i in ((l1, 1), (l2, 2)))
             else:
-                i = 1 if side == "left" else 2
-                val = (0.5 * float(self.problem.diffusion(i, s, xi))
-                       * phi.derivative(xi, 2)
-                       + float(self.problem.drift(i, s, xi))
-                       * phi.derivative(xi, 1))
-            out[idx] = val
+                out[idx] = self._side_generator(1 if side == "left" else 2, s, phi, xi)
         return out if out.shape else float(out)
+
+    def _side_generator(self, i: int, s: float, phi: InitialFunction, x: float) -> float:
+        """(1/2) b_i phi'' + a_i phi' at one point."""
+        return (0.5 * float(self.problem.diffusion(i, s, x)) * phi.derivative(x, 2)
+                + float(self.problem.drift(i, s, x)) * phi.derivative(x, 1))
+
+    def _interface_term(self, s: float, phi: InitialFunction) -> float:
+        """(q_2 - q_1) phi'(h) + sum of w_k (phi(y_k) - phi(h)) at time s."""
+        prob = self.problem
+        h = float(prob.h(s))
+        term = (float(prob.q(2, s)) - float(prob.q(1, s))) * phi.derivative(h, 1)
+        meas = prob.wentzell.measure
+        if not meas.is_null:
+            term += float(np.sum(meas.weights(s) * (phi(meas.positions(s)) - phi(h))))
+        return term
 
     def weak_generator_pairing(self, s: float, phi: InitialFunction,
                                f: InitialFunction, dt_values,
@@ -281,15 +270,8 @@ class SemigroupOperator:
             lhs.append(float(np.sum(f_vals * quot * w)))
 
         rhs = float(np.sum(f_vals * self._generator_apply(s, phi, x) * w))
-        d1, d2 = self.coefficients.coupling_weights(s)
-        boundary = (float(prob.q(2, s)) - float(prob.q(1, s))) \
-            * phi.derivative(h, 1)
-        meas = prob.wentzell.measure
-        if not meas.is_null:
-            y = meas.positions(s)
-            wts = meas.weights(s)
-            boundary += float(np.sum(wts * (phi(y) - phi(h))))
-        rhs += 0.5 * (d1 + d2) * boundary * float(f(h))
+        _, (d1, d2) = prob.membrane_weights(s)
+        rhs += 0.5 * (d1 + d2) * self._interface_term(s, phi) * float(f(h))
         return lhs, rhs
 
     def generator_domain_check(self, s: float, phi: InitialFunction,
@@ -300,20 +282,10 @@ class SemigroupOperator:
         residual 2: the interface term that must vanish on the domain.  The
         pointwise limit check runs only when both residuals pass.
         """
-        prob = self.problem
-        h = float(prob.h(s))
-        l1 = 0.5 * float(prob.diffusion(1, s, h)) * phi.derivative(h, 2) \
-            + float(prob.drift(1, s, h)) * phi.derivative(h, 1)
-        l2 = 0.5 * float(prob.diffusion(2, s, h)) * phi.derivative(h, 2) \
-            + float(prob.drift(2, s, h)) * phi.derivative(h, 1)
-        res1 = abs(l1 - l2)
-        term = (float(prob.q(2, s)) - float(prob.q(1, s))) * phi.derivative(h, 1)
-        meas = prob.wentzell.measure
-        if not meas.is_null:
-            y = meas.positions(s)
-            w = meas.weights(s)
-            term += float(np.sum(w * (phi(y) - phi(h))))
-        res2 = abs(term)
+        h = float(self.problem.h(s))
+        res1 = abs(self._side_generator(1, s, phi, h)
+                   - self._side_generator(2, s, phi, h))
+        res2 = abs(self._interface_term(s, phi))
         result = {"residual_generator_match": res1,
                   "residual_interface_term": res2,
                   "in_domain": bool(res1 <= tol_dom and res2 <= tol_dom),

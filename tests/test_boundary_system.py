@@ -13,7 +13,6 @@ from memdiff.boundary_system import (
     first_kind_residual,
     holmgren_transform,
     m_delta_witness,
-    singular_part_time_integral,
     solve_densities,
     theta_blend_integral,
 )
@@ -22,7 +21,11 @@ from memdiff.potentials import PotentialEvaluator
 from memdiff.problem import InitialFunction, MembranePath
 
 from conftest import atom_at, make_problem
-from kernel_oracle import ScalarKernels, scalar_holmgren_transform
+from kernel_oracle import (
+    ScalarKernels,
+    scalar_holmgren_transform,
+    singular_part_time_integral,
+)
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -171,7 +174,7 @@ def test_holmgren_kernel_quadrature_consistency(moving_membrane_problem):
 # -- combined kernel ------------------------------------------------------------------
 
 def test_coupling_weights_reference_values(two_scale_problem):
-    d1, d2 = KernelAssembler(two_scale_problem).coupling_weights(0.3)
+    _, (d1, d2) = two_scale_problem.membrane_weights(0.3)
     assert d1 == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert d2 == pytest.approx(8.0 / 3.0, rel=1e-12)
 
@@ -350,8 +353,8 @@ def test_singular_route_matches_direct_product_rule():
     from memdiff._quadrature import singular_rule
     s = 0.3
     via_usub = singular_part_time_integral(asm, 2, 2, s, t, dens)
-    asm_fine = KernelAssembler(prob, ev, SolverConfig(delta=1.0, n_theta=64, n_u=48))
-    via_usub_fine = singular_part_time_integral(asm_fine, 2, 2, s, t, dens)
+    via_usub_fine = singular_part_time_integral(asm, 2, 2, s, t, dens,
+                                                n_theta=64, n_u=48)
     tau, wt = singular_rule(s, t, 128, left_exp=-0.5, right_exp=-0.5)
     vals = []
     for tq in tau:

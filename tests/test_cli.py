@@ -188,3 +188,43 @@ def test_check_rejects_config_failing_validation(tmp_path, capsys):
                 "--out", out]) == 2
     assert "failed validation" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["invalid-problem", "zero-paths", "unknown-mc-key"])
+def test_compare_mc_rejects_bad_config(tmp_path, capsys, case):
+    # compare-mc shares the front door of check and solve: a problem that
+    # fails validation or a bad Monte Carlo setting exits 2 before any solve
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["grid"] = {"min": -0.5, "max": 0.5, "n": 3}
+    cfg["mc"] = {"paths": 100, "dt": 0.01, "seed": 42}
+    extra = []
+    if case == "invalid-problem":
+        cfg["problem"]["left"]["diffusion"] = {"kind": "constant", "params": [3.0]}
+        cfg["problem"]["left"]["diffusion_max"] = 2.0
+    elif case == "zero-paths":
+        extra = ["--paths", "0"]
+    else:
+        cfg["mc"]["walkers"] = 10
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "mc.json"
+    assert run(["compare-mc", "--config", cfg_path, "--out", out] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solver_override_keys(tmp_path, capsys):
+    # the accepted override keys are the SolverConfig fields; n_theta and n_u
+    # are node counts of a test oracle, not solver settings
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["grid"] = {"min": -0.5, "max": 0.5, "n": 3}
+    out = tmp_path / "field.csv"
+    for key, value, code in (("n_theta", 24, 2), ("n_u", 20, 2), ("mesh_n", 16, 0)):
+        cfg["solver"] = {key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["solve", "--config", cfg_path, "--out", out]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "bad solver override" in capsys.readouterr().err

@@ -7,7 +7,6 @@ import pytest
 
 from memdiff.errors import StepTooLargeError
 from memdiff.mc_oracle import (
-    CompareResult,
     SimConfig,
     SkewParams,
     compare,

@@ -7,14 +7,15 @@ import pytest
 
 from memdiff.errors import TimeOrderError
 from memdiff.parametrix import (
+    CorrectionKernel,
     CorrectionQuadrature,
     FundamentalSolution,
     PrincipalKernel,
-    audit_correction_envelope,
-    build_correction,
     moment_residuals,
 )
 from memdiff.problem import CoefficientField, SideSpec
+
+from kernel_oracle import audit_correction_envelope
 
 
 def side(a=0.0, b=1.0, alpha=0.75):
@@ -166,8 +167,8 @@ def test_correction_envelope_audit():
 
 
 def test_build_correction_flags_null_case():
-    corr = build_correction(side(a=0.0, b=2.5))
+    corr = CorrectionKernel(side(a=0.0, b=2.5))
     assert corr.is_null
-    corr2 = build_correction(sine_b_side(), depth=6)
+    corr2 = CorrectionKernel(sine_b_side(), CorrectionQuadrature(depth=6))
     assert not corr2.is_null
     assert corr2.quad.depth == 6

@@ -12,8 +12,6 @@ from memdiff.problem import (
     TimeFunction,
     Problem,
     WentzellData,
-    JumpMeasure,
-    side_of,
     validate,
 )
 
@@ -66,11 +64,11 @@ def test_validate_is_deterministic(symmetric_problem):
 
 def test_side_of_basic_cases():
     prob = make_problem()
-    assert side_of(prob, 0.3, -1.0) == "left"
-    assert side_of(prob, 0.3, 1.0) == "right"
-    assert side_of(prob, 0.3, 1e-15) == "membrane"
+    assert prob.side_of(0.3, -1.0) == "left"
+    assert prob.side_of(0.3, 1.0) == "right"
+    assert prob.side_of(0.3, 1e-15) == "membrane"
     lin = make_problem(membrane=MembranePath("linear", [0.0, 1.0]))
-    assert side_of(lin, 0.5, 0.5) == "membrane"
+    assert lin.side_of(0.5, 0.5) == "membrane"
 
 
 def test_side_of_partitions_the_line():
@@ -79,7 +77,7 @@ def test_side_of_partitions_the_line():
     for _ in range(200):
         s = rng.uniform(0.0, prob.horizon)
         x = rng.uniform(-3.0, 3.0)
-        labels = [side_of(prob, s, x)]
+        labels = [prob.side_of(s, x)]
         assert labels[0] in ("left", "membrane", "right")
         h = float(prob.membrane(s))
         tol = prob.membrane_tolerance(s)
@@ -94,9 +92,9 @@ def test_side_of_partitions_the_line():
 def test_membrane_band_width():
     prob = make_problem()
     tol = prob.membrane_tolerance(0.1)
-    assert side_of(prob, 0.1, 0.999 * tol) == "membrane"
-    assert side_of(prob, 0.1, 1.5 * tol) == "right"
-    assert side_of(prob, 0.1, -1.5 * tol) == "left"
+    assert prob.side_of(0.1, 0.999 * tol) == "membrane"
+    assert prob.side_of(0.1, 1.5 * tol) == "right"
+    assert prob.side_of(0.1, -1.5 * tol) == "left"
 
 
 def test_coefficient_catalog_evaluation():
