@@ -7,9 +7,10 @@ Commands
   compare-mc   solver vs Monte Carlo z-scores per grid point
 
 Exit codes: 0 success / all checks passed, 1 some check failed, 2 config or
-validation error, 3 solver divergence or unreliable simulation step, 4 I/O
-error.  Reports carry no timestamps, so reruns with identical inputs are
-byte-identical.
+validation error, 3 solver failure (a divergent density iteration or
+correction series, a non-decaying Holmgren integrand) or unreliable
+simulation step, 4 I/O error.  Reports carry no timestamps, so reruns with
+identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from .boundary_system import (  # noqa: F401  perfbench traces cli.solve_densiti
 )
 from .errors import (
     ConfigError,
+    ConvergenceFailureError,
     MemdiffError,
     SeriesDivergenceError,
+    SingularIntegrandError,
     StepTooLargeError,
 )
 from .mc_oracle import SimConfig, compare, simulate
@@ -73,10 +76,19 @@ def build_problem(cfg: dict) -> Problem:
     return Problem.from_dict(cfg["problem"])
 
 
+def audit(problem: Problem, cfg: dict):
+    """validate() on the config's grid_resolution, else the problem's own."""
+    try:
+        return validate(problem, cfg.get("grid_resolution"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid_resolution: {exc}") from exc
+
+
 def validated_problem(cfg: dict) -> Problem:
-    """The config's problem, audited before any solve."""
+    """The config's problem, audited on the grid of the validate command
+    before any solve."""
     problem = build_problem(cfg)
-    if not validate(problem, cfg.get("grid_resolution", 33)).passed:
+    if not audit(problem, cfg).passed:
         raise ConfigError("problem failed validation; run the validate command")
     return problem
 
@@ -125,7 +137,10 @@ def times(cfg: dict) -> tuple:
     t = cfg.get("t")
     if t is None:
         raise ConfigError("config missing key 't'")
-    return [float(v) for v in (s if isinstance(s, list) else [s])], float(t)
+    try:
+        return [float(v) for v in (s if isinstance(s, list) else [s])], float(t)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"s and t must be numbers: {exc}") from exc
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -160,8 +175,7 @@ def entry(check: str, case: str, statistic: float, tolerance: float) -> dict:
 
 
 def cmd_validate(cfg: dict, args) -> int:
-    problem = build_problem(cfg)
-    report = validate(problem, cfg.get("grid_resolution", 65))
+    report = audit(build_problem(cfg), cfg)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     write_text(args.out, text)
     return 0 if report.passed else 1
@@ -328,7 +342,8 @@ def main(argv=None) -> int:
     except (ConfigError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SeriesDivergenceError, StepTooLargeError) as exc:
+    except (SeriesDivergenceError, ConvergenceFailureError, SingularIntegrandError,
+            StepTooLargeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except IOError as exc:

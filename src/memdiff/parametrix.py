@@ -22,7 +22,8 @@ integral against a coefficient), and each such functional u(sigma, w) =
 functional[Q(sigma, w, ., .)] satisfies the same Volterra recursion as Q.
 The functionals are iterated on a product grid, graded in time toward the
 terminal anchor and regularized by the known power of (t - sigma), then
-convolved with Z0 for field evaluation.
+convolved with Z0 for field evaluation.  Every iteration applies the same
+linear map to the previous term, so each table builds that map once.
 """
 
 from __future__ import annotations
@@ -118,21 +119,13 @@ class _CorrectionSource:
         return out
 
 
-def _bilinear(g, pz, pw, clip_w=True):
-    """Bilinear lookup on a regular grid with fractional indices pz, pw."""
-    nz, nw = g.shape
-    pz = np.clip(pz, 0.0, nz - 1.0)
-    if clip_w:
-        pw = np.clip(pw, 0.0, nw - 1.0)
-    iz = np.minimum(pz.astype(int), nz - 2)
-    iw = np.minimum(np.clip(pw, 0.0, nw - 1.0).astype(int), nw - 2)
-    fz = pz - iz
-    fw = np.clip(pw, 0.0, nw - 1.0) - iw
-    out = ((1 - fz) * (1 - fw) * g[iz, iw] + fz * (1 - fw) * g[iz + 1, iw]
-           + (1 - fz) * fw * g[iz, iw + 1] + fz * fw * g[iz + 1, iw + 1])
-    if not clip_w:
-        out = np.where((pw < 0.0) | (pw > nw - 1.0), 0.0, out)
-    return out
+def _bracket(p, n: int):
+    """Lower node i and fraction f of fractional indices p on a grid of n
+    nodes, clipped to the grid: a linear lookup weighs node i by 1 - f and
+    node i + 1 by f."""
+    p = np.clip(p, 0.0, n - 1.0)
+    i = np.minimum(p.astype(int), n - 2)
+    return i, p - i
 
 
 class _Table:
@@ -144,8 +137,6 @@ class _Table:
     regularized value is extended as a constant.  Used for the spatially
     smooth anchors (terminal-slice and space-time weights).
     """
-
-    scaled = False
 
     def __init__(self, t_anchor, s_lo, w_lo, w_hi, reg_pow, quad):
         self.t_anchor = t_anchor
@@ -167,20 +158,28 @@ class _Table:
     def nodes(self, k: int) -> np.ndarray:
         return self.w
 
-    def _zeta_index(self, rho):
+    def rows(self, rho):
+        """Row bracket (iz, fz) of times rho: zeta rows iz and iz + 1."""
         zeta = ((self.t_anchor - rho) / self.span) ** (1.0 / self.gamma)
-        return zeta * len(self.zeta) - 1.0
+        return _bracket(zeta * len(self.zeta) - 1.0, len(self.zeta))
 
-    def interp_reg(self, g, rho, v):
-        pw = (v - self.w[0]) / (self.w[1] - self.w[0])
-        return _bilinear(g, self._zeta_index(rho), pw)
+    def columns(self, rho, v):
+        """Column bracket (iw, fw) of points (rho, v), and where the table
+        holds them (None: everywhere, the bracket clips)."""
+        iw, fw = _bracket((v - self.w[0]) / (self.w[1] - self.w[0]), len(self.w))
+        return iw, fw, None
 
-    def eval(self, rho, v, g=None):
-        """Raw functional values u(rho, v); g, when given, stands in for the
-        stored regularized values (one series term on the same grid)."""
+    def eval(self, rho, v):
+        """Raw functional values u(rho, v), bilinear in (zeta, w)."""
         rho = np.asarray(rho, dtype=float)
-        g = self.g if g is None else g
-        return self.interp_reg(g, rho, v) * (self.t_anchor - rho) ** (-self.reg_pow)
+        iz, fz = self.rows(rho)
+        iw, fw, inside = self.columns(rho, v)
+        g = self.g
+        out = ((1 - fz) * (1 - fw) * g[iz, iw] + fz * (1 - fw) * g[iz + 1, iw]
+               + (1 - fz) * fw * g[iz, iw + 1] + fz * fw * g[iz + 1, iw + 1])
+        if inside is not None:
+            out = np.where(inside, out, 0.0)
+        return out * (self.t_anchor - rho) ** (-self.reg_pow)
 
 
 class _ScaledTable(_Table):
@@ -193,8 +192,6 @@ class _ScaledTable(_Table):
     plain product grid can interpolate.  Outside the xi-range the kernels
     have decayed: values are zero there.
     """
-
-    scaled = True
 
     def __init__(self, t_anchor, s_lo, y, b_ref, reg_pow, quad):
         self.t_anchor = t_anchor
@@ -218,10 +215,11 @@ class _ScaledTable(_Table):
         scale = math.sqrt(self.b_ref * (self.t_anchor - self.sigma[k]))
         return self.y + self.xi * scale
 
-    def interp_reg(self, g, rho, v):
+    def columns(self, rho, v):
         scale = np.sqrt(self.b_ref * (self.t_anchor - rho))
         pw = ((v - self.y) / scale - self.xi[0]) / (self.xi[1] - self.xi[0])
-        return _bilinear(g, self._zeta_index(rho), pw, clip_w=False)
+        iw, fw = _bracket(pw, len(self.xi))
+        return iw, fw, (pw >= 0.0) & (pw <= len(self.xi) - 1.0)
 
 
 class CorrectionKernel:
@@ -294,8 +292,9 @@ class CorrectionKernel:
         tab.g = term.copy()
         tab.term_sups = [float(np.max(np.abs(term)))]
         scale = max(tab.term_sups[0], 1e-300)
+        sweep = self._sweep(tab, b_max) if self.quad.depth > 1 else None
         for _ in range(1, self.quad.depth):
-            term = self._apply_source(tab, term, b_max)
+            term = sweep(term)
             tab.g += term
             sup = float(np.max(np.abs(term)))
             tab.term_sups.append(sup)
@@ -344,21 +343,47 @@ class CorrectionKernel:
                 out[k] = np.sum(vals * wv * wr[None, :, None], axis=(1, 2))
         return out
 
-    def _apply_source(self, tab: _Table, term_reg: np.ndarray, b_max) -> np.ndarray:
-        """One Volterra sweep: K^(1) convolved with the previous term."""
-        t = tab.t_anchor
-        out = np.zeros_like(term_reg)
+    def _sweep(self, tab: _Table, b_max):
+        """One Volterra sweep, K^(1) convolved with the previous term, as a
+        linear map of that term's regularized values on the table grid.
+
+        The sweep's time rule, Gaussian windows and K^(1) values are the
+        same for every term, so they are computed once per table, one sigma
+        row at a time, with the window axis folded onto the n_w columns the
+        lookup interpolates between: op[k, w, r, c] weighs column c of the
+        previous term, interpolated to time rho[k, r] between zeta rows iz
+        and iz + 1.  A sweep is then one gather of those rows and one
+        contraction.
+        """
+        t, n_time = tab.t_anchor, self.quad.n_time
+        n_sigma, n_w = tab.g.shape
+        rho, wr = singular_rule(tab.sigma, t, n_time,
+                                left_exp=0.5 * self.alpha - 1.0,
+                                right_exp=-tab.reg_pow)
+        iz, fz = tab.rows(rho)
+        # regularization of the lookup and of the new term, with the time weights
+        wr = wr * (t - rho) ** (-tab.reg_pow) * (t - tab.sigma)[:, None] ** tab.reg_pow
+        cell = (np.arange(n_w)[:, None, None] * n_time
+                + np.arange(n_time)[None, :, None]) * n_w
+        op = np.empty((n_sigma, n_w, n_time, n_w))
         for k, sig in enumerate(tab.sigma):
             wrow = tab.nodes(k)
-            rho, wr = singular_rule(sig, t, self.quad.n_time,
-                                    left_exp=0.5 * self.alpha - 1.0,
-                                    right_exp=-tab.reg_pow)
-            scale = np.sqrt(b_max * (rho - sig))
-            v, wv = self._window(wrow[:, None] + 0.0 * rho[None, :], scale[None, :])
-            kern = self.source(sig, wrow[:, None, None], rho[None, :, None], v)
-            uprev = tab.eval(np.broadcast_to(rho[None, :, None], v.shape), v, term_reg)
-            out[k] = np.sum(kern * uprev * wv * wr[None, :, None], axis=(1, 2))
-        return out * (t - tab.sigma)[:, None] ** tab.reg_pow
+            scale = np.sqrt(b_max * (rho[k] - sig))
+            v, wv = self._window(wrow[:, None] + 0.0 * rho[k][None, :], scale[None, :])
+            rho_v = np.broadcast_to(rho[k][None, :, None], v.shape)
+            weight = self.source(sig, wrow[:, None, None], rho_v, v) * wv * wr[k][:, None]
+            iw, fw, inside = tab.columns(rho_v, v)
+            if inside is not None:
+                weight = weight * inside
+            cells = (cell + iw).ravel()
+            op[k] = (np.bincount(cells, (weight * (1 - fw)).ravel(), op[k].size)
+                     + np.bincount(cells + 1, (weight * fw).ravel(), op[k].size)
+                     ).reshape(op[k].shape)
+        fz = fz[..., None]
+
+        def sweep(term):
+            return np.einsum("kwrc,krc->kw", op, (1 - fz) * term[iz] + fz * term[iz + 1])
+        return sweep
 
 
 class FundamentalSolution:
@@ -387,60 +412,51 @@ class FundamentalSolution:
         return z0 + self._correction_point(s, x, float(t), float(y), p)
 
     def _correction_point(self, s, x, t, y, p):
-        s_in, x_in = np.asarray(s, dtype=float), np.asarray(x, dtype=float)
-        scalar = s_in.ndim == 0 and x_in.ndim == 0
-        s_arr, x_arr = np.broadcast_arrays(np.atleast_1d(s_in), np.atleast_1d(x_in))
+        s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                           np.asarray(x, dtype=float))
         pad = self.quad.r_cut * math.sqrt(self._bmax_guess(t) * t) + 0.5
         w_lo = min(float(np.min(x_arr)), y) - pad
         w_hi = max(float(np.max(x_arr)), y) + pad
         s_lo = 0.75 * float(np.min(s_arr))
         tab = self.correction.table("point", (round(y, 12),), t, s_lo, w_lo, w_hi, y=y)
         b_max = self.correction._b_max(t, w_lo, w_hi)
-        out = np.empty(s_arr.shape)
-        for idx in np.ndindex(s_arr.shape):
-            out[idx] = (self._term_one(s_arr[idx], x_arr[idx], t, y, p, b_max)
-                        + self._outer(tab, s_arr[idx], x_arr[idx], t, p, b_max,
-                                      right_exp=-tab.reg_pow, spread_at=y))
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.broadcast_shapes(s_in.shape, x_in.shape))
+        # first series term in closed form, then the cached remainder
+        out = (self._z0_convolution(
+                   s_arr, x_arr, t, p, b_max, 0.5 * self.correction.alpha - 1.0,
+                   lambda rho, v: self.correction.source(rho, v, t, y), spread_at=y)
+               + self._z0_convolution(s_arr, x_arr, t, p, b_max, -tab.reg_pow,
+                                      tab.eval, spread_at=y, spread=2.0))
+        return float(out) if out.ndim == 0 else out
 
     def _bmax_guess(self, t) -> float:
         ss = np.linspace(0.0, t, 5)
         return float(np.max(self.side.diffusion(ss, 0.0 * ss))) + 1e-12
 
-    def _term_one(self, s, x, t, y, p, b_max):
-        """First series term of Z1: Z0 convolved once with K^(1) at (t, y)."""
-        rho, wr = singular_rule(s, t, 2 * self.quad.n_time,
-                                left_exp=0.0,
-                                right_exp=0.5 * self.correction.alpha - 1.0)
-        va = b_max * (rho - s)
-        vb = b_max * (t - rho)
-        center = (x * vb + y * va) / (va + vb)
-        scale = np.sqrt(va * vb / (va + vb))
-        v, wv = self.correction._window(center, scale)
-        var = self.side.diffusion(rho[:, None], v) * (rho[:, None] - s)
-        z0 = _z0(var, v - x, p)
-        vals = z0 * self.correction.source(rho[:, None], v, t, y)
-        return float(np.sum(vals * wv * wr[:, None]))
+    def _z0_convolution(self, s, x, t, p, b_max, right_exp, factor,
+                        spread_at=None, spread=1.0):
+        """integral over (s, t) x R of Z0^(p)(s, x; rho, v) factor(rho, v),
+        at points (s, x) of any shape.
 
-    def _outer(self, tab: _Table, s, x, t, p, b_max, right_exp, spread_at=None):
-        """Z0 convolved with a cached table, evaluated at one (s, x)."""
+        factor is K^(1) at a terminal point or a cached table, singular like
+        (t - rho)^right_exp.  The windows sit at x, or, with spread_at, at
+        the variance-weighted mean of x and spread_at, where spread scales
+        the variance of the factor's Gaussian.
+        """
         rho, wr = singular_rule(s, t, 2 * self.quad.n_time,
                                 left_exp=0.0, right_exp=right_exp)
+        s, x = np.asarray(s)[..., None], np.asarray(x)[..., None]
         va = b_max * (rho - s)
         if spread_at is None:
-            center = np.full_like(rho, x)
+            center = np.broadcast_to(x, rho.shape)
             scale = np.sqrt(va)
         else:
-            vb = 2.0 * b_max * (t - rho)
+            vb = spread * b_max * (t - rho)
             center = (x * vb + spread_at * va) / (va + vb)
             scale = np.sqrt(va * vb / (va + vb))
         v, wv = self.correction._window(center, scale)
-        var = self.side.diffusion(rho[:, None], v) * (rho[:, None] - s)
-        z0 = _z0(var, v - x, p)
-        u = tab.eval(np.broadcast_to(rho[:, None], v.shape), v)
-        return float(np.sum(z0 * u * wv * wr[:, None]))
+        rho = np.broadcast_to(rho[..., None], v.shape)
+        z0 = _z0(self.side.diffusion(rho, v) * (rho - s[..., None]), v - x[..., None], p)
+        return np.sum(z0 * factor(rho, v) * wv * wr[..., None], axis=(-2, -1))
 
     # -- weighted terminal functionals ---------------------------------------
 
@@ -458,8 +474,8 @@ class FundamentalSolution:
         pad = self.quad.r_cut * math.sqrt(b_max * t) + 0.5
         tab = self.correction.table("final", key, t, 0.75 * s, x - pad, x + pad,
                                     weight=weight)
-        return direct + self._outer(tab, s, x, t, p, b_max,
-                                    right_exp=-tab.reg_pow)
+        return direct + float(self._z0_convolution(s, x, t, p, b_max,
+                                                   -tab.reg_pow, tab.eval))
 
     def spacetime_integral(self, s, x, t, coeff, key):
         """integral over (s,t) x R of G(s,x,tau,z) coeff(tau,z) dz dtau."""
@@ -477,7 +493,7 @@ class FundamentalSolution:
         pad = self.quad.r_cut * math.sqrt(b_max * t) + 0.5
         tab = self.correction.table("spacetime", key, t, 0.75 * s, x - pad, x + pad,
                                     coeff=coeff)
-        return direct + self._outer(tab, s, x, t, 0, b_max, right_exp=0.0)
+        return direct + float(self._z0_convolution(s, x, t, 0, b_max, 0.0, tab.eval))
 
 
 def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):

@@ -9,19 +9,24 @@ formulas on whole node arrays; the tests compare the two.
 Two validation-only routes live here as well: the u-substitution time
 integral of the factored singular part, and the Gaussian envelope fit of
 the parametrix correction kernel.
+
+The parametrix correction has its row-by-row reference too: the Neumann
+series of a correction table summed by Volterra sweeps that rebuild the
+quadrature, the windows, K^(1) and the bilinear lookups for every sigma row
+of every term, and the point correction evaluated one (s, x) at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from memdiff._quadrature import singular_rule
 from memdiff.boundary_system import KernelAssembler, theta_blend_integral
-from memdiff.errors import SingularIntegrandError, TimeOrderError
-from memdiff.parametrix import FundamentalSolution
+from memdiff.errors import ConvergenceFailureError, SingularIntegrandError, TimeOrderError
+from memdiff.parametrix import CorrectionKernel, FundamentalSolution, _z0
 from memdiff.potentials import DensityPair, graded_mesh
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -396,3 +401,124 @@ def audit_correction_envelope(fs: FundamentalSolution, samples):
     coef, *_ = np.linalg.lstsq(A, np.asarray(logs), rcond=None)
     resid = np.asarray(logs) - A @ coef
     return (math.exp(coef[0]), float(coef[1]), float(np.max(resid)))
+
+
+# -- parametrix correction, row by row -------------------------------------------
+
+
+def _bilinear(g, pz, pw, clip_w=True):
+    """Bilinear lookup on a regular grid with fractional indices pz, pw."""
+    nz, nw = g.shape
+    pz = np.clip(pz, 0.0, nz - 1.0)
+    if clip_w:
+        pw = np.clip(pw, 0.0, nw - 1.0)
+    iz = np.minimum(pz.astype(int), nz - 2)
+    iw = np.minimum(np.clip(pw, 0.0, nw - 1.0).astype(int), nw - 2)
+    fz = pz - iz
+    fw = np.clip(pw, 0.0, nw - 1.0) - iw
+    out = ((1 - fz) * (1 - fw) * g[iz, iw] + fz * (1 - fw) * g[iz + 1, iw]
+           + (1 - fz) * fw * g[iz, iw + 1] + fz * fw * g[iz + 1, iw + 1])
+    if not clip_w:
+        out = np.where((pw < 0.0) | (pw > nw - 1.0), 0.0, out)
+    return out
+
+
+def table_lookup(tab, g, rho, v):
+    """Raw values u(rho, v) of the series term g on the grid of table tab."""
+    rho = np.asarray(rho, dtype=float)
+    pz = ((tab.t_anchor - rho) / tab.span) ** (1.0 / tab.gamma) * len(tab.zeta) - 1.0
+    if hasattr(tab, "xi"):  # point table, self-similar columns
+        scale = np.sqrt(tab.b_ref * (tab.t_anchor - rho))
+        pw = ((v - tab.y) / scale - tab.xi[0]) / (tab.xi[1] - tab.xi[0])
+        reg = _bilinear(g, pz, pw, clip_w=False)
+    else:
+        reg = _bilinear(g, pz, (v - tab.w[0]) / (tab.w[1] - tab.w[0]))
+    return reg * (tab.t_anchor - rho) ** (-tab.reg_pow)
+
+
+def row_sweep(kernel: CorrectionKernel, tab, term_reg, b_max):
+    """One Volterra sweep, K^(1) convolved with the previous term, row by row."""
+    t = tab.t_anchor
+    out = np.zeros_like(term_reg)
+    for k, sig in enumerate(tab.sigma):
+        wrow = tab.nodes(k)
+        rho, wr = singular_rule(sig, t, kernel.quad.n_time,
+                                left_exp=0.5 * kernel.alpha - 1.0,
+                                right_exp=-tab.reg_pow)
+        scale = np.sqrt(b_max * (rho - sig))
+        v, wv = kernel._window(wrow[:, None] + 0.0 * rho[None, :], scale[None, :])
+        kern = kernel.source(sig, wrow[:, None, None], rho[None, :, None], v)
+        uprev = table_lookup(tab, term_reg,
+                             np.broadcast_to(rho[None, :, None], v.shape), v)
+        out[k] = np.sum(kern * uprev * wv * wr[None, :, None], axis=(1, 2))
+    return out * (t - tab.sigma)[:, None] ** tab.reg_pow
+
+
+def reference_table(side, quad, kind, t_anchor, s_lo, w_lo, w_hi, **ctx):
+    """The correction table of CorrectionKernel(side, quad).table(...), its
+    series continued past the first term by row_sweep, with the library's
+    stopping rule and divergence test."""
+    kernel = CorrectionKernel(side, replace(quad, depth=1))
+    tab = kernel.table(kind, None, t_anchor, s_lo, w_lo, w_hi, **ctx)
+    b_max = kernel._b_max(t_anchor, w_lo, w_hi)
+    term = tab.g.copy()
+    scale = max(tab.term_sups[0], 1e-300)
+    for _ in range(1, quad.depth):
+        term = row_sweep(kernel, tab, term, b_max)
+        tab.g = tab.g + term
+        sup = float(np.max(np.abs(term)))
+        tab.term_sups.append(sup)
+        if sup <= quad.tol * scale:
+            break
+    else:
+        sups = tab.term_sups
+        if len(sups) >= 2 and sups[-1] > sups[-2] and sups[-1] > quad.tol * scale:
+            raise ConvergenceFailureError("correction terms not decreasing")
+    return tab
+
+
+def _z0_convolution(fs: FundamentalSolution, s, x, t, p, b_max, right_exp,
+                    factor, spread_at=None, spread=1.0):
+    """Z0 at one (s, x) convolved over (s, t) x R with factor(rho, v)."""
+    rho, wr = singular_rule(s, t, 2 * fs.quad.n_time, left_exp=0.0,
+                            right_exp=right_exp)
+    va = b_max * (rho - s)
+    if spread_at is None:
+        center = np.full_like(rho, x)
+        scale = np.sqrt(va)
+    else:
+        vb = spread * b_max * (t - rho)
+        center = (x * vb + spread_at * va) / (va + vb)
+        scale = np.sqrt(va * vb / (va + vb))
+    v, wv = fs.correction._window(center, scale)
+    var = fs.side.diffusion(rho[:, None], v) * (rho[:, None] - s)
+    z0 = _z0(var, v - x, p)
+    return float(np.sum(z0 * factor(np.broadcast_to(rho[:, None], v.shape), v)
+                        * wv * wr[:, None]))
+
+
+def point_correction_loop(fs: FundamentalSolution, s, x, t: float, y: float, p: int = 0):
+    """Z1 = G - Z0 at (s, x; t, y), one (s, x) point at a time.
+
+    The point table is looked up in the cache, so the library's vectorized
+    call must have built it first over the same points.
+    """
+    s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                       np.asarray(x, dtype=float))
+    pad = fs.quad.r_cut * math.sqrt(fs._bmax_guess(t) * t) + 0.5
+    w_lo = min(float(np.min(x_arr)), y) - pad
+    w_hi = max(float(np.max(x_arr)), y) + pad
+    tab = fs.correction.table("point", (round(y, 12),), t, 0.75 * float(np.min(s_arr)),
+                              w_lo, w_hi, y=y)
+    b_max = fs.correction._b_max(t, w_lo, w_hi)
+    alpha = fs.correction.alpha
+    out = np.empty(s_arr.shape)
+    for idx in np.ndindex(s_arr.shape):
+        si, xi = float(s_arr[idx]), float(x_arr[idx])
+        term_one = _z0_convolution(
+            fs, si, xi, t, p, b_max, 0.5 * alpha - 1.0,
+            lambda rho, v: fs.correction.source(rho, v, t, y), spread_at=y)
+        outer = _z0_convolution(fs, si, xi, t, p, b_max, -tab.reg_pow, tab.eval,
+                                spread_at=y, spread=2.0)
+        out[idx] = term_one + outer
+    return out

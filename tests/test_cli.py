@@ -1,13 +1,15 @@
 """Command-line interface tests: exit codes, report shapes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from memdiff.cli import fmt_sig, main
-from memdiff.problem import InitialFunction, Problem
+from memdiff.errors import ConvergenceFailureError, SingularIntegrandError
+from memdiff.problem import InitialFunction, Problem, validate
 from memdiff.semigroup import SemigroupOperator
 
 REPO = Path(__file__).resolve().parent.parent
@@ -228,3 +230,62 @@ def test_solver_override_keys(tmp_path, capsys):
         assert out.exists() == (code == 0)
         if code:
             assert "bad solver override" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ConvergenceFailureError, SingularIntegrandError])
+def test_solver_failures_exit_3(tmp_path, capsys, monkeypatch, error):
+    # a correction series that stops decreasing and a Holmgren integrand that
+    # does not decay are solver failures, not config errors
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(SemigroupOperator, "apply", fail)
+    out = tmp_path / "field.csv"
+    assert run(["solve", "--config", CONFIGS / "skew.json", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("s", "zero"), ("t", "one")])
+def test_non_numeric_times_exit_2(tmp_path, capsys, key, value):
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["check", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_front_door_audits_on_validate_grid(tmp_path, capsys):
+    # a diffusion that oscillates faster than a 33-point grid resolves: it
+    # peaks at 1.5 above its declared maximum 1.2 between coarse samples
+    cfg = read_json(CONFIGS / "skew.json")
+    horizon = cfg["problem"]["horizon"]
+    cfg["problem"]["left"]["diffusion"] = {
+        "kind": "sinusoidal-in-s-and-x",
+        "params": [1.0, 0.0, 0.0, 0.5, 32.0 * math.pi / horizon]}
+    cfg["problem"]["left"]["diffusion_max"] = 1.2
+    assert validate(Problem.from_dict(cfg["problem"]), 33).passed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["validate", "--config", cfg_path, "--out", out]) == 1
+    assert run(["check", "--config", cfg_path, "--out", out]) == 2
+    assert "failed validation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["grid_resolution"] = 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run([command, "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
