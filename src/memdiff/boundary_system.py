@@ -161,28 +161,6 @@ class KernelAssembler:
         self.kernels_vanish = (all(self._flat_exact.values())
                                and problem.wentzell.measure.is_null)
 
-    # -- fundamental solution on anchors ---------------------------------------
-
-    def _g(self, j, s, x, tau, y, p=0, mask=None):
-        """G_j^(p)(s, x; tau, y) on broadcast arrays.
-
-        The trailing axis holds points that share one terminal anchor
-        (tau, y).  A side with a correction term is evaluated one anchor at
-        a time, all its points in one call and only where mask (over the
-        leading axes) is set: the first call per anchor fixes the extent of
-        its cached correction table.
-        """
-        fs = self.evaluator.fs[j]
-        if fs.is_exact:
-            return fs.principal(s, x, tau, y, p)
-        s, x, tau, y = np.broadcast_arrays(s, x, tau, y)
-        out = np.zeros(s.shape)
-        for idx in np.ndindex(s.shape[:-1]):
-            if mask is None or mask[idx]:
-                out[idx] = fs.eval(s[idx], x[idx], float(tau[idx][0]),
-                                   float(y[idx][0]), p)
-        return out
-
     # -- the system kernel ------------------------------------------------------
 
     def _side_kernel(self, j: int, s, tau, h_s, h_tau):
@@ -195,8 +173,8 @@ class KernelAssembler:
         denom = 2.0 * b_tau * dt
 
         def g(x, p=0, mask=None):
-            return self._g(j, s[..., None], x[..., None], tau[..., None],
-                           h_tau[..., None], p, mask)[..., 0]
+            return fs.on_anchors(s[..., None], x[..., None], tau[..., None],
+                                 h_tau[..., None], p, mask)[..., 0]
 
         # reflection term first: it opens every anchor of a correction side
         k_reg = (-1.0) ** j * prob.q(j, s) * g(h_s, p=1)
@@ -245,7 +223,7 @@ class KernelAssembler:
         def trace_f(rho):
             # the three increments of the representation telescope to
             # G(rho, h(rho)) - Z0(rho, h(tau)), both anchored at (tau, h(tau))
-            g_moved = self._g(j, rho, self.problem.h(rho), tau_col, h_col)
+            g_moved = fs.on_anchors(rho, self.problem.h(rho), tau_col, h_col)
             return g_moved - fs.principal(rho, h_col, tau_col, h_col)
 
         value = holmgren_transform(trace_f, s, tau, n=self.config.n_holmgren,
@@ -322,13 +300,23 @@ def m_delta_witness(problem: Problem, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 class RightHandSide:
-    """Trace gap, flux data and their combinations on arrays of mesh times."""
+    """Trace gap, flux data and their combinations on arrays of mesh times.
 
-    def __init__(self, assembler: KernelAssembler, phi: InitialFunction, t: float):
+    The Poisson correction table of a variable side is sized once, for the
+    membrane and the atoms on [s_min, t], so the values do not depend on
+    the order in which times are evaluated.
+    """
+
+    def __init__(self, assembler: KernelAssembler, phi: InitialFunction, t: float,
+                 s_min: float = 0.0):
         self.assembler = assembler
         self.phi = phi
         self.t = t
-        left, right = assembler.problem.left, assembler.problem.right
+        prob = assembler.problem
+        paths = [prob.membrane] + [atom.position for atom in prob.wentzell.measure.atoms]
+        lows, highs = zip(*(path.bounds(s_min, t) for path in paths))
+        assembler.evaluator.reserve_poisson(phi, t, s_min, min(lows), max(highs))
+        left, right = prob.left, prob.right
         # identical generators on both sides make the Poisson traces equal
         # for every initial function: the trace gap vanishes structurally
         self._identical_sides = (
@@ -426,15 +414,12 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     if not s_min < t:
         raise TimeOrderError("solve needs s_min < t")
     assembler = KernelAssembler(problem, evaluator, config)
-    rhs = RightHandSide(assembler, phi, t)
     mesh = graded_mesh(t, s_min, config.mesh_n, config.mesh_gamma)
+    rhs = RightHandSide(assembler, phi, t, float(mesh[0]))
     n = len(mesh)
     sqrt_rem = np.sqrt(t - mesh)
-    # a side with a correction term widens its cached Poisson table as the
-    # evaluation points move, so there the nodes go one at a time, in order
-    rhs_block = RHS_BLOCK if all(fs.is_exact for fs in assembler.evaluator.fs.values()) else 1
-    w = np.concatenate([rhs.combined(mesh[lo:lo + rhs_block])
-                        for lo in range(0, n, rhs_block)], axis=1) * sqrt_rem
+    w = np.concatenate([rhs.combined(mesh[lo:lo + RHS_BLOCK])
+                        for lo in range(0, n, RHS_BLOCK)], axis=1) * sqrt_rem
 
     # kernel tables: per node, quadrature times and weighted kernel values
     tau_nodes, wt = singular_rule(mesh, t, config.n_kernel,
@@ -504,7 +489,7 @@ def first_kind_residual(problem: Problem, phi: InitialFunction, t: float,
     independent consistency witness of the equivalence.
     """
     ev = evaluator or PotentialEvaluator(problem)
-    rhs = RightHandSide(KernelAssembler(problem, ev), phi, t)
+    rhs = RightHandSide(KernelAssembler(problem, ev), phi, t, densities.s_min)
     mesh = densities.mesh
     h = np.broadcast_to(problem.h(mesh), mesh.shape)
     lhs = np.array([ev.layer(1, s, x, t, densities) - ev.layer(2, s, x, t, densities)

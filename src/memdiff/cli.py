@@ -106,17 +106,23 @@ def build_grid(cfg: dict) -> np.ndarray:
     for key in ("min", "max", "n"):
         if key not in grid:
             raise ConfigError(f"grid object missing key {key!r}")
-    if grid["n"] < 1:
-        raise ConfigError("grid n must be positive")
-    return np.linspace(grid["min"], grid["max"], int(grid["n"]))
+    n = grid["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"grid n must be a positive integer, got {n!r}")
+    return np.linspace(grid["min"], grid["max"], n)
 
 
 def build_solver(cfg: dict) -> SolverConfig:
     overrides = cfg.get("solver", {})
     try:
-        return SolverConfig(**overrides)
+        config = SolverConfig(**overrides)
     except TypeError as exc:
         raise ConfigError(f"bad solver override: {exc}") from exc
+    delta = config.delta
+    if delta is not None and (isinstance(delta, bool) or not isinstance(delta, (int, float))
+                              or not delta > 0):
+        raise ConfigError(f"solver delta must be a positive number, got {delta!r}")
+    return config
 
 
 def build_sim(cfg: dict, args) -> SimConfig:
@@ -131,16 +137,20 @@ def build_sim(cfg: dict, args) -> SimConfig:
         raise ConfigError(f"bad mc setting: {exc}") from exc
 
 
-def times(cfg: dict) -> tuple:
-    """(start times, t): the config's s is one number or a list of them."""
+def times(cfg: dict, problem: Problem) -> tuple:
+    """(start times, t): the config's s is one number or a list of them, and
+    t lies within the problem's horizon."""
     s = cfg.get("s", 0.0)
     t = cfg.get("t")
     if t is None:
         raise ConfigError("config missing key 't'")
     try:
-        return [float(v) for v in (s if isinstance(s, list) else [s])], float(t)
+        s_values, t = [float(v) for v in (s if isinstance(s, list) else [s])], float(t)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"s and t must be numbers: {exc}") from exc
+    if t > problem.horizon:
+        raise ConfigError(f"t = {t:g} lies past the horizon {problem.horizon:g}")
+    return s_values, t
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -184,7 +194,7 @@ def cmd_validate(cfg: dict, args) -> int:
 def cmd_solve(cfg: dict, args) -> int:
     problem = validated_problem(cfg)
     phi = build_phi(cfg)
-    s_values, t = times(cfg)
+    s_values, t = times(cfg, problem)
     grid = build_grid(cfg)
     precision = int(cfg.get("precision", 12))
     op = SemigroupOperator(problem, build_solver(cfg))
@@ -226,7 +236,7 @@ def _dump_kernels(op, phi, t, s_min, path):
 def cmd_check(cfg: dict, args) -> int:
     problem = validated_problem(cfg)
     phi = build_phi(cfg)
-    s_values, t = times(cfg)
+    s_values, t = times(cfg, problem)
     s = s_values[0]
     grid = build_grid(cfg)
     suite = cfg.get("suite", args.suite)
@@ -280,7 +290,7 @@ def cmd_check(cfg: dict, args) -> int:
 def cmd_compare_mc(cfg: dict, args) -> int:
     problem = validated_problem(cfg)
     phi = build_phi(cfg)
-    s_values, t = times(cfg)
+    s_values, t = times(cfg, problem)
     s = s_values[0]
     grid = build_grid(cfg)
     config = build_sim(cfg, args)

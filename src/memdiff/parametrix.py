@@ -28,6 +28,7 @@ linear map to the previous term, so each table builds that map once.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -37,6 +38,20 @@ import numpy as np
 from ._quadrature import singular_rule, window_nodes
 from .errors import ConvergenceFailureError, TimeOrderError
 from .problem import SideSpec
+
+# points per array pass of a Z0 convolution: a pass holds a few (point, time
+# node, window node) arrays, about 0.25 MB each at the default quadrature.
+# 8 anchors x 24 points in one pass peaked at 30 MB under tracemalloc, in
+# blocks of 16 at 2.6 MB
+POINT_BLOCK = 16
+
+
+def _in_blocks(size: int, evaluate) -> np.ndarray:
+    """evaluate(points) over consecutive slices of POINT_BLOCK points."""
+    out = np.empty(size)
+    for lo in range(0, size, POINT_BLOCK):
+        out[lo:lo + POINT_BLOCK] = evaluate(slice(lo, lo + POINT_BLOCK))
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,12 +120,17 @@ class _CorrectionSource:
     def is_null(self) -> bool:
         return self._drift_null and self._diff_const
 
-    def __call__(self, s, x, t, y):
-        b_ty = self.side.diffusion(t, y)
+    def __call__(self, s, x, t, y, b_sx=None, b_ty=None):
+        """K^(1)(s, x; t, y); a caller that holds b_sx = b(s, x) or
+        b_ty = b(t, y) passes it in."""
+        if b_ty is None:
+            b_ty = self.side.diffusion(t, y)
         var, z = b_ty * (t - s), y - x
         out = 0.0
         if not self._diff_const:
-            out = 0.5 * (self.side.diffusion(s, x) - b_ty) * _z0(var, z, 2)
+            if b_sx is None:
+                b_sx = self.side.diffusion(s, x)
+            out = 0.5 * (b_sx - b_ty) * _z0(var, z, 2)
         elif not self._drift_null:
             out = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(x),
                                                np.shape(t), np.shape(y)))
@@ -136,7 +156,14 @@ class _Table:
     uniform over the rows.  Below the first row (sigma -> t_anchor) the
     regularized value is extended as a constant.  Used for the spatially
     smooth anchors (terminal-slice and space-time weights).
+
+    Lookups take times rho and points v that broadcast; rho keeps its own
+    (smaller) axes, so everything that depends on time alone is computed
+    once per time node.
     """
+
+    # first row of this table in g (nonzero in a stacked lookup)
+    row0 = 0
 
     def __init__(self, t_anchor, s_lo, w_lo, w_hi, reg_pow, quad):
         self.t_anchor = t_anchor
@@ -154,6 +181,10 @@ class _Table:
     def covers(self, s_lo, w_lo, w_hi) -> bool:
         return (self.s_lo <= s_lo + 1e-12 and self.w[0] <= w_lo + 1e-9
                 and self.w[-1] >= w_hi - 1e-9)
+
+    def merged(self, s_lo, w_lo, w_hi) -> tuple:
+        """Extent of a rebuild that covers this table and the request."""
+        return min(s_lo, self.s_lo), min(w_lo, self.w[0]), max(w_hi, self.w[-1])
 
     def nodes(self, k: int) -> np.ndarray:
         return self.w
@@ -173,6 +204,7 @@ class _Table:
         """Raw functional values u(rho, v), bilinear in (zeta, w)."""
         rho = np.asarray(rho, dtype=float)
         iz, fz = self.rows(rho)
+        iz = iz + self.row0
         iw, fw, inside = self.columns(rho, v)
         g = self.g
         out = ((1 - fz) * (1 - fw) * g[iz, iw] + fz * (1 - fw) * g[iz + 1, iw]
@@ -211,6 +243,22 @@ class _ScaledTable(_Table):
     def covers(self, s_lo, w_lo, w_hi) -> bool:
         return self.s_lo <= s_lo + 1e-12
 
+    def merged(self, s_lo, w_lo, w_hi) -> tuple:
+        # the xi grid has no window to widen; the request's window sets b_ref
+        return min(s_lo, self.s_lo), w_lo, w_hi
+
+    @classmethod
+    def stacked(cls, tables, anchor):
+        """The point tables of one kernel as a single lookup whose leading
+        axis holds points: point k reads tables[anchor[k]]."""
+        tab = copy.copy(tables[0])
+        for name in ("t_anchor", "span", "y", "b_ref"):
+            per_table = np.array([getattr(t, name) for t in tables])
+            setattr(tab, name, per_table[anchor][:, None, None])
+        tab.row0 = (len(tab.zeta) * anchor)[:, None, None]
+        tab.g = np.concatenate([t.g for t in tables])
+        return tab
+
     def nodes(self, k: int) -> np.ndarray:
         scale = math.sqrt(self.b_ref * (self.t_anchor - self.sigma[k]))
         return self.y + self.xi * scale
@@ -246,11 +294,12 @@ class CorrectionKernel:
 
     # -- grid helpers -----------------------------------------------------
 
-    def _b_max(self, t_anchor, w_lo, w_hi) -> float:
-        ss = np.linspace(0.0, t_anchor, 9)
-        xs = np.linspace(w_lo, w_hi, 17)
-        S, X = np.meshgrid(ss, xs, indexing="ij")
-        return float(np.max(self.side.diffusion(S, X)))
+    def _b_max(self, t_anchor, w_lo, w_hi):
+        """Largest diffusion sampled on [0, t_anchor] x [w_lo, w_hi]; the
+        arguments may be arrays, one entry per anchor."""
+        ss = np.linspace(0.0, t_anchor, 9, axis=-1)[..., :, None]
+        xs = np.linspace(w_lo, w_hi, 17, axis=-1)[..., None, :]
+        return np.max(self.side.diffusion(ss, xs), axis=(-2, -1))
 
     def _window(self, centers, scales):
         return window_nodes(centers, scales, self.quad.n_space, self.quad.r_cut)
@@ -265,9 +314,7 @@ class CorrectionKernel:
             if tab is not None and tab.covers(s_lo, w_lo, w_hi):
                 return tab
             if tab is not None:
-                s_lo = min(s_lo, tab.s_lo)
-                w_lo = min(w_lo, tab.w[0])
-                w_hi = max(w_hi, tab.w[-1])
+                s_lo, w_lo, w_hi = tab.merged(s_lo, w_lo, w_hi)
             tab = self._build(kind, t_anchor, s_lo, w_lo, w_hi, ctx)
             self._tables[cache_key] = tab
             return tab
@@ -338,8 +385,10 @@ class CorrectionKernel:
                 center = (wrow[:, None] * vb[None, :] + y * va[None, :]) / (va + vb)
                 scale = np.sqrt(va * vb / (va + vb))
                 v, wv = self._window(center, scale[None, :])
-                vals = (self.source(sig, wrow[:, None, None], rho[None, :, None], v)
-                        * self.source(rho[None, :, None], v, t, y))
+                rho_v = rho[None, :, None]
+                b_rv = self.side.diffusion(rho_v, v)
+                vals = (self.source(sig, wrow[:, None, None], rho_v, v, b_ty=b_rv)
+                        * self.source(rho_v, v, t, y, b_sx=b_rv))
                 out[k] = np.sum(vals * wv * wr[None, :, None], axis=(1, 2))
         return out
 
@@ -369,10 +418,10 @@ class CorrectionKernel:
         for k, sig in enumerate(tab.sigma):
             wrow = tab.nodes(k)
             scale = np.sqrt(b_max * (rho[k] - sig))
-            v, wv = self._window(wrow[:, None] + 0.0 * rho[k][None, :], scale[None, :])
-            rho_v = np.broadcast_to(rho[k][None, :, None], v.shape)
-            weight = self.source(sig, wrow[:, None, None], rho_v, v) * wv * wr[k][:, None]
-            iw, fw, inside = tab.columns(rho_v, v)
+            v, wv = self._window(wrow[:, None], scale[None, :])
+            rho_k = rho[k][None, :, None]
+            weight = self.source(sig, wrow[:, None, None], rho_k, v) * wv * wr[k][:, None]
+            iw, fw, inside = tab.columns(rho_k, v)
             if inside is not None:
                 weight = weight * inside
             cells = (cell + iw).ravel()
@@ -411,71 +460,135 @@ class FundamentalSolution:
             return z0
         return z0 + self._correction_point(s, x, float(t), float(y), p)
 
+    def on_anchors(self, s, x, t, y, p: int = 0, mask=None):
+        """G^(p)(s, x; t, y) on broadcast arrays whose trailing axis holds
+        points that share one terminal anchor (t, y).
+
+        On a side with a correction term only anchors where mask (over the
+        leading axes) is set are evaluated, the others read zero, and each
+        anchor's cached table is sized by its own points in this call.
+        """
+        if self.is_exact:
+            return self.principal(s, x, t, y, p)
+        s, x, t, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (s, x, t, y)))
+        keep = (np.ones(s.shape[:-1], dtype=bool) if mask is None
+                else np.broadcast_to(mask, s.shape[:-1]))
+        out = np.zeros(s.shape)
+        if np.any(keep):
+            s, x, t, y = s[keep], x[keep], t[keep], y[keep]
+            out[keep] = (self.principal(s, x, t, y, p)
+                         + self._corrections(s, x, t[:, 0], y[:, 0], p))
+        return out
+
     def _correction_point(self, s, x, t, y, p):
         s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float),
                                            np.asarray(x, dtype=float))
-        pad = self.quad.r_cut * math.sqrt(self._bmax_guess(t) * t) + 0.5
-        w_lo = min(float(np.min(x_arr)), y) - pad
-        w_hi = max(float(np.max(x_arr)), y) + pad
-        s_lo = 0.75 * float(np.min(s_arr))
-        tab = self.correction.table("point", (round(y, 12),), t, s_lo, w_lo, w_hi, y=y)
-        b_max = self.correction._b_max(t, w_lo, w_hi)
-        # first series term in closed form, then the cached remainder
-        out = (self._z0_convolution(
-                   s_arr, x_arr, t, p, b_max, 0.5 * self.correction.alpha - 1.0,
-                   lambda rho, v: self.correction.source(rho, v, t, y), spread_at=y)
-               + self._z0_convolution(s_arr, x_arr, t, p, b_max, -tab.reg_pow,
-                                      tab.eval, spread_at=y, spread=2.0))
+        out = self._corrections(s_arr.reshape(1, -1), x_arr.reshape(1, -1),
+                                np.array([t]), np.array([y]), p).reshape(s_arr.shape)
         return float(out) if out.ndim == 0 else out
 
-    def _bmax_guess(self, t) -> float:
-        ss = np.linspace(0.0, t, 5)
-        return float(np.max(self.side.diffusion(ss, 0.0 * ss))) + 1e-12
+    def _corrections(self, s, x, t, y, p):
+        """Z1^(p) at points (s, x) of shape (anchors, points); row a belongs
+        to the terminal anchor (t[a], y[a]).
+
+        Each anchor's point table and b_max come from the smallest s and the
+        x-range of its row.  The first series term (closed form) and the
+        tabulated remainder are convolved with Z0 for all (anchor, point)
+        pairs, POINT_BLOCK pairs per array pass.
+        """
+        corr = self.correction
+        pad = self._pad(t)
+        w_lo = np.minimum(np.min(x, axis=1), y) - pad
+        w_hi = np.maximum(np.max(x, axis=1), y) + pad
+        b_max = corr._b_max(t, w_lo, w_hi)
+        extents = zip(*(v.tolist() for v in (t, y, 0.75 * np.min(s, axis=1), w_lo, w_hi)))
+        tables = [corr.table("point", (round(ya, 12),), ta, s_lo, lo, hi, y=ya)
+                  for ta, ya, s_lo, lo, hi in extents]
+        n_points = s.shape[1]
+        anchor = np.repeat(np.arange(len(t)), n_points)
+        s, x = s.ravel(), x.ravel()
+
+        def block(pairs):
+            a = anchor[pairs]
+            t_a, y_a, b_a = t[a], y[a], b_max[a]
+            tab = _ScaledTable.stacked(tables[a[0]:a[-1] + 1], a - a[0])
+
+            def first_term(rho, v, b_rv):
+                return corr.source(rho, v, t_a[:, None, None], y_a[:, None, None], b_sx=b_rv)
+
+            return (self._z0_convolution(s[pairs], x[pairs], t_a, p, b_a,
+                                         0.5 * corr.alpha - 1.0, first_term, spread_at=y_a)
+                    + self._z0_convolution(s[pairs], x[pairs], t_a, p, b_a, -tab.reg_pow,
+                                           lambda rho, v, _: tab.eval(rho, v),
+                                           spread_at=y_a, spread=2.0))
+        return _in_blocks(s.size, block).reshape(-1, n_points)
+
+    def _bmax_guess(self, t):
+        """Largest diffusion sampled on [0, t] at x = 0; t may be an array."""
+        ss = np.linspace(0.0, t, 5, axis=-1)
+        return np.max(self.side.diffusion(ss, 0.0 * ss), axis=-1) + 1e-12
+
+    def _pad(self, t):
+        """Margin of a table's window around its evaluation points."""
+        return self.quad.r_cut * np.sqrt(self._bmax_guess(t) * t) + 0.5
 
     def _z0_convolution(self, s, x, t, p, b_max, right_exp, factor,
                         spread_at=None, spread=1.0):
-        """integral over (s, t) x R of Z0^(p)(s, x; rho, v) factor(rho, v),
-        at points (s, x) of any shape.
+        """integral over (s, t) x R of Z0^(p)(s, x; rho, v) factor(rho, v, b),
+        at points (s, x) of any shape; t, b_max and spread_at are scalars or
+        arrays of that shape.
 
-        factor is K^(1) at a terminal point or a cached table, singular like
-        (t - rho)^right_exp.  The windows sit at x, or, with spread_at, at
-        the variance-weighted mean of x and spread_at, where spread scales
-        the variance of the factor's Gaussian.
+        factor gets b = b(rho, v), the variance coefficient of Z0.  It is K^(1)
+        at a terminal point or a cached table, singular like
+        (t - rho)^right_exp.  The windows sit at x, or, with spread_at, at the
+        variance-weighted mean of x and spread_at, where spread scales the
+        variance of the factor's Gaussian.
         """
         rho, wr = singular_rule(s, t, 2 * self.quad.n_time,
                                 left_exp=0.0, right_exp=right_exp)
         s, x = np.asarray(s)[..., None], np.asarray(x)[..., None]
+        t, b_max = np.asarray(t)[..., None], np.asarray(b_max)[..., None]
         va = b_max * (rho - s)
         if spread_at is None:
-            center = np.broadcast_to(x, rho.shape)
-            scale = np.sqrt(va)
+            center, scale = x, np.sqrt(va)
         else:
             vb = spread * b_max * (t - rho)
-            center = (x * vb + spread_at * va) / (va + vb)
+            center = (x * vb + np.asarray(spread_at)[..., None] * va) / (va + vb)
             scale = np.sqrt(va * vb / (va + vb))
         v, wv = self.correction._window(center, scale)
-        rho = np.broadcast_to(rho[..., None], v.shape)
-        z0 = _z0(self.side.diffusion(rho, v) * (rho - s[..., None]), v - x[..., None], p)
-        return np.sum(z0 * factor(rho, v) * wv * wr[..., None], axis=(-2, -1))
+        rho = rho[..., None]
+        b_rv = self.side.diffusion(rho, v)
+        z0 = _z0(b_rv * (rho - s[..., None]), v - x[..., None], p)
+        return np.sum(z0 * factor(rho, v, b_rv) * wv * wr[..., None], axis=(-2, -1))
 
     # -- weighted terminal functionals ---------------------------------------
 
+    def final_table(self, key, weight, t, s_lo, x_lo, x_hi) -> _Table:
+        """The cached terminal-slice table of weight that serves evaluation
+        points (s, x) with s >= s_lo and x in [x_lo, x_hi]."""
+        pad = self._pad(t)
+        return self.correction.table("final", key, t, 0.75 * s_lo, x_lo - pad, x_hi + pad,
+                                     weight=weight)
+
     def terminal_integral(self, s, x, t, weight, key, p: int = 0):
-        """integral of G(s,x,t,y)^{(p)} weight(y) dy for a fixed terminal time."""
-        if s >= t:
+        """integral of G(s,x,t,y)^{(p)} weight(y) dy for a fixed terminal time,
+        at points (s, x) that broadcast."""
+        s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
+        if np.any(s >= t):
             raise TimeOrderError("terminal integral needs s < t")
         b_max = self._bmax_guess(t)
-        y, wy = window_nodes(x, math.sqrt(b_max * (t - s)),
+        y, wy = window_nodes(x, np.sqrt(b_max * (t - s)),
                              2 * self.quad.n_space, self.quad.r_cut)
-        z0 = _z0(self.side.diffusion(t, y) * (t - s), y - x, p)
-        direct = float(np.sum(z0 * weight(y) * wy))
-        if self.is_exact:
-            return direct
-        pad = self.quad.r_cut * math.sqrt(b_max * t) + 0.5
-        tab = self.correction.table("final", key, t, 0.75 * s, x - pad, x + pad,
-                                    weight=weight)
-        return direct + float(self._z0_convolution(s, x, t, p, b_max,
-                                                   -tab.reg_pow, tab.eval))
+        z0 = _z0(self.side.diffusion(t, y) * (t - s)[..., None], y - x[..., None], p)
+        out = np.sum(z0 * weight(y) * wy, axis=-1)
+        if not self.is_exact and s.size:
+            tab = self.final_table(key, weight, t, float(np.min(s)),
+                                   float(np.min(x)), float(np.max(x)))
+            s_flat, x_flat = s.ravel(), x.ravel()
+            out = out + _in_blocks(s.size, lambda pts: self._z0_convolution(
+                s_flat[pts], x_flat[pts], t, p, b_max, -tab.reg_pow,
+                lambda rho, v, _: tab.eval(rho, v))).reshape(s.shape)
+        return float(out) if out.ndim == 0 else out
 
     def spacetime_integral(self, s, x, t, coeff, key):
         """integral over (s,t) x R of G(s,x,tau,z) coeff(tau,z) dz dtau."""
@@ -490,10 +603,11 @@ class FundamentalSolution:
         direct = float(np.sum(z0 * coeff(tau[:, None], z) * wz * wt[:, None]))
         if self.is_exact:
             return direct
-        pad = self.quad.r_cut * math.sqrt(b_max * t) + 0.5
+        pad = self._pad(t)
         tab = self.correction.table("spacetime", key, t, 0.75 * s, x - pad, x + pad,
                                     coeff=coeff)
-        return direct + float(self._z0_convolution(s, x, t, 0, b_max, 0.0, tab.eval))
+        return direct + float(self._z0_convolution(s, x, t, 0, b_max, 0.0,
+                                                   lambda rho, v, _: tab.eval(rho, v)))
 
 
 def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):

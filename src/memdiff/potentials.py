@@ -118,6 +118,12 @@ def layer_time_rule(s: float, t: float, quad: PotentialQuadrature):
     return nodes, weights
 
 
+def _poisson_key(phi: InitialFunction) -> tuple:
+    # keying the correction table by the phi object itself (identity hash)
+    # keeps the object alive while the cache entry exists
+    return ("phi", phi)
+
+
 class PotentialEvaluator:
     """Field evaluation for one problem: Poisson and layer parts per side."""
 
@@ -139,12 +145,17 @@ class PotentialEvaluator:
         if fs.is_exact:
             out = self._poisson_direct(fs, s, x, t, phi, p)
         else:
-            # keying the correction table by the phi object itself (identity
-            # hash) keeps the object alive while the cache entry exists
-            out = np.array([fs.terminal_integral(float(sv), float(xv), t, phi,
-                                                 ("phi", phi), p)
-                            for sv, xv in zip(s.ravel(), x.ravel())]).reshape(s.shape)
+            out = np.asarray(fs.terminal_integral(s, x, t, phi, _poisson_key(phi), p))
         return out if out.ndim else float(out)
+
+    def reserve_poisson(self, phi: InitialFunction, t: float, s_lo: float,
+                        x_lo: float, x_hi: float) -> None:
+        """Size the Poisson correction tables of phi once, for points (s, x)
+        with s >= s_lo and x in [x_lo, x_hi], so that later evaluations in
+        that range neither rebuild them nor depend on their order."""
+        for fs in self.fs.values():
+            if not fs.is_exact:
+                fs.final_table(_poisson_key(phi), phi, t, s_lo, x_lo, x_hi)
 
     def _poisson_direct(self, fs, s, x, t, phi, p):
         b = fs.side.diffusion(t, self.problem.h(t))
@@ -168,19 +179,13 @@ class PotentialEvaluator:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         tau, wt = layer_time_rule(s, t, self.quad)
         h_tau = np.asarray(self.problem.h(tau), dtype=float)
-        g = self._kernel_on_membrane(i, s, x_arr[:, None], tau[None, :], h_tau[None, :])
+        # one membrane anchor (tau, h(tau)) per row, the points x along it;
+        # transposed to contiguous rows so that every side sums over tau in
+        # the same order
+        g = self.fs[i].on_anchors(s, x_arr[None, :], tau[:, None], h_tau[:, None])
         dens = densities.w(i, tau) * (t - tau) ** (-0.5)
-        out = np.sum(g * (dens * wt)[None, :], axis=-1)
+        out = np.sum(np.ascontiguousarray(g.T) * (dens * wt)[None, :], axis=-1)
         return float(out[0]) if np.ndim(x) == 0 else out
-
-    def _kernel_on_membrane(self, i, s, x, tau, h_tau, p: int = 0):
-        fs = self.fs[i]
-        if fs.is_exact:
-            return fs.principal(s, x, tau, h_tau, p)
-        xb, tb, hb = np.broadcast_arrays(x, tau, h_tau)
-        flat = [fs.eval(s, xv, tv, hv, p) for xv, tv, hv in
-                zip(xb.ravel(), tb.ravel(), hb.ravel())]
-        return np.array(flat).reshape(xb.shape)
 
     # -- conormal derivative ----------------------------------------------------
 
@@ -197,8 +202,7 @@ class PotentialEvaluator:
                                 right_exp=-0.5)
         h_s = float(self.problem.h(s))
         h_tau = np.asarray(self.problem.h(tau), dtype=float)
-        g1 = self._kernel_on_membrane(i, s, np.full_like(tau, h_s)[:, None],
-                                      tau[:, None], h_tau[:, None], p=1)[:, 0]
+        g1 = self.fs[i].on_anchors(s, h_s, tau[:, None], h_tau[:, None], p=1)[:, 0]
         dens = densities.w(i, tau) * (t - tau) ** (-0.5)
         return float(np.sum(g1 * dens * wt))
 

@@ -201,6 +201,22 @@ class TimeFunction:
         out = np.interp(s, self._knots, self._vals)
         return out if np.shape(out) else float(out)
 
+    def bounds(self, a: float, b: float) -> tuple:
+        """Smallest and largest value on [a, b]: at an end, at a crest or
+        trough of a sinusoid, or at an inner knot of a table."""
+        values = [float(self(a)), float(self(b))]
+        if self.kind == "sinusoidal":
+            c0, amp, freq = self.params[:3]
+            phase = self.params[3] if len(self.params) == 4 else 0.0
+            u_lo, u_hi = sorted((freq * a + phase, freq * b + phase))
+            # extremes at u = pi/2 + k pi: a crest for even k, a trough for odd k
+            first = math.ceil((u_lo - 0.5 * math.pi) / math.pi)
+            last = math.floor((u_hi - 0.5 * math.pi) / math.pi)
+            values += [c0 + amp * (-1.0) ** k for k in range(first, min(last, first + 1) + 1)]
+        elif self.kind == "tabulated":
+            values += self._vals[(self._knots > a) & (self._knots < b)].tolist()
+        return min(values), max(values)
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": list(self.params)}
 

@@ -14,6 +14,7 @@ The parametrix correction has its row-by-row reference too: the Neumann
 series of a correction table summed by Volterra sweeps that rebuild the
 quadrature, the windows, K^(1) and the bilinear lookups for every sigma row
 of every term, and the point correction evaluated one (s, x) at a time.
+Kernels on arrays of terminal anchors have a per-anchor loop.
 """
 
 from __future__ import annotations
@@ -521,4 +522,16 @@ def point_correction_loop(fs: FundamentalSolution, s, x, t: float, y: float, p: 
         outer = _z0_convolution(fs, si, xi, t, p, b_max, -tab.reg_pow, tab.eval,
                                 spread_at=y, spread=2.0)
         out[idx] = term_one + outer
+    return out
+
+
+def anchor_loop(fs: FundamentalSolution, s, x, t, y, p: int = 0):
+    """G^(p) on broadcast arrays whose trailing axis holds the points of one
+    terminal anchor (t, y): one FundamentalSolution.eval call per anchor,
+    with all of its points, so each table takes the same extent as in the
+    library's array call."""
+    s, x, t, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (s, x, t, y)))
+    out = np.empty(s.shape)
+    for idx in np.ndindex(s.shape[:-1]):
+        out[idx] = fs.eval(s[idx], x[idx], float(t[idx][0]), float(y[idx][0]), p)
     return out

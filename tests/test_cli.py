@@ -289,3 +289,25 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("solve", ("grid", "n"), 2.5),
+    ("check", ("t",), 5),
+    ("check", ("solver", "delta"), -1),
+])
+def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
+    # a fractional grid size, a terminal time past the horizon (1.5) and a
+    # negative near-atom radius are refused before any solve
+    cfg = read_json(CONFIGS / "skew.json")
+    target = cfg
+    for key in path[:-1]:
+        target = target.setdefault(key, {})
+    target[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run([command, "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()

@@ -226,6 +226,16 @@ def test_correction_point_matches_per_point_loop(quad):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_point_table_rebuild_for_an_earlier_start():
+    # a later call that reaches further back in time rebuilds the point
+    # table; it must get the value a fresh evaluator gives, not a crash
+    fs = FundamentalSolution(sine_b_side(), QUADS["bench"])
+    fs.eval(0.3, 0.1, 1.0, 0.0)
+    got = fs.eval(0.1, 0.1, 1.0, 0.0)
+    want = FundamentalSolution(sine_b_side(), QUADS["bench"]).eval(0.1, 0.1, 1.0, 0.0)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_point_build_memory_peak():
     # the sweep operator is built one sigma row at a time and dropped with
     # the build; a default-quadrature point table peaks near 10 MB

@@ -216,3 +216,20 @@ def test_atom_moment_reported():
     prob = make_problem(atoms=(atom_at(-1.0, 2.0), atom_at(0.5, 1.0)))
     report = validate(prob, grid_resolution=17)
     assert report["IV"].statistic["atom_moment_max"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("constant", [0.3]),
+    ("linear", [0.1, -0.4]),
+    ("sinusoidal", [0.0, 0.1, 2.0]),
+    ("sinusoidal", [0.2, -0.5, 9.0, 1.0]),
+    ("tabulated", [4, 0.0, 0.3, 0.6, 1.0, 0.0, 0.5, -0.2, 0.1]),
+])
+def test_time_function_bounds_enclose_dense_samples(kind, params):
+    f = TimeFunction(kind, params)
+    for a, b in ((0.0, 0.4), (0.1, 0.95), (0.25, 0.3)):
+        lo, hi = f.bounds(a, b)
+        values = f(np.linspace(a, b, 4001))
+        assert lo <= np.min(values) and hi >= np.max(values)
+        # attained, up to the sampling error of the dense grid (slopes <= 4.5)
+        assert np.min(values) - lo <= 1e-3 and hi - np.max(values) <= 1e-3
