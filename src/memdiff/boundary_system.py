@@ -262,36 +262,30 @@ def elimination_factor(problem: Problem, i: int, s, h):
     return (-1.0) ** i * problem.q(3 - i, s) / np.sqrt(problem.diffusion(3 - i, s, h))
 
 
+def _atom_sample(problem: Problem):
+    """65 times over the horizon, and each atom's distance to the membrane
+    and weight there, one row per atom."""
+    ss = np.linspace(0.0, problem.horizon, 65)
+    atoms = problem.wentzell.measure.atoms
+    gaps = np.abs(np.array([a.position(ss) for a in atoms]) - problem.membrane(ss))
+    return ss, gaps, np.array([a.weight(ss) for a in atoms])
+
+
 def default_delta(problem: Problem) -> float:
     """Half the minimal atom distance to the membrane over the horizon."""
-    meas = problem.wentzell.measure
-    if meas.is_null:
+    if problem.wentzell.measure.is_null:
         return math.inf
-    ss = np.linspace(0.0, problem.horizon, 65)
-    hs = np.asarray(problem.membrane(ss), dtype=float)
-    dist = min(float(np.min(np.abs(np.asarray(a.position(ss)) - hs)))
-               for a in meas.atoms)
-    return 0.5 * dist
+    return 0.5 * float(np.min(_atom_sample(problem)[1]))
 
 
 def m_delta_witness(problem: Problem, delta: float) -> float:
     """Sampled smallness witness of the near-membrane measure mass."""
-    meas = problem.wentzell.measure
-    if meas.is_null or not math.isfinite(delta):
+    if problem.wentzell.measure.is_null or not math.isfinite(delta):
         return 0.0
     b_min, b_max = problem.diffusion_bounds_rough()
-    ss = np.linspace(0.0, problem.horizon, 65)
-    hs = np.asarray(problem.membrane(ss), dtype=float)
-    q0 = float(np.min(np.asarray(problem.wentzell.q1(ss))
-                      + np.asarray(problem.wentzell.q2(ss))))
-    worst = 0.0
-    for k, s in enumerate(ss):
-        total = 0.0
-        for a in meas.atoms:
-            gap = abs(float(a.position(s)) - hs[k])
-            if gap < delta:
-                total += gap * float(a.weight(s))
-        worst = max(worst, total)
+    ss, gaps, weights = _atom_sample(problem)
+    q0 = float(np.min(problem.wentzell.q1(ss) + problem.wentzell.q2(ss)))
+    worst = float(np.max(np.sum(np.where(gaps < delta, gaps * weights, 0.0), axis=0)))
     return (b_max / b_min) ** 2 * math.pi / (2.0 * q0) * worst
 
 

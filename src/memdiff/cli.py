@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -101,15 +102,23 @@ def build_phi(cfg: dict) -> InitialFunction:
         raise ConfigError(f"phi object missing key {exc}") from exc
 
 
+def positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def build_grid(cfg: dict) -> np.ndarray:
     grid = cfg.get("grid", {"min": -2.0, "max": 2.0, "n": 21})
     for key in ("min", "max", "n"):
         if key not in grid:
             raise ConfigError(f"grid object missing key {key!r}")
-    n = grid["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"grid n must be a positive integer, got {n!r}")
-    return np.linspace(grid["min"], grid["max"], n)
+    n = positive_int(grid["n"], "grid n")
+    try:
+        lo, hi = float(grid["min"]), float(grid["max"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid min and max must be numbers: {exc}") from exc
+    return np.linspace(lo, hi, n)
 
 
 def build_solver(cfg: dict) -> SolverConfig:
@@ -118,10 +127,16 @@ def build_solver(cfg: dict) -> SolverConfig:
         config = SolverConfig(**overrides)
     except TypeError as exc:
         raise ConfigError(f"bad solver override: {exc}") from exc
-    delta = config.delta
-    if delta is not None and (isinstance(delta, bool) or not isinstance(delta, (int, float))
-                              or not delta > 0):
-        raise ConfigError(f"solver delta must be a positive number, got {delta!r}")
+    for field in fields(config):
+        value, integer = getattr(config, field.name), isinstance(field.default, int)
+        number = (not isinstance(value, bool)
+                  and isinstance(value, int if integer else (int, float)))
+        if field.name == "delta":
+            if value is not None and not (number and value > 0):
+                raise ConfigError(f"solver delta must be a positive number, got {value!r}")
+        elif not number:
+            kind = "an integer" if integer else "a number"
+            raise ConfigError(f"solver {field.name} must be {kind}, got {value!r}")
     return config
 
 
@@ -148,9 +163,19 @@ def times(cfg: dict, problem: Problem) -> tuple:
         s_values, t = [float(v) for v in (s if isinstance(s, list) else [s])], float(t)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"s and t must be numbers: {exc}") from exc
+    if not s_values or min(s_values) < 0.0:
+        raise ConfigError(f"s must be one or more start times of at least 0, got {s!r}")
     if t > problem.horizon:
         raise ConfigError(f"t = {t:g} lies past the horizon {problem.horizon:g}")
     return s_values, t
+
+
+def start_time(cfg: dict, problem: Problem) -> tuple:
+    """(s, t) for a command that runs from a single start time."""
+    s_values, t = times(cfg, problem)
+    if len(s_values) > 1:
+        raise ConfigError(f"this command takes one start time s, got {len(s_values)}")
+    return s_values[0], t
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -196,7 +221,7 @@ def cmd_solve(cfg: dict, args) -> int:
     phi = build_phi(cfg)
     s_values, t = times(cfg, problem)
     grid = build_grid(cfg)
-    precision = int(cfg.get("precision", 12))
+    precision = positive_int(cfg.get("precision", 12), "precision")
     op = SemigroupOperator(problem, build_solver(cfg))
     lines = ["s,x,u,side"]
     for s_val in s_values:
@@ -236,8 +261,7 @@ def _dump_kernels(op, phi, t, s_min, path):
 def cmd_check(cfg: dict, args) -> int:
     problem = validated_problem(cfg)
     phi = build_phi(cfg)
-    s_values, t = times(cfg, problem)
-    s = s_values[0]
+    s, t = start_time(cfg, problem)
     grid = build_grid(cfg)
     suite = cfg.get("suite", args.suite)
     if suite not in ("semigroup", "conjugation", "generator", "parametrix"):
@@ -290,8 +314,7 @@ def cmd_check(cfg: dict, args) -> int:
 def cmd_compare_mc(cfg: dict, args) -> int:
     problem = validated_problem(cfg)
     phi = build_phi(cfg)
-    s_values, t = times(cfg, problem)
-    s = s_values[0]
+    s, t = start_time(cfg, problem)
     grid = build_grid(cfg)
     config = build_sim(cfg, args)
     op = SemigroupOperator(problem, build_solver(cfg))

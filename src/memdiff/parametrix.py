@@ -108,6 +108,21 @@ def _z0(var, z, p):
     return g * (z * z / var - 1.0) / var
 
 
+def _z0_left(p):
+    """Z0^(p)(s, x; rho, v) as the left factor of a space-time convolution,
+    with b = b(rho, v)."""
+    return lambda s, x, rho, v, b: _z0(b * (rho - s), v - x, p)
+
+
+def slice_integral(s, x, t, b, left, weight, n_space: int, r_cut: float):
+    """integral over R of left(y) weight(y) dy on the terminal slice at t, at
+    points (s, x) of any shape, with a window at x on the scale
+    sqrt(b (t - s)); left and weight get the window nodes on one more
+    trailing axis."""
+    y, wy = window_nodes(x, np.sqrt(b * (t - s)), n_space, r_cut)
+    return np.sum(left(y) * weight(y) * wy, axis=-1)
+
+
 class _CorrectionSource:
     """The generating kernel K^(1) = (d/ds + L_s) Z0, vectorized."""
 
@@ -120,9 +135,10 @@ class _CorrectionSource:
     def is_null(self) -> bool:
         return self._drift_null and self._diff_const
 
-    def __call__(self, s, x, t, y, b_sx=None, b_ty=None):
-        """K^(1)(s, x; t, y); a caller that holds b_sx = b(s, x) or
-        b_ty = b(t, y) passes it in."""
+    def __call__(self, s, x, t, y, b_ty=None, b_sx=None):
+        """K^(1)(s, x; t, y); a caller that holds b_ty = b(t, y) or
+        b_sx = b(s, x) passes it in, so K^(1) serves as the left factor of
+        CorrectionKernel.convolution."""
         if b_ty is None:
             b_ty = self.side.diffusion(t, y)
         var, z = b_ty * (t - s), y - x
@@ -131,9 +147,6 @@ class _CorrectionSource:
             if b_sx is None:
                 b_sx = self.side.diffusion(s, x)
             out = 0.5 * (b_sx - b_ty) * _z0(var, z, 2)
-        elif not self._drift_null:
-            out = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(x),
-                                               np.shape(t), np.shape(y)))
         if not self._drift_null:
             out = out + self.side.drift(s, x) * _z0(var, z, 1)
         return out
@@ -219,32 +232,23 @@ class _ScaledTable(_Table):
 
     Iterated kernels evaluated at a fixed terminal point (t, y) concentrate
     around y on the scale sqrt(b (t - sigma)), so rows hold values on nodes
-    y + xi * sqrt(b_ref (t - sigma)) with a fixed xi-grid.  In (zeta, xi)
-    coordinates every series term is an O(1)-width smooth profile, which a
-    plain product grid can interpolate.  Outside the xi-range the kernels
-    have decayed: values are zero there.
+    y + w * sqrt(b_ref (t - sigma)), with the column grid w spanning
+    [-r_cut, r_cut] in units of that scale.  In (zeta, w) coordinates every
+    series term is an O(1)-width smooth profile, which a plain product grid
+    can interpolate.  Outside the w-range the kernels have decayed: values
+    are zero there.
     """
 
     def __init__(self, t_anchor, s_lo, y, b_ref, reg_pow, quad):
-        self.t_anchor = t_anchor
-        self.s_lo = s_lo
-        self.span = t_anchor - s_lo
-        self.gamma = quad.gamma
-        self.reg_pow = reg_pow
+        super().__init__(t_anchor, s_lo, -quad.r_cut, quad.r_cut, reg_pow, quad)
         self.y = y
         self.b_ref = b_ref
-        n = quad.n_sigma
-        self.zeta = (np.arange(1, n + 1)) / n
-        self.sigma = t_anchor - self.span * self.zeta ** quad.gamma
-        self.xi = np.linspace(-quad.r_cut, quad.r_cut, quad.n_w)
-        self.g = np.zeros((n, quad.n_w))
-        self.term_sups: list[float] = []
 
     def covers(self, s_lo, w_lo, w_hi) -> bool:
         return self.s_lo <= s_lo + 1e-12
 
     def merged(self, s_lo, w_lo, w_hi) -> tuple:
-        # the xi grid has no window to widen; the request's window sets b_ref
+        # the self-similar grid has no window to widen; the request's sets b_ref
         return min(s_lo, self.s_lo), w_lo, w_hi
 
     @classmethod
@@ -261,13 +265,13 @@ class _ScaledTable(_Table):
 
     def nodes(self, k: int) -> np.ndarray:
         scale = math.sqrt(self.b_ref * (self.t_anchor - self.sigma[k]))
-        return self.y + self.xi * scale
+        return self.y + self.w * scale
 
     def columns(self, rho, v):
         scale = np.sqrt(self.b_ref * (self.t_anchor - rho))
-        pw = ((v - self.y) / scale - self.xi[0]) / (self.xi[1] - self.xi[0])
-        iw, fw = _bracket(pw, len(self.xi))
-        return iw, fw, (pw >= 0.0) & (pw <= len(self.xi) - 1.0)
+        pw = ((v - self.y) / scale - self.w[0]) / (self.w[1] - self.w[0])
+        iw, fw = _bracket(pw, len(self.w))
+        return iw, fw, (pw >= 0.0) & (pw <= len(self.w) - 1.0)
 
 
 class CorrectionKernel:
@@ -304,6 +308,38 @@ class CorrectionKernel:
     def _window(self, centers, scales):
         return window_nodes(centers, scales, self.quad.n_space, self.quad.r_cut)
 
+    def convolution_nodes(self, s, x, rho, b_max, t=None, spread_at=None, spread=1.0):
+        """Window nodes (v, w_v) of an integral over (s, t) x R at points
+        (s, x) of any shape, for time nodes rho on one more trailing axis;
+        b_max, t and spread_at are scalars or arrays of the points' shape.
+
+        The windows sit at x on the scale of Z0's variance b_max (rho - s),
+        or, with spread_at, at the variance-weighted mean of x and spread_at,
+        where the other factor's Gaussian has variance spread b_max (t - rho).
+        """
+        s, x, b_max = (np.asarray(a)[..., None] for a in (s, x, b_max))
+        va = b_max * (rho - s)
+        if spread_at is None:
+            return self._window(x, np.sqrt(va))
+        vb = spread * b_max * (np.asarray(t)[..., None] - rho)
+        center = (x * vb + np.asarray(spread_at)[..., None] * va) / (va + vb)
+        return self._window(center, np.sqrt(va * vb / (va + vb)))
+
+    def convolution(self, left, factor, s, x, rho, w_rho, b_max, **where):
+        """integral over (s, t) x R of left(s, x; rho, v, b) factor(rho, v, b)
+        with b = b(rho, v), at points (s, x) of any shape, on the time rule
+        (rho, w_rho) and the windows of convolution_nodes(..., **where).
+
+        left is Z0^(p) (_z0_left) or K^(1) (source); the singular powers of
+        the integrand in time are folded into w_rho by the caller's rule.
+        """
+        v, wv = self.convolution_nodes(s, x, rho, b_max, **where)
+        s, x = np.asarray(s)[..., None, None], np.asarray(x)[..., None, None]
+        rho = rho[..., None]
+        b = self.side.diffusion(rho, v)
+        return np.sum(left(s, x, rho, v, b) * factor(rho, v, b) * wv * w_rho[..., None],
+                      axis=(-2, -1))
+
     # -- table construction ------------------------------------------------
 
     def table(self, kind: str, key, t_anchor: float, s_lo: float,
@@ -325,17 +361,13 @@ class CorrectionKernel:
         if kind == "point":
             reg_pow = min(0.5 * (3.0 - 2.0 * alpha), 0.95)
             tab = _ScaledTable(t_anchor, s_lo, ctx["y"], b_max, reg_pow, self.quad)
-        elif kind == "final":
-            reg_pow = min(1.0 - 0.5 * alpha, 0.95)
-            tab = _Table(t_anchor, s_lo, w_lo, w_hi, reg_pow, self.quad)
-        elif kind == "spacetime":
-            reg_pow = 0.0
+        elif kind in ("final", "spacetime"):
+            reg_pow = min(1.0 - 0.5 * alpha, 0.95) if kind == "final" else 0.0
             tab = _Table(t_anchor, s_lo, w_lo, w_hi, reg_pow, self.quad)
         else:
             raise ValueError(f"unknown table kind {kind!r}")
         first = self._first_term(kind, tab, b_max, ctx)
-        reg = (t_anchor - tab.sigma)[:, None] ** reg_pow
-        term = first * reg
+        term = first * (t_anchor - tab.sigma)[:, None] ** reg_pow
         tab.g = term.copy()
         tab.term_sups = [float(np.max(np.abs(term)))]
         scale = max(tab.term_sups[0], 1e-300)
@@ -356,40 +388,25 @@ class CorrectionKernel:
         return tab
 
     def _first_term(self, kind, tab, b_max, ctx) -> np.ndarray:
-        t = tab.t_anchor
+        """The series' first term on the table grid, one sigma row at a time."""
+        t, quad, y = tab.t_anchor, self.quad, ctx.get("y")
+        k1_exp = 0.5 * self.alpha - 1.0
         out = np.zeros(tab.g.shape)
         for k, sig in enumerate(tab.sigma):
             wrow = tab.nodes(k)
             if kind == "final":
-                weight = ctx["weight"]
-                y, wy = self._window(wrow, math.sqrt(b_max * (t - sig)))
-                vals = self.source(sig, wrow[:, None], t, y) * weight(y)
-                out[k] = np.sum(vals * wy, axis=-1)
+                out[k] = slice_integral(sig, wrow, t, b_max,
+                                        lambda v: self.source(sig, wrow[:, None], t, v),
+                                        ctx["weight"], quad.n_space, quad.r_cut)
             elif kind == "spacetime":
-                coeff = ctx["coeff"]
-                tau, wt = singular_rule(sig, t, self.quad.n_time,
-                                        left_exp=0.5 * self.alpha - 1.0)
-                scale = np.sqrt(b_max * (tau - sig))
-                z, wz = self._window(wrow[:, None] + 0.0 * tau[None, :],
-                                     scale[None, :])
-                vals = self.source(sig, wrow[:, None, None], tau[None, :, None], z)
-                vals = vals * coeff(tau[None, :, None], z)
-                out[k] = np.sum(vals * wz * wt[None, :, None], axis=(1, 2))
+                rho, wr = singular_rule(sig, t, quad.n_time, left_exp=k1_exp)
+                out[k] = self.convolution(self.source, lambda rho, v, b: ctx["coeff"](rho, v),
+                                          sig, wrow, rho, wr, b_max)
             else:  # point: second series term at the anchor
-                y = ctx["y"]
-                rho, wr = singular_rule(sig, t, self.quad.n_time,
-                                        left_exp=0.5 * self.alpha - 1.0,
-                                        right_exp=0.5 * self.alpha - 1.0)
-                va = b_max * (rho - sig)
-                vb = b_max * (t - rho)
-                center = (wrow[:, None] * vb[None, :] + y * va[None, :]) / (va + vb)
-                scale = np.sqrt(va * vb / (va + vb))
-                v, wv = self._window(center, scale[None, :])
-                rho_v = rho[None, :, None]
-                b_rv = self.side.diffusion(rho_v, v)
-                vals = (self.source(sig, wrow[:, None, None], rho_v, v, b_ty=b_rv)
-                        * self.source(rho_v, v, t, y, b_sx=b_rv))
-                out[k] = np.sum(vals * wv * wr[None, :, None], axis=(1, 2))
+                rho, wr = singular_rule(sig, t, quad.n_time, left_exp=k1_exp, right_exp=k1_exp)
+                out[k] = self.convolution(
+                    self.source, lambda rho, v, b: self.source(rho, v, t, y, b_sx=b),
+                    sig, wrow, rho, wr, b_max, t=t, spread_at=y)
         return out
 
     def _sweep(self, tab: _Table, b_max):
@@ -417,9 +434,8 @@ class CorrectionKernel:
         op = np.empty((n_sigma, n_w, n_time, n_w))
         for k, sig in enumerate(tab.sigma):
             wrow = tab.nodes(k)
-            scale = np.sqrt(b_max * (rho[k] - sig))
-            v, wv = self._window(wrow[:, None], scale[None, :])
-            rho_k = rho[k][None, :, None]
+            v, wv = self.convolution_nodes(sig, wrow, rho[k], b_max)
+            rho_k = rho[k][:, None]
             weight = self.source(sig, wrow[:, None, None], rho_k, v) * wv * wr[k][:, None]
             iw, fw, inside = tab.columns(rho_k, v)
             if inside is not None:
@@ -450,15 +466,12 @@ class FundamentalSolution:
 
     # -- pointwise evaluation ----------------------------------------------
 
-    def __call__(self, s, x, t, y, p: int = 0):
-        return self.eval(s, x, t, y, p)
-
     def eval(self, s, x, t, y, p: int = 0):
-        """G and its x-derivatives at (s, x, t, y); y and x may be arrays."""
-        z0 = self.principal(s, x, t, y, p)
-        if self.is_exact:
-            return z0
-        return z0 + self._correction_point(s, x, float(t), float(y), p)
+        """G^(p)(s, x; t, y) at points (s, x) that broadcast, for one terminal
+        point (t, y)."""
+        s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
+        out = self.on_anchors(s.reshape(1, -1), x.reshape(1, -1), t, y, p).reshape(s.shape)
+        return float(out) if out.ndim == 0 else out
 
     def on_anchors(self, s, x, t, y, p: int = 0, mask=None):
         """G^(p)(s, x; t, y) on broadcast arrays whose trailing axis holds
@@ -480,13 +493,6 @@ class FundamentalSolution:
                          + self._corrections(s, x, t[:, 0], y[:, 0], p))
         return out
 
-    def _correction_point(self, s, x, t, y, p):
-        s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                           np.asarray(x, dtype=float))
-        out = self._corrections(s_arr.reshape(1, -1), x_arr.reshape(1, -1),
-                                np.array([t]), np.array([y]), p).reshape(s_arr.shape)
-        return float(out) if out.ndim == 0 else out
-
     def _corrections(self, s, x, t, y, p):
         """Z1^(p) at points (s, x) of shape (anchors, points); row a belongs
         to the terminal anchor (t[a], y[a]).
@@ -496,31 +502,30 @@ class FundamentalSolution:
         tabulated remainder are convolved with Z0 for all (anchor, point)
         pairs, POINT_BLOCK pairs per array pass.
         """
-        corr = self.correction
-        pad = self._pad(t)
-        w_lo = np.minimum(np.min(x, axis=1), y) - pad
-        w_hi = np.maximum(np.max(x, axis=1), y) + pad
+        corr, n_time = self.correction, 2 * self.quad.n_time
+        s_lo, w_lo, w_hi = self._extent(t, np.min(s, axis=1), np.minimum(np.min(x, axis=1), y),
+                                        np.maximum(np.max(x, axis=1), y))
         b_max = corr._b_max(t, w_lo, w_hi)
-        extents = zip(*(v.tolist() for v in (t, y, 0.75 * np.min(s, axis=1), w_lo, w_hi)))
-        tables = [corr.table("point", (round(ya, 12),), ta, s_lo, lo, hi, y=ya)
-                  for ta, ya, s_lo, lo, hi in extents]
+        extents = zip(*(v.tolist() for v in (t, y, s_lo, w_lo, w_hi)))
+        tables = [corr.table("point", (round(ya, 12),), ta, lo_s, lo, hi, y=ya)
+                  for ta, ya, lo_s, lo, hi in extents]
         n_points = s.shape[1]
         anchor = np.repeat(np.arange(len(t)), n_points)
         s, x = s.ravel(), x.ravel()
+        z0 = _z0_left(p)
 
         def block(pairs):
             a = anchor[pairs]
-            t_a, y_a, b_a = t[a], y[a], b_max[a]
+            s_a, x_a, t_a, y_a, b_a = s[pairs], x[pairs], t[a], y[a], b_max[a]
             tab = _ScaledTable.stacked(tables[a[0]:a[-1] + 1], a - a[0])
-
-            def first_term(rho, v, b_rv):
-                return corr.source(rho, v, t_a[:, None, None], y_a[:, None, None], b_sx=b_rv)
-
-            return (self._z0_convolution(s[pairs], x[pairs], t_a, p, b_a,
-                                         0.5 * corr.alpha - 1.0, first_term, spread_at=y_a)
-                    + self._z0_convolution(s[pairs], x[pairs], t_a, p, b_a, -tab.reg_pow,
-                                           lambda rho, v, _: tab.eval(rho, v),
-                                           spread_at=y_a, spread=2.0))
+            t_k, y_k = t_a[:, None, None], y_a[:, None, None]
+            rho, wr = singular_rule(s_a, t_a, n_time, right_exp=0.5 * corr.alpha - 1.0)
+            out = corr.convolution(z0, lambda rho, v, b: corr.source(rho, v, t_k, y_k, b_sx=b),
+                                   s_a, x_a, rho, wr, b_a, t=t_a, spread_at=y_a)
+            rho, wr = singular_rule(s_a, t_a, n_time, right_exp=-tab.reg_pow)
+            return out + corr.convolution(z0, lambda rho, v, b: tab.eval(rho, v),
+                                          s_a, x_a, rho, wr, b_a,
+                                          t=t_a, spread_at=y_a, spread=2.0)
         return _in_blocks(s.size, block).reshape(-1, n_points)
 
     def _bmax_guess(self, t):
@@ -528,46 +533,19 @@ class FundamentalSolution:
         ss = np.linspace(0.0, t, 5, axis=-1)
         return np.max(self.side.diffusion(ss, 0.0 * ss), axis=-1) + 1e-12
 
-    def _pad(self, t):
-        """Margin of a table's window around its evaluation points."""
-        return self.quad.r_cut * np.sqrt(self._bmax_guess(t) * t) + 0.5
-
-    def _z0_convolution(self, s, x, t, p, b_max, right_exp, factor,
-                        spread_at=None, spread=1.0):
-        """integral over (s, t) x R of Z0^(p)(s, x; rho, v) factor(rho, v, b),
-        at points (s, x) of any shape; t, b_max and spread_at are scalars or
-        arrays of that shape.
-
-        factor gets b = b(rho, v), the variance coefficient of Z0.  It is K^(1)
-        at a terminal point or a cached table, singular like
-        (t - rho)^right_exp.  The windows sit at x, or, with spread_at, at the
-        variance-weighted mean of x and spread_at, where spread scales the
-        variance of the factor's Gaussian.
-        """
-        rho, wr = singular_rule(s, t, 2 * self.quad.n_time,
-                                left_exp=0.0, right_exp=right_exp)
-        s, x = np.asarray(s)[..., None], np.asarray(x)[..., None]
-        t, b_max = np.asarray(t)[..., None], np.asarray(b_max)[..., None]
-        va = b_max * (rho - s)
-        if spread_at is None:
-            center, scale = x, np.sqrt(va)
-        else:
-            vb = spread * b_max * (t - rho)
-            center = (x * vb + np.asarray(spread_at)[..., None] * va) / (va + vb)
-            scale = np.sqrt(va * vb / (va + vb))
-        v, wv = self.correction._window(center, scale)
-        rho = rho[..., None]
-        b_rv = self.side.diffusion(rho, v)
-        z0 = _z0(b_rv * (rho - s[..., None]), v - x[..., None], p)
-        return np.sum(z0 * factor(rho, v, b_rv) * wv * wr[..., None], axis=(-2, -1))
+    def _extent(self, t, s, x_lo, x_hi):
+        """Extent (s_lo, w_lo, w_hi) of the table at terminal time t that
+        serves points (s', x) with s' >= s and x in [x_lo, x_hi]; arrays give
+        one extent per anchor."""
+        pad = self.quad.r_cut * np.sqrt(self._bmax_guess(t) * t) + 0.5
+        return 0.75 * s, x_lo - pad, x_hi + pad
 
     # -- weighted terminal functionals ---------------------------------------
 
     def final_table(self, key, weight, t, s_lo, x_lo, x_hi) -> _Table:
         """The cached terminal-slice table of weight that serves evaluation
         points (s, x) with s >= s_lo and x in [x_lo, x_hi]."""
-        pad = self._pad(t)
-        return self.correction.table("final", key, t, 0.75 * s_lo, x_lo - pad, x_hi + pad,
+        return self.correction.table("final", key, t, *self._extent(t, s_lo, x_lo, x_hi),
                                      weight=weight)
 
     def terminal_integral(self, s, x, t, weight, key, p: int = 0):
@@ -577,37 +555,37 @@ class FundamentalSolution:
         if np.any(s >= t):
             raise TimeOrderError("terminal integral needs s < t")
         b_max = self._bmax_guess(t)
-        y, wy = window_nodes(x, np.sqrt(b_max * (t - s)),
-                             2 * self.quad.n_space, self.quad.r_cut)
-        z0 = _z0(self.side.diffusion(t, y) * (t - s)[..., None], y - x[..., None], p)
-        out = np.sum(z0 * weight(y) * wy, axis=-1)
+        out = slice_integral(s, x, t, b_max, lambda y: _z0(
+            self.side.diffusion(t, y) * (t - s)[..., None], y - x[..., None], p),
+            weight, 2 * self.quad.n_space, self.quad.r_cut)
         if not self.is_exact and s.size:
             tab = self.final_table(key, weight, t, float(np.min(s)),
                                    float(np.min(x)), float(np.max(x)))
             s_flat, x_flat = s.ravel(), x.ravel()
-            out = out + _in_blocks(s.size, lambda pts: self._z0_convolution(
-                s_flat[pts], x_flat[pts], t, p, b_max, -tab.reg_pow,
-                lambda rho, v, _: tab.eval(rho, v))).reshape(s.shape)
+
+            def block(pts):
+                rho, wr = singular_rule(s_flat[pts], t, 2 * self.quad.n_time,
+                                        right_exp=-tab.reg_pow)
+                return self.correction.convolution(
+                    _z0_left(p), lambda rho, v, b: tab.eval(rho, v),
+                    s_flat[pts], x_flat[pts], rho, wr, b_max)
+            out = out + _in_blocks(s.size, block).reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
     def spacetime_integral(self, s, x, t, coeff, key):
         """integral over (s,t) x R of G(s,x,tau,z) coeff(tau,z) dz dtau."""
         if s >= t:
             raise TimeOrderError("space-time integral needs s < t")
+        corr, z0 = self.correction, _z0_left(0)
         b_max = self._bmax_guess(t)
-        tau, wt = singular_rule(s, t, 2 * self.quad.n_time)
-        z, wz = window_nodes(np.full_like(tau, x), np.sqrt(b_max * (tau - s)),
-                             self.quad.n_space, self.quad.r_cut)
-        var = self.side.diffusion(tau[:, None], z) * (tau[:, None] - s)
-        z0 = _z0(var, z - x, 0)
-        direct = float(np.sum(z0 * coeff(tau[:, None], z) * wz * wt[:, None]))
+        rho, wr = singular_rule(s, t, 2 * self.quad.n_time)
+        out = float(corr.convolution(z0, lambda rho, v, b: coeff(rho, v),
+                                     s, x, rho, wr, b_max))
         if self.is_exact:
-            return direct
-        pad = self._pad(t)
-        tab = self.correction.table("spacetime", key, t, 0.75 * s, x - pad, x + pad,
-                                    coeff=coeff)
-        return direct + float(self._z0_convolution(s, x, t, 0, b_max, 0.0,
-                                                   lambda rho, v, _: tab.eval(rho, v)))
+            return out
+        tab = corr.table("spacetime", key, t, *self._extent(t, s, x, x), coeff=coeff)
+        return out + float(corr.convolution(z0, lambda rho, v, b: tab.eval(rho, v),
+                                            s, x, rho, wr, b_max))
 
 
 def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):
@@ -624,11 +602,8 @@ def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):
     m0 = fs.terminal_integral(s, x, t, lambda y: np.ones_like(y), ("m0",))
     m1 = fs.terminal_integral(s, x, t, lambda y: y - x, ("m1", xr))
     m2 = fs.terminal_integral(s, x, t, lambda y: (y - x) ** 2, ("m2", xr))
-    drift_null = fs.side.drift.is_constant and fs.side.drift.constant_value() == 0.0
-    if drift_null:
-        ra = 0.0
-        rax = 0.0
-    else:
+    ra = rax = 0.0
+    if not (fs.side.drift.is_constant and fs.side.drift.constant_value() == 0.0):
         ra = fs.spacetime_integral(s, x, t, lambda tau, z: fs.side.drift(tau, z),
                                    ("a",))
         rax = fs.spacetime_integral(

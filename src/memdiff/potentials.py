@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import singular_rule, window_nodes
+from ._quadrature import singular_rule
 from .errors import MeshMismatchError, TimeOrderError
-from .parametrix import CorrectionQuadrature, FundamentalSolution
+from .parametrix import CorrectionQuadrature, FundamentalSolution, slice_integral
 from .problem import InitialFunction, Problem
 
 
@@ -65,14 +65,11 @@ class DensityPair:
     def s_min(self) -> float:
         return float(self.mesh[0])
 
-    def w_values(self, i: int) -> np.ndarray:
-        return self.w1 if i == 1 else self.w2
-
     def w(self, i: int, tau):
         tau = np.asarray(tau, dtype=float)
         if np.any(tau < self.mesh[0] - 1e-12):
             raise MeshMismatchError("evaluation time below the mesh span")
-        out = np.interp(tau, self.mesh, self.w_values(i))
+        out = np.interp(tau, self.mesh, self.w1 if i == 1 else self.w2)
         return out if out.shape else float(out)
 
     def v(self, i: int, tau):
@@ -113,15 +110,12 @@ def layer_time_rule(s: float, t: float, quad: PotentialQuadrature):
         xs.append(singular_rule(lo, hi, quad.geo_nodes))
         lo = hi
     xs.append(singular_rule(mid, t, quad.n_time, right_exp=-0.5))
-    nodes = np.concatenate([x for x, _ in xs])
-    weights = np.concatenate([w for _, w in xs])
-    return nodes, weights
+    nodes, weights = zip(*xs)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _poisson_key(phi: InitialFunction) -> tuple:
-    # keying the correction table by the phi object itself (identity hash)
-    # keeps the object alive while the cache entry exists
-    return ("phi", phi)
+    return ("phi",) + phi.key
 
 
 class PotentialEvaluator:
@@ -143,7 +137,10 @@ class PotentialEvaluator:
         fs = self.fs[i]
         s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
         if fs.is_exact:
-            out = self._poisson_direct(fs, s, x, t, phi, p)
+            b = fs.side.diffusion(t, self.problem.h(t))
+            out = slice_integral(s, x, t, b,
+                                 lambda y: fs.principal(s[..., None], x[..., None], t, y, p),
+                                 phi, self.quad.n_space, self.quad.r_cut)
         else:
             out = np.asarray(fs.terminal_integral(s, x, t, phi, _poisson_key(phi), p))
         return out if out.ndim else float(out)
@@ -156,12 +153,6 @@ class PotentialEvaluator:
         for fs in self.fs.values():
             if not fs.is_exact:
                 fs.final_table(_poisson_key(phi), phi, t, s_lo, x_lo, x_hi)
-
-    def _poisson_direct(self, fs, s, x, t, phi, p):
-        b = fs.side.diffusion(t, self.problem.h(t))
-        y, wy = window_nodes(x, np.sqrt(b * (t - s)), self.quad.n_space, self.quad.r_cut)
-        vals = fs.principal(s[..., None], x[..., None], t, y, p) * phi(y)
-        return np.sum(vals * wy, axis=-1)
 
     # -- simple-layer potential ----------------------------------------------
 

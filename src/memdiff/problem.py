@@ -36,7 +36,10 @@ INITIAL_KINDS = ("constant-one", "gaussian-bump", "indicator-smoothed",
 
 
 def _as_tuple(params) -> tuple:
-    return tuple(float(p) for p in params)
+    try:
+        return tuple(float(p) for p in params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"parameters must be numbers: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +225,9 @@ class TimeFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TimeFunction":
+        unknown = sorted(set(d) - {"kind", "params"})
+        if unknown:
+            raise ConfigError(f"time-function object has unknown keys {unknown}")
         try:
             return cls(d["kind"], d["params"])
         except KeyError as exc:
@@ -248,7 +254,11 @@ class Atom:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Atom":
-        return cls(TimeFunction.from_dict(d["position"]), TimeFunction.from_dict(d["weight"]))
+        try:
+            position, weight = d["position"], d["weight"]
+        except KeyError as exc:
+            raise ConfigError(f"atom object missing key {exc}") from exc
+        return cls(TimeFunction.from_dict(position), TimeFunction.from_dict(weight))
 
 
 @dataclass(frozen=True)
@@ -390,6 +400,11 @@ class InitialFunction:
             self._x_range = (xk[0], xk[-1])
             self._edge_vals = (vk[0], vk[-1])
         self.sup_norm = float(sup_norm) if sup_norm is not None else self._infer_sup()
+
+    @property
+    def key(self) -> tuple:
+        """The value that identifies this function in caches."""
+        return (self.kind, self.params, self.sup_norm)
 
     @classmethod
     def one(cls) -> "InitialFunction":
@@ -625,7 +640,7 @@ class Problem:
         return cls(
             left=SideSpec.from_dict(d["left"]),
             right=SideSpec.from_dict(d["right"]),
-            membrane=MembranePath(**d["membrane"]),
+            membrane=MembranePath.from_dict(d["membrane"]),
             wentzell=WentzellData.from_dict(d["wentzell"]),
             horizon=float(d["horizon"]),
             x_window=tuple(xw) if xw is not None else None,

@@ -126,18 +126,16 @@ class SemigroupOperator:
     # -- core ------------------------------------------------------------------
 
     def densities(self, s: float, t: float, phi: InitialFunction) -> DensityPair:
-        # the memo value keeps a reference to phi: entries are keyed by
-        # object identity, and pinning the object prevents its id from
-        # being reused by a later initial function
-        key = (round(t, 12), id(phi))
+        # keyed by value: equal initial functions share one solve
+        key = (t,) + phi.key
         with self._lock:
             hit = self._memo.get(key)
-        if hit is not None and hit[0] is phi and hit[1].s_min <= s + 1e-14:
-            return hit[1]
+        if hit is not None and hit.s_min <= s + 1e-14:
+            return hit
         dens = solve_densities(self.problem, phi, t, s_min=s, config=self.solver,
                                evaluator=self.evaluator)
         with self._lock:
-            self._memo[key] = (phi, dens)
+            self._memo[key] = dens
         return dens
 
     def apply(self, s: float, t: float, phi: InitialFunction) -> SemigroupField:
@@ -209,22 +207,17 @@ class SemigroupOperator:
     def _generator_apply(self, s: float, phi: InitialFunction, x):
         """L_s phi pointwise, with membrane weights on the interface."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for idx in np.ndindex(x.shape):
-            xi = float(x[idx])
-            side = self.problem.side_of(s, xi)
-            if side == "membrane":
-                (l1, l2), _ = self.problem.membrane_weights(s)
-                out[idx] = sum(l * self._side_generator(i, s, phi, xi)
-                               for l, i in ((l1, 1), (l2, 2)))
-            else:
-                out[idx] = self._side_generator(1 if side == "left" else 2, s, phi, xi)
+        h = float(self.problem.h(s))
+        tol = self.problem.membrane_tolerance(s)
+        (l1, l2), _ = self.problem.membrane_weights(s)
+        gen1, gen2 = (self._side_generator(i, s, phi, x) for i in (1, 2))
+        out = np.where(x < h - tol, gen1, np.where(x > h + tol, gen2, l1 * gen1 + l2 * gen2))
         return out if out.shape else float(out)
 
-    def _side_generator(self, i: int, s: float, phi: InitialFunction, x: float) -> float:
-        """(1/2) b_i phi'' + a_i phi' at one point."""
-        return (0.5 * float(self.problem.diffusion(i, s, x)) * phi.derivative(x, 2)
-                + float(self.problem.drift(i, s, x)) * phi.derivative(x, 1))
+    def _side_generator(self, i: int, s: float, phi: InitialFunction, x):
+        """(1/2) b_i phi'' + a_i phi' at the points x."""
+        return (0.5 * self.problem.diffusion(i, s, x) * phi.derivative(x, 2)
+                + self.problem.drift(i, s, x) * phi.derivative(x, 1))
 
     def _interface_term(self, s: float, phi: InitialFunction) -> float:
         """(q_2 - q_1) phi'(h) + sum of w_k (phi(y_k) - phi(h)) at time s."""
@@ -283,8 +276,8 @@ class SemigroupOperator:
         pointwise limit check runs only when both residuals pass.
         """
         h = float(self.problem.h(s))
-        res1 = abs(self._side_generator(1, s, phi, h)
-                   - self._side_generator(2, s, phi, h))
+        res1 = float(abs(self._side_generator(1, s, phi, h)
+                         - self._side_generator(2, s, phi, h)))
         res2 = abs(self._interface_term(s, phi))
         result = {"residual_generator_match": res1,
                   "residual_interface_term": res2,

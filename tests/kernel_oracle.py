@@ -27,7 +27,7 @@ import numpy as np
 from memdiff._quadrature import singular_rule
 from memdiff.boundary_system import KernelAssembler, theta_blend_integral
 from memdiff.errors import ConvergenceFailureError, SingularIntegrandError, TimeOrderError
-from memdiff.parametrix import CorrectionKernel, FundamentalSolution, _z0
+from memdiff.parametrix import CorrectionKernel, FundamentalSolution, _ScaledTable, _z0
 from memdiff.potentials import DensityPair, graded_mesh
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -428,9 +428,9 @@ def table_lookup(tab, g, rho, v):
     """Raw values u(rho, v) of the series term g on the grid of table tab."""
     rho = np.asarray(rho, dtype=float)
     pz = ((tab.t_anchor - rho) / tab.span) ** (1.0 / tab.gamma) * len(tab.zeta) - 1.0
-    if hasattr(tab, "xi"):  # point table, self-similar columns
+    if isinstance(tab, _ScaledTable):  # point table, self-similar columns
         scale = np.sqrt(tab.b_ref * (tab.t_anchor - rho))
-        pw = ((v - tab.y) / scale - tab.xi[0]) / (tab.xi[1] - tab.xi[0])
+        pw = ((v - tab.y) / scale - tab.w[0]) / (tab.w[1] - tab.w[0])
         reg = _bilinear(g, pz, pw, clip_w=False)
     else:
         reg = _bilinear(g, pz, (v - tab.w[0]) / (tab.w[1] - tab.w[0]))

@@ -295,15 +295,42 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     ("solve", ("grid", "n"), 2.5),
     ("check", ("t",), 5),
     ("check", ("solver", "delta"), -1),
+    ("check", ("s",), -0.5),
+    ("check", ("s",), [0.0, 1.2]),
+    ("compare-mc", ("s",), [0.0, 1.2]),
 ])
 def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
-    # a fractional grid size, a terminal time past the horizon (1.5) and a
-    # negative near-atom radius are refused before any solve
+    # a fractional grid size, a terminal time past the horizon (1.5), a
+    # negative near-atom radius, a start time before 0 and a second start
+    # time where the command runs from one are refused before any solve
     cfg = read_json(CONFIGS / "skew.json")
     target = cfg
     for key in path[:-1]:
         target = target.setdefault(key, {})
     target[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run([command, "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,mutate", [
+    ("check", lambda cfg: cfg["problem"]["membrane"].update(extra=1)),
+    ("check", lambda cfg: cfg["problem"]["wentzell"]["measure"].update(
+        atoms=[{"position": {"kind": "constant", "params": [0.5]}}])),
+    ("solve", lambda cfg: cfg["grid"].update(min="a")),
+    ("check", lambda cfg: cfg.update(solver={"mesh_n": "a"})),
+    ("check", lambda cfg: cfg["problem"]["wentzell"]["q1"].update(params=["a"])),
+    ("solve", lambda cfg: cfg.update(precision="x")),
+], ids=["membrane-extra-key", "atom-without-weight", "grid-min-string",
+        "mesh-n-string", "q1-string-param", "precision-string"])
+def test_malformed_config_values_exit_2(tmp_path, capsys, command, mutate):
+    # each malformed value is refused where it is parsed, with one line
+    cfg = read_json(CONFIGS / "skew.json")
+    mutate(cfg)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "report.json"

@@ -215,13 +215,14 @@ def test_correction_point_matches_per_point_loop(quad):
     s = rng.uniform(0.0, 0.3, size=(3, 4))
     x = rng.uniform(-0.6, 0.6, size=(3, 4))
     for p in (0, 1, 2):
-        got = fs._correction_point(s, x, 0.5, 0.2, p)
+        got = fs.eval(s, x, 0.5, 0.2, p) - fs.principal(s, x, 0.5, 0.2, p)
         want = point_correction_loop(fs, s, x, 0.5, 0.2, p)
         assert got.shape == s.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # one point in, one float out
-    got = fs._correction_point(s[1, 2], x[1, 2], 0.5, 0.2, 0)
+    got = fs.eval(s[1, 2], x[1, 2], 0.5, 0.2, 0)
     assert isinstance(got, float)
+    got -= fs.principal(s[1, 2], x[1, 2], 0.5, 0.2, 0)
     want = float(point_correction_loop(fs, s[1, 2], x[1, 2], 0.5, 0.2, 0))
     assert abs(got - want) <= 1e-12 * abs(want)
 

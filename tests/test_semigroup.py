@@ -307,3 +307,33 @@ def test_density_memo_reuse(skew_problem, gaussian_phi):
     d3 = op.densities(0.1, 1.0, gaussian_phi)
     assert d3 is not d2
     assert d3.s_min <= 0.1 + 1e-12
+
+
+def test_caches_are_keyed_by_initial_function_value():
+    # two equal-valued initial functions share one density solve and one
+    # Poisson correction table; a different parameter gets its own
+    from dataclasses import replace
+
+    from memdiff.boundary_system import SolverConfig
+    from memdiff.parametrix import CorrectionQuadrature
+    from memdiff.problem import CoefficientField, SideSpec
+    variable = SideSpec(CoefficientField.constant(0.0),
+                        CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.2, 1.0, 0.0, 0.0]))
+    prob = replace(make_problem(q1=0.25, q2=0.75), left=variable)
+    op = SemigroupOperator(
+        prob, solver=SolverConfig(mesh_n=10, n_kernel=6, n_holmgren=10),
+        correction_quad=CorrectionQuadrature(n_sigma=10, n_w=24, n_time=6,
+                                             n_space=6, depth=4))
+    tables = op.evaluator.fs[1].correction._tables
+
+    def poisson_tables():
+        return sum(1 for kind, *_ in tables if kind == "final")
+
+    first = op.densities(0.0, 0.4, InitialFunction.gaussian(1.0, 0.3, 0.6))
+    equal = InitialFunction.gaussian(1.0, 0.3, 0.6)
+    assert op.densities(0.0, 0.4, equal) is first
+    op.evaluator.poisson(1, 0.1, np.array([-0.5, -0.2]), 0.4, equal)
+    assert poisson_tables() == 1
+    other = InitialFunction.gaussian(1.0, 0.3, 0.5)
+    assert op.densities(0.0, 0.4, other) is not first
+    assert poisson_tables() == 2
