@@ -39,13 +39,12 @@ import numpy as np
 
 from ._quadrature import singular_rule
 from .errors import (
-    MeshTooCoarseError,
     SeriesDivergenceError,
     SingularIntegrandError,
     TimeOrderError,
 )
 from .potentials import DensityPair, PotentialEvaluator, graded_mesh
-from .problem import InitialFunction, Problem
+from .problem import InitialFunction, Problem, require_number
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -63,6 +62,17 @@ class SolverConfig:
     k_max: int = 200
     delta: float | None = None
     contraction_onset: int = 10
+
+    def __post_init__(self):
+        require_number(self.mesh_n, "solver mesh_n", integer=True, ge=8)
+        require_number(self.mesh_gamma, "solver mesh_gamma", ge=1)
+        require_number(self.n_kernel, "solver n_kernel", integer=True, ge=1)
+        require_number(self.n_holmgren, "solver n_holmgren", integer=True, ge=1)
+        require_number(self.tol_v, "solver tol_v", gt=0)
+        require_number(self.k_max, "solver k_max", integer=True, ge=1)
+        if self.delta is not None:
+            require_number(self.delta, "solver delta", gt=0)
+        require_number(self.contraction_onset, "solver contraction_onset", integer=True, ge=0)
 
 
 # mesh nodes evaluated together: the kernel holds (node, tau, rho) arrays and
@@ -403,8 +413,6 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     the exception message and in the attached diagnostics.
     """
     config = config or SolverConfig()
-    if config.mesh_n < 8:
-        raise MeshTooCoarseError("density mesh needs at least 8 nodes")
     if not s_min < t:
         raise TimeOrderError("solve needs s_min < t")
     assembler = KernelAssembler(problem, evaluator, config)

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .mc_oracle import SimConfig, compare, simulate
 from .parametrix import moment_residuals
-from .problem import InitialFunction, Problem, validate
+from .problem import InitialFunction, Problem, require_number, require_object, validate
 from .semigroup import SemigroupOperator
 
 REPORT_SCHEMA = "report.v1"
@@ -51,123 +51,78 @@ def fmt_sig(value: float, precision: int = 12) -> str:
     return f"{value:.{precision}g}"
 
 
-def load_run_config(path: str) -> dict:
+RUN_KEYS = ("problem", "problem_file", "s", "t", "grid", "phi", "solver", "mc",
+            "precision", "grid_resolution", "suite")
+
+
+def read_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def load_run_config(path: str) -> dict:
+    cfg = require_object(read_json(path, "config"), "config", optional=RUN_KEYS)
     if "problem_file" in cfg:
-        base = Path(path).parent / cfg["problem_file"]
-        try:
-            with open(base, "r", encoding="utf-8") as fh:
-                cfg["problem"] = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read problem file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {base}: {exc}") from exc
+        if not isinstance(cfg["problem_file"], str):
+            raise ConfigError(f"bad problem_file: expected a path, "
+                              f"got {cfg['problem_file']!r}")
+        cfg["problem"] = read_json(Path(path).parent / cfg["problem_file"], "problem file")
     if "problem" not in cfg:
         raise ConfigError("config missing key 'problem' (or 'problem_file')")
     return cfg
 
 
-def build_problem(cfg: dict) -> Problem:
-    return Problem.from_dict(cfg["problem"])
-
-
 def audit(problem: Problem, cfg: dict):
-    """validate() on the config's grid_resolution, else the problem's own."""
-    try:
-        return validate(problem, cfg.get("grid_resolution"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid_resolution: {exc}") from exc
+    """validate() on the config's grid_resolution, else on validate's default."""
+    return validate(problem, cfg.get("grid_resolution", 65))
 
 
 def validated_problem(cfg: dict) -> Problem:
     """The config's problem, audited on the grid of the validate command
     before any solve."""
-    problem = build_problem(cfg)
+    problem = Problem.from_dict(cfg["problem"])
     if not audit(problem, cfg).passed:
         raise ConfigError("problem failed validation; run the validate command")
     return problem
 
 
 def build_phi(cfg: dict) -> InitialFunction:
-    phi_cfg = cfg.get("phi", {"kind": "constant-one", "params": [1.0]})
-    try:
-        return InitialFunction.from_dict(phi_cfg)
-    except KeyError as exc:
-        raise ConfigError(f"phi object missing key {exc}") from exc
-
-
-def positive_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
-    return value
+    return InitialFunction.from_dict(cfg.get("phi", {"kind": "constant-one", "params": [1.0]}))
 
 
 def build_grid(cfg: dict) -> np.ndarray:
-    grid = cfg.get("grid", {"min": -2.0, "max": 2.0, "n": 21})
-    for key in ("min", "max", "n"):
-        if key not in grid:
-            raise ConfigError(f"grid object missing key {key!r}")
-    n = positive_int(grid["n"], "grid n")
-    try:
-        lo, hi = float(grid["min"]), float(grid["max"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid min and max must be numbers: {exc}") from exc
-    return np.linspace(lo, hi, n)
+    grid = require_object(cfg.get("grid", {"min": -2.0, "max": 2.0, "n": 21}), "grid",
+                          ("min", "max", "n"))
+    lo = require_number(grid["min"], "grid min")
+    hi = require_number(grid["max"], "grid max", ge=lo)
+    return np.linspace(lo, hi, require_number(grid["n"], "grid n", integer=True, ge=1))
 
 
 def build_solver(cfg: dict) -> SolverConfig:
-    overrides = cfg.get("solver", {})
-    try:
-        config = SolverConfig(**overrides)
-    except TypeError as exc:
-        raise ConfigError(f"bad solver override: {exc}") from exc
-    for field in fields(config):
-        value, integer = getattr(config, field.name), isinstance(field.default, int)
-        number = (not isinstance(value, bool)
-                  and isinstance(value, int if integer else (int, float)))
-        if field.name == "delta":
-            if value is not None and not (number and value > 0):
-                raise ConfigError(f"solver delta must be a positive number, got {value!r}")
-        elif not number:
-            kind = "an integer" if integer else "a number"
-            raise ConfigError(f"solver {field.name} must be {kind}, got {value!r}")
-    return config
+    overrides = require_object(cfg.get("solver", {}), "solver override",
+                               optional=[f.name for f in fields(SolverConfig)])
+    return SolverConfig(**overrides)
 
 
 def build_sim(cfg: dict, args) -> SimConfig:
-    overrides = dict(cfg.get("mc", {}))
-    if args.paths is not None:
-        overrides["paths"] = args.paths
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        return SimConfig(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mc setting: {exc}") from exc
+    overrides = dict(require_object(cfg.get("mc", {}), "mc setting",
+                                    optional=[f.name for f in fields(SimConfig)]))
+    overrides.update((k, v) for k, v in (("paths", args.paths), ("seed", args.seed))
+                     if v is not None)
+    return SimConfig(**overrides)
 
 
 def times(cfg: dict, problem: Problem) -> tuple:
-    """(start times, t): the config's s is one number or a list of them, and
-    t lies within the problem's horizon."""
+    """(start times, t) with 0 <= s < t <= horizon; s is one number or a list."""
+    t = float(require_number(cfg.get("t"), "t", gt=0, le=problem.horizon))
     s = cfg.get("s", 0.0)
-    t = cfg.get("t")
-    if t is None:
-        raise ConfigError("config missing key 't'")
-    try:
-        s_values, t = [float(v) for v in (s if isinstance(s, list) else [s])], float(t)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"s and t must be numbers: {exc}") from exc
-    if not s_values or min(s_values) < 0.0:
-        raise ConfigError(f"s must be one or more start times of at least 0, got {s!r}")
-    if t > problem.horizon:
-        raise ConfigError(f"t = {t:g} lies past the horizon {problem.horizon:g}")
-    return s_values, t
+    s_values = s if isinstance(s, list) and s else [s]
+    return [float(require_number(v, "s", ge=0, lt=t)) for v in s_values], t
 
 
 def start_time(cfg: dict, problem: Problem) -> tuple:
@@ -210,7 +165,7 @@ def entry(check: str, case: str, statistic: float, tolerance: float) -> dict:
 
 
 def cmd_validate(cfg: dict, args) -> int:
-    report = audit(build_problem(cfg), cfg)
+    report = audit(Problem.from_dict(cfg["problem"]), cfg)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     write_text(args.out, text)
     return 0 if report.passed else 1
@@ -221,7 +176,8 @@ def cmd_solve(cfg: dict, args) -> int:
     phi = build_phi(cfg)
     s_values, t = times(cfg, problem)
     grid = build_grid(cfg)
-    precision = positive_int(cfg.get("precision", 12), "precision")
+    precision = require_number(cfg.get("precision", 12), "precision",
+                               integer=True, ge=1, le=17)
     op = SemigroupOperator(problem, build_solver(cfg))
     lines = ["s,x,u,side"]
     for s_val in s_values:
@@ -372,7 +328,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, args)
         return cmd_compare_mc(cfg, args)
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SeriesDivergenceError, ConvergenceFailureError, SingularIntegrandError,

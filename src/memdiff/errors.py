@@ -29,10 +29,6 @@ class SeriesDivergenceError(MemdiffError):
     """Successive approximations for the layer densities did not contract."""
 
 
-class MeshTooCoarseError(MemdiffError):
-    """The density mesh cannot resolve the requested solve."""
-
-
 class MeshMismatchError(MemdiffError):
     """An evaluation point falls outside the span of a density mesh."""
 
@@ -50,4 +46,4 @@ class StepTooLargeError(MemdiffError):
 
 
 class ConfigError(MemdiffError):
-    """A problem or run configuration file is malformed."""
+    """A problem, run configuration or setting is malformed or out of range."""

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import panel_rule
-from .errors import StepTooLargeError, TimeOrderError
-from .problem import InitialFunction, Problem
+from .errors import ConfigError, StepTooLargeError, TimeOrderError
+from .problem import InitialFunction, Problem, require_number
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,14 @@ class SimConfig:
     crossing_risk_cap: float = 0.05
 
     def __post_init__(self):
-        if self.paths < 1 or self.dt <= 0:
-            raise ValueError("paths must be >= 1 and dt > 0")
+        require_number(self.paths, "mc paths", integer=True, ge=1)
+        require_number(self.dt, "mc dt", gt=0)
+        require_number(self.seed, "mc seed", integer=True, ge=0, lt=2 ** 64)
         if self.scheme not in ("euler-skew", "exact-gaussian-increment"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ConfigError(f"unknown mc scheme {self.scheme!r}")
+        require_number(self.block_size, "mc block_size", integer=True, ge=1)
+        require_number(self.jump_layer, "mc jump_layer", gt=0)
+        require_number(self.crossing_risk_cap, "mc crossing_risk_cap", ge=0)
 
 
 @dataclass

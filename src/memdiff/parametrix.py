@@ -534,11 +534,11 @@ class FundamentalSolution:
         return np.max(self.side.diffusion(ss, 0.0 * ss), axis=-1) + 1e-12
 
     def _extent(self, t, s, x_lo, x_hi):
-        """Extent (s_lo, w_lo, w_hi) of the table at terminal time t that
-        serves points (s', x) with s' >= s and x in [x_lo, x_hi]; arrays give
-        one extent per anchor."""
-        pad = self.quad.r_cut * np.sqrt(self._bmax_guess(t) * t) + 0.5
-        return 0.75 * s, x_lo - pad, x_hi + pad
+        """Extent (s_lo, w_lo, w_hi) of the table at terminal time t that serves
+        points (s', x) with s' >= s and x in [x_lo, x_hi], through t - s only, so
+        time-shifted data get shifted tables; arrays give one extent per anchor."""
+        pad = self.quad.r_cut * np.sqrt(self._bmax_guess(t) * (t - s)) + 0.5
+        return s, x_lo - pad, x_hi + pad
 
     # -- weighted terminal functionals ---------------------------------------
 

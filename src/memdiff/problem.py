@@ -12,7 +12,10 @@ sampling rather than assumed.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -29,24 +32,93 @@ SIDE_LEFT = "left"
 SIDE_MEMBRANE = "membrane"
 SIDE_RIGHT = "right"
 
-COEFFICIENT_KINDS = ("constant", "affine-in-x", "sinusoidal-in-s-and-x", "tabulated")
-TIME_FUNCTION_KINDS = ("constant", "linear", "sinusoidal", "tabulated")
-INITIAL_KINDS = ("constant-one", "gaussian-bump", "indicator-smoothed",
-                 "polynomial-clamped", "tabulated")
+_REAL = (int, float, np.integer, np.floating)
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
-def _as_tuple(params) -> tuple:
-    try:
-        return tuple(float(p) for p in params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"parameters must be numbers: {exc}") from exc
+def require_object(value, what: str, required=(), optional=()) -> dict:
+    """value, when it is an object with every required key and no key
+    outside required + optional; else a ConfigError naming the fault."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad {what}: expected an object, got {value!r}")
+    missing = [key for key in required if key not in value]
+    unknown = sorted(set(value) - set(required) - set(optional), key=str)
+    if missing or unknown:
+        raise ConfigError(f"bad {what}: missing keys {missing}, unknown keys {unknown}")
+    return value
+
+
+def require_number(value, what: str, integer: bool = False,
+                   ge=None, gt=None, le=None, lt=None):
+    """value, when it is a finite number (an integer if asked) within the
+    given bounds; else a ConfigError.  bool, str, NaN and inf are refused."""
+    bounds = [(op, b) for op, b in zip(_COMPARE, (ge, gt, le, lt)) if b is not None]
+    if not (isinstance(value, (int, np.integer) if integer else _REAL)
+            and not isinstance(value, bool)
+            and (integer or abs(value) <= sys.float_info.max)  # False for NaN
+            and all(_COMPARE[op](value, b) for op, b in bounds)):
+        kind = "an integer" if integer else "a finite number"
+        limits = " and".join(f" {op} {b:g}" for op, b in bounds)
+        raise ConfigError(f"bad {what}: expected {kind}{limits}, got {value!r}")
+    return value
+
+
+def _table(params: tuple, what: str, dims: int, fewest: int) -> tuple:
+    """Knots and values of a [n_1..n_d, knots_1..., ..., knots_d..., values...]
+    table: each n_k an integer >= fewest, each knot list strictly increasing,
+    the values shaped (n_1, ..., n_d)."""
+    sizes = params[:dims]
+    if len(sizes) < dims or any(n != int(n) or n < fewest for n in sizes):
+        raise ConfigError(f"tabulated {what} starts with {dims} integer size(s) >= {fewest}")
+    sizes = [int(n) for n in sizes]
+    ends = list(accumulate([dims] + sizes))
+    if len(params) != ends[-1] + math.prod(sizes):
+        raise ConfigError(f"tabulated {what} expects {ends[-1] + math.prod(sizes)} "
+                          f"parameters, got {len(params)}")
+    knots = [np.array(params[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+    if any(np.any(np.diff(k) <= 0.0) for k in knots):
+        raise ConfigError(f"tabulated {what} knots must increase strictly")
+    return knots, np.array(params[ends[-1]:]).reshape(sizes)
+
+
+class _Catalog:
+    """A form from a closed catalog: a kind and its parameter list.
+
+    KINDS maps each kind to its (fewest, most) parameter count, most None
+    for no limit; a tabulated kind checks its own layout.
+    """
+
+    what = ""
+    KINDS: dict = {}
+    REQUIRED = ("kind", "params")
+    OPTIONAL: tuple = ()
+
+    def __init__(self, kind: str, params: Sequence[float] = ()):
+        if not isinstance(kind, str) or kind not in self.KINDS:
+            raise ConfigError(f"unknown {self.what} kind {kind!r}")
+        if not isinstance(params, (list, tuple)):
+            raise ConfigError(f"bad {self.what} params: expected a list, got {params!r}")
+        self.kind = kind
+        self.params = tuple(float(require_number(p, f"{self.what} parameter"))
+                            for p in params)
+        fewest, most = self.KINDS[kind]
+        if not fewest <= len(self.params) <= (most or math.inf):
+            raise ConfigError(f"{kind} {self.what} takes {fewest} to {most or 'any number of'}"
+                              f" parameters, got {len(self.params)}")
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "params": list(self.params)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**require_object(d, cls.what, cls.REQUIRED, cls.OPTIONAL))
 
 
 # ---------------------------------------------------------------------------
 # space-time coefficient fields
 # ---------------------------------------------------------------------------
 
-class CoefficientField:
+class CoefficientField(_Catalog):
     """Scalar field (s, x) -> value from the parameterized catalog.
 
     kinds and parameter layouts:
@@ -56,36 +128,18 @@ class CoefficientField:
       tabulated                [ns, nx, s..., x..., v...]   bilinear, clamped outside
     """
 
-    def __init__(self, kind: str, params: Sequence[float]):
-        if kind not in COEFFICIENT_KINDS:
-            raise ConfigError(f"unknown coefficient kind {kind!r}")
-        self.kind = kind
-        self.params = _as_tuple(params)
-        self._interp = None
-        if kind == "constant" and len(self.params) != 1:
-            raise ConfigError("constant coefficient takes one parameter")
-        if kind == "affine-in-x" and len(self.params) != 2:
-            raise ConfigError("affine-in-x coefficient takes two parameters")
-        if kind == "sinusoidal-in-s-and-x" and len(self.params) != 5:
-            raise ConfigError("sinusoidal-in-s-and-x takes five parameters")
-        if kind == "tabulated":
-            self._build_table()
+    what = "coefficient"
+    KINDS = {"constant": (1, 1), "affine-in-x": (2, 2), "sinusoidal-in-s-and-x": (5, 5),
+             "tabulated": (0, None)}
 
-    def _build_table(self):
-        p = self.params
-        if len(p) < 2:
-            raise ConfigError("tabulated coefficient needs a size header")
-        ns, nx = int(p[0]), int(p[1])
-        need = 2 + ns + nx + ns * nx
-        if len(p) != need:
-            raise ConfigError(f"tabulated coefficient expects {need} parameters, got {len(p)}")
-        s = np.array(p[2:2 + ns])
-        x = np.array(p[2 + ns:2 + ns + nx])
-        v = np.array(p[2 + ns + nx:]).reshape(ns, nx)
-        self._s_range = (s[0], s[-1])
-        self._x_range = (x[0], x[-1])
-        self._interp = RegularGridInterpolator((s, x), v, method="linear",
-                                               bounds_error=False, fill_value=None)
+    def __init__(self, kind: str, params: Sequence[float]):
+        super().__init__(kind, params)
+        if kind == "tabulated":
+            (s, x), v = _table(self.params, self.what, 2, 2)
+            self._s_range = (s[0], s[-1])
+            self._x_range = (x[0], x[-1])
+            self._interp = RegularGridInterpolator((s, x), v, method="linear",
+                                                   bounds_error=False, fill_value=None)
 
     @classmethod
     def constant(cls, c: float) -> "CoefficientField":
@@ -133,22 +187,12 @@ class CoefficientField:
         vals = self._interp(pts).reshape(sq.shape)
         return vals if vals.shape else float(vals)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoefficientField":
-        try:
-            return cls(d["kind"], d["params"])
-        except KeyError as exc:
-            raise ConfigError(f"coefficient object missing key {exc}") from exc
-
 
 # ---------------------------------------------------------------------------
 # time-only rules: membrane path, reflection weights, atom data
 # ---------------------------------------------------------------------------
 
-class TimeFunction:
+class TimeFunction(_Catalog):
     """Scalar function of time from the catalog.
 
     kinds and parameter layouts:
@@ -158,23 +202,14 @@ class TimeFunction:
       tabulated   [n, s..., v...]     piecewise linear, clamped outside
     """
 
+    what = "time-function"
+    KINDS = {"constant": (1, 1), "linear": (2, 2), "sinusoidal": (3, 4),
+             "tabulated": (0, None)}
+
     def __init__(self, kind: str, params: Sequence[float]):
-        if kind not in TIME_FUNCTION_KINDS:
-            raise ConfigError(f"unknown time-function kind {kind!r}")
-        self.kind = kind
-        self.params = _as_tuple(params)
-        if kind == "constant" and len(self.params) != 1:
-            raise ConfigError("constant time function takes one parameter")
-        if kind == "linear" and len(self.params) != 2:
-            raise ConfigError("linear time function takes two parameters")
-        if kind == "sinusoidal" and len(self.params) not in (3, 4):
-            raise ConfigError("sinusoidal time function takes three or four parameters")
+        super().__init__(kind, params)
         if kind == "tabulated":
-            n = int(self.params[0])
-            if len(self.params) != 1 + 2 * n:
-                raise ConfigError("tabulated time function expects [n, s..., v...]")
-            self._knots = np.array(self.params[1:1 + n])
-            self._vals = np.array(self.params[1 + n:])
+            (self._knots,), self._vals = _table(self.params, self.what, 1, 1)
 
     @classmethod
     def constant(cls, c: float) -> "TimeFunction":
@@ -220,22 +255,11 @@ class TimeFunction:
             values += self._vals[(self._knots > a) & (self._knots < b)].tolist()
         return min(values), max(values)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimeFunction":
-        unknown = sorted(set(d) - {"kind", "params"})
-        if unknown:
-            raise ConfigError(f"time-function object has unknown keys {unknown}")
-        try:
-            return cls(d["kind"], d["params"])
-        except KeyError as exc:
-            raise ConfigError(f"time-function object missing key {exc}") from exc
-
 
 class MembranePath(TimeFunction):
     """The moving interface x = h(s); same catalog as TimeFunction."""
+
+    what = "membrane"
 
 
 @dataclass(frozen=True)
@@ -254,11 +278,8 @@ class Atom:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Atom":
-        try:
-            position, weight = d["position"], d["weight"]
-        except KeyError as exc:
-            raise ConfigError(f"atom object missing key {exc}") from exc
-        return cls(TimeFunction.from_dict(position), TimeFunction.from_dict(weight))
+        d = require_object(d, "atom", ("position", "weight"))
+        return cls(TimeFunction.from_dict(d["position"]), TimeFunction.from_dict(d["weight"]))
 
 
 @dataclass(frozen=True)
@@ -282,7 +303,10 @@ class JumpMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JumpMeasure":
-        return cls(tuple(Atom.from_dict(a) for a in d.get("atoms", [])))
+        atoms = require_object(d, "measure", optional=("atoms",)).get("atoms", [])
+        if not isinstance(atoms, list):
+            raise ConfigError(f"bad measure atoms: expected a list, got {atoms!r}")
+        return cls(tuple(Atom.from_dict(a) for a in atoms))
 
 
 @dataclass(frozen=True)
@@ -299,8 +323,9 @@ class WentzellData:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WentzellData":
+        d = require_object(d, "wentzell", ("q1", "q2"), ("measure",))
         return cls(TimeFunction.from_dict(d["q1"]), TimeFunction.from_dict(d["q2"]),
-                   JumpMeasure.from_dict(d.get("measure", {"atoms": []})))
+                   JumpMeasure.from_dict(d.get("measure", {})))
 
 
 @dataclass(frozen=True)
@@ -319,8 +344,11 @@ class SideSpec:
     diffusion_max: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.holder_exponent < 1.0):
-            raise ConfigError("holder_exponent must lie in (0, 1)")
+        require_number(self.holder_exponent, "holder_exponent", gt=0, lt=1)
+        if self.diffusion_min is not None:
+            require_number(self.diffusion_min, "diffusion_min", gt=0)
+        if self.diffusion_max is not None:
+            require_number(self.diffusion_max, "diffusion_max", gt=0, ge=self.diffusion_min)
 
     def to_dict(self) -> dict:
         d = {"drift": self.drift.to_dict(), "diffusion": self.diffusion.to_dict(),
@@ -333,13 +361,10 @@ class SideSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SideSpec":
-        return cls(
-            drift=CoefficientField.from_dict(d["drift"]),
-            diffusion=CoefficientField.from_dict(d["diffusion"]),
-            holder_exponent=float(d.get("holder_exponent", 0.75)),
-            diffusion_min=d.get("diffusion_min"),
-            diffusion_max=d.get("diffusion_max"),
-        )
+        d = require_object(d, "side", ("drift", "diffusion"),
+                           ("holder_exponent", "diffusion_min", "diffusion_max"))
+        return cls(**{**d, "drift": CoefficientField.from_dict(d["drift"]),
+                      "diffusion": CoefficientField.from_dict(d["diffusion"])})
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +388,7 @@ def _smoothstep_taper(u, r_in: float, r_out: float) -> np.ndarray:
     return out
 
 
-class InitialFunction:
+class InitialFunction(_Catalog):
     """Bounded continuous terminal datum from the catalog.
 
     kinds and parameter layouts:
@@ -376,30 +401,26 @@ class InitialFunction:
       tabulated           [n, x..., v...]              cubic spline, constant outside
     """
 
+    what = "initial-function"
+    KINDS = {"constant-one": (0, 1), "gaussian-bump": (3, 3), "indicator-smoothed": (3, 3),
+             "polynomial-clamped": (4, None), "tabulated": (0, None)}
+    REQUIRED = ("kind",)
+    OPTIONAL = ("params", "sup_norm")
+
     def __init__(self, kind: str, params: Sequence[float] = (), sup_norm: float | None = None):
-        if kind not in INITIAL_KINDS:
-            raise ConfigError(f"unknown initial-function kind {kind!r}")
-        self.kind = kind
-        self.params = _as_tuple(params)
-        self._spline = None
-        if kind == "constant-one" and len(self.params) > 1:
-            raise ConfigError("constant-one takes at most one parameter")
-        if kind == "gaussian-bump" and len(self.params) != 3:
-            raise ConfigError("gaussian-bump takes [amp, center, width]")
-        if kind == "indicator-smoothed" and len(self.params) != 3:
-            raise ConfigError("indicator-smoothed takes [a, b, eps]")
-        if kind == "polynomial-clamped" and len(self.params) < 4:
-            raise ConfigError("polynomial-clamped takes [center, r_in, r_out, c0, ...]")
-        if kind == "tabulated":
-            n = int(self.params[0])
-            if len(self.params) != 1 + 2 * n or n < 4:
-                raise ConfigError("tabulated initial function expects [n, x..., v...], n >= 4")
-            xk = np.array(self.params[1:1 + n])
-            vk = np.array(self.params[1 + n:])
+        super().__init__(kind, params)
+        if kind in ("gaussian-bump", "indicator-smoothed"):
+            require_number(self.params[2], f"{kind} width", gt=0)
+        elif kind == "polynomial-clamped":
+            r_in = require_number(self.params[1], "polynomial-clamped r_in", ge=0)
+            require_number(self.params[2], "polynomial-clamped r_out", gt=r_in)
+        elif kind == "tabulated":
+            (xk,), vk = _table(self.params, self.what, 1, 4)
             self._spline = CubicSpline(xk, vk)
             self._x_range = (xk[0], xk[-1])
             self._edge_vals = (vk[0], vk[-1])
-        self.sup_norm = float(sup_norm) if sup_norm is not None else self._infer_sup()
+        self.sup_norm = (float(require_number(sup_norm, "sup_norm", ge=0))
+                         if sup_norm is not None else self._infer_sup())
 
     @property
     def key(self) -> tuple:
@@ -498,11 +519,7 @@ class InitialFunction:
         return p[2] * taper[0] + 2.0 * p[1] * taper[1] + p[0] * taper[2]
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params), "sup_norm": self.sup_norm}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InitialFunction":
-        return cls(d["kind"], d.get("params", []), d.get("sup_norm"))
+        return {**super().to_dict(), "sup_norm": self.sup_norm}
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +540,14 @@ class Problem:
     wentzell: WentzellData
     horizon: float
     x_window: tuple | None = None
-    grid_resolution: int = 65
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        require_number(self.horizon, "horizon", gt=0)
+        if self.x_window is not None:
+            if not (isinstance(self.x_window, tuple) and len(self.x_window) == 2):
+                raise ConfigError(f"bad x_window: expected [lo, hi], got {self.x_window!r}")
+            lo = require_number(self.x_window[0], "x_window lo")
+            require_number(self.x_window[1], "x_window hi", gt=lo)
 
     def side(self, i: int) -> SideSpec:
         if i == 1:
@@ -633,17 +653,17 @@ class Problem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Problem":
-        for key in ("left", "right", "membrane", "wentzell", "horizon"):
-            if key not in d:
-                raise ConfigError(f"problem object missing key {key!r}")
-        xw = d.get("x_window")
+        d = require_object(d, "problem", ("left", "right", "membrane", "wentzell", "horizon"),
+                           ("x_window",))
+        if not isinstance(d.get("x_window", []), list):
+            raise ConfigError(f"bad x_window: expected [lo, hi], got {d['x_window']!r}")
         return cls(
             left=SideSpec.from_dict(d["left"]),
             right=SideSpec.from_dict(d["right"]),
             membrane=MembranePath.from_dict(d["membrane"]),
             wentzell=WentzellData.from_dict(d["wentzell"]),
-            horizon=float(d["horizon"]),
-            x_window=tuple(xw) if xw is not None else None,
+            horizon=d["horizon"],
+            x_window=tuple(d["x_window"]) if "x_window" in d else None,
         )
 
 
@@ -689,19 +709,15 @@ def _holder_quotient(values: np.ndarray, dists: np.ndarray, exponent: float) -> 
     return float(np.max(values[mask] / dists[mask] ** exponent))
 
 
-def validate(problem: Problem, grid_resolution: int | None = None,
+def validate(problem: Problem, grid_resolution: int = 65,
              phi: InitialFunction | None = None) -> ValidationReport:
-    """Audit conditions I-V by sampling on a grid of the given resolution.
+    """Audit conditions I-V by sampling on an n x n grid, n = grid_resolution >= 3.
 
-    The resolution defaults to the one declared on the problem instance.
     Hard failures (a nonpositive diffusion sample, a vanishing q1+q2, an atom
     on the membrane) raise immediately; soft failures (a declared bound
     violated by a sample) are reported in the per-condition entries.
     """
-    n = int(grid_resolution if grid_resolution is not None
-            else problem.grid_resolution)
-    if n < 3:
-        raise ValueError("grid_resolution must be at least 3")
+    n = require_number(grid_resolution, "grid_resolution", integer=True, ge=3)
     lo, hi = problem.sample_window()
     ss = np.linspace(0.0, problem.horizon, n)
     xs = np.linspace(lo, hi, n)

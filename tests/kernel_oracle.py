@@ -506,11 +506,9 @@ def point_correction_loop(fs: FundamentalSolution, s, x, t: float, y: float, p: 
     """
     s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float),
                                        np.asarray(x, dtype=float))
-    pad = fs.quad.r_cut * math.sqrt(fs._bmax_guess(t) * t) + 0.5
-    w_lo = min(float(np.min(x_arr)), y) - pad
-    w_hi = max(float(np.max(x_arr)), y) + pad
-    tab = fs.correction.table("point", (round(y, 12),), t, 0.75 * float(np.min(s_arr)),
-                              w_lo, w_hi, y=y)
+    s_lo, w_lo, w_hi = fs._extent(t, float(np.min(s_arr)), min(float(np.min(x_arr)), y),
+                                  max(float(np.max(x_arr)), y))
+    tab = fs.correction.table("point", (round(y, 12),), t, s_lo, w_lo, w_hi, y=y)
     b_max = fs.correction._b_max(t, w_lo, w_hi)
     alpha = fs.correction.alpha
     out = np.empty(s_arr.shape)

@@ -298,11 +298,37 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     ("check", ("s",), -0.5),
     ("check", ("s",), [0.0, 1.2]),
     ("compare-mc", ("s",), [0.0, 1.2]),
+    ("check", ("solver", "n_kernel"), 0),
+    ("check", ("solver", "tol_v"), -1),
+    ("check", ("solver", "k_max"), 0),
+    ("check", ("solver", "mesh_gamma"), 0),
+    ("check", ("solver", "mesh_gamma"), -1),
+    ("compare-mc", ("mc", "paths"), 2.5),
+    ("compare-mc", ("mc", "crossing_risk_cap"), "x"),
+    ("check", ("problem", "horizon"), "a"),
+    ("check", ("problem", "horizon"), math.nan),
+    ("check", ("t",), True),
+    ("check", ("phi", "sup_norm"), -1),
+    ("check", ("problem", "x_window"), [3, -3]),
+    ("validate", ("problem", "x_window"), ["a", 1]),
+    ("validate", ("problem", "x_window"), [1.0, 2.0, 3.0]),
+    ("validate", ("problem", "x_window"), "ab"),
+    ("validate", ("problem", "left", "diffusion_min"), "a"),
+    ("validate", ("grid_resolution",), 10.5),
+    ("check", ("phi", "extra"), 1),
+    ("check", ("problem", "left", "drift", "extra"), 1),
+    ("check", ("problem", "left", "extra"), 1),
+    ("check", ("problem", "wentzell", "extra"), 1),
+    ("check", ("problem", "wentzell", "measure", "extra"), 1),
+    ("check", ("problem", "extra"), 1),
+    ("check", ("extra",), 1),
 ])
 def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     # a fractional grid size, a terminal time past the horizon (1.5), a
-    # negative near-atom radius, a start time before 0 and a second start
-    # time where the command runs from one are refused before any solve
+    # negative near-atom radius, a start time before 0, a second start time
+    # where the command runs from one, an out-of-range or non-finite setting
+    # and an unknown key are refused before any solve, by a message that
+    # names the offending key
     cfg = read_json(CONFIGS / "skew.json")
     target = cfg
     for key in path[:-1]:
@@ -314,6 +340,7 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     assert run([command, "--config", cfg_path, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert path[-1] in err
     assert not out.exists()
 
 
@@ -325,8 +352,29 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     ("check", lambda cfg: cfg.update(solver={"mesh_n": "a"})),
     ("check", lambda cfg: cfg["problem"]["wentzell"]["q1"].update(params=["a"])),
     ("solve", lambda cfg: cfg.update(precision="x")),
+    ("check", lambda cfg: cfg["problem"]["wentzell"]["measure"].update(atoms=[5])),
+    ("check", lambda cfg: cfg.update(phi=[])),
+    ("check", lambda cfg: cfg.update(phi={"kind": "tabulated", "params": [
+        4, 1.0, 0.5, 0.0, -1.0, 0.0, 1.0, 1.0, 0.0]})),
+    ("check", lambda cfg: cfg["problem"]["wentzell"]["q1"].update(params=["0.25"])),
+    ("check", lambda cfg: cfg["problem"].update(membrane={"kind": "tabulated", "params": [
+        3, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0]})),
+    ("check", lambda cfg: cfg["problem"]["membrane"].update(kind=["constant"])),
+    ("check", lambda cfg: cfg["problem"]["left"]["drift"].update(kind={"constant": 0})),
+    ("check", lambda cfg: cfg.update(phi={"kind": "gaussian-bump", "params": [1, 0, 0]})),
+    ("check", lambda cfg: cfg.update(phi={"kind": "gaussian-bump", "params": [1, 0, -1]})),
+    ("check", lambda cfg: cfg.update(phi={"kind": "indicator-smoothed",
+                                          "params": [-1, 1, 0]})),
+    ("check", lambda cfg: cfg.update(phi={"kind": "polynomial-clamped",
+                                          "params": [0, -1, 2, 1]})),
+    ("check", lambda cfg: cfg.update(phi={"kind": "polynomial-clamped",
+                                          "params": [0, 1, 1, 1]})),
 ], ids=["membrane-extra-key", "atom-without-weight", "grid-min-string",
-        "mesh-n-string", "q1-string-param", "precision-string"])
+        "mesh-n-string", "q1-string-param", "precision-string", "atom-not-object",
+        "phi-list", "phi-decreasing-knots", "q1-param-numeric-string",
+        "membrane-decreasing-knots", "kind-list", "kind-dict", "gaussian-zero-width",
+        "gaussian-negative-width", "indicator-zero-eps", "polynomial-negative-r-in",
+        "polynomial-empty-ramp"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, mutate):
     # each malformed value is refused where it is parsed, with one line
     cfg = read_json(CONFIGS / "skew.json")
