@@ -65,27 +65,30 @@ def panel_rule(edges, n: int):
     return nodes.ravel(), weights.ravel()
 
 
+# half-width, in units of the local Gaussian scale, of every space window:
+# past 8 scales a Gaussian factor is below 1.3e-14 of its peak
+R_CUT = 8.0
+
+
 @lru_cache(maxsize=None)
-def unit_window(n_per_panel: int, r_cut: float):
+def unit_window(n_per_panel: int):
     """Fixed rule for integrals of a Gaussian-localized factor.
 
     Offsets u and weights omega such that, for a spike of scale sigma at
     center c, integral(f) ~ sigma * sum(omega * f(c + u * sigma)).  Panels
     cluster near the center where the spike lives.
     """
-    marks = [m for m in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0) if abs(m) < r_cut]
-    edges = np.array([-r_cut] + marks + [r_cut])
-    u, w = panel_rule(edges, n_per_panel)
-    return u, w
+    edges = np.array([-R_CUT, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, R_CUT])
+    return panel_rule(edges, n_per_panel)
 
 
-def window_nodes(center, scale, n_per_panel: int, r_cut: float):
+def window_nodes(center, scale, n_per_panel: int):
     """Broadcast the unit window onto per-site centers and scales.
 
     center and scale may be arrays of equal shape; the returned nodes and
     weights have one extra trailing axis for the window points.
     """
-    u, w = unit_window(n_per_panel, r_cut)
+    u, w = unit_window(n_per_panel)
     center = np.asarray(center, dtype=float)[..., None]
     scale = np.asarray(scale, dtype=float)[..., None]
     return center + u * scale, w * scale

@@ -27,7 +27,8 @@ Everything is evaluated on arrays (product-integration Nystrom): the
 kernels on the (mesh node, tau node) array with the Holmgren rho nodes as a
 trailing axis, the right-hand side on the mesh nodes with the same trailing
 axis, a block of mesh nodes at a time; each successive approximation is one
-gather of precomputed interpolation brackets and one contraction.
+interpolation of the iterates at the tau nodes (interpolate_w, as in the
+potentials) and one contraction.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     SingularIntegrandError,
     TimeOrderError,
 )
-from .potentials import DensityPair, PotentialEvaluator, graded_mesh
+from .potentials import DensityPair, PotentialEvaluator, graded_mesh, interpolate_w
 from .problem import InitialFunction, Problem, require_number
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -55,24 +56,25 @@ class SolverConfig:
     """Discretization and iteration controls for the density solve."""
 
     mesh_n: int = 64
-    mesh_gamma: float = 2.0
     n_kernel: int = 16
     n_holmgren: int = 24
-    tol_v: float = 1e-8
     k_max: int = 200
     delta: float | None = None
-    contraction_onset: int = 10
 
     def __post_init__(self):
         require_number(self.mesh_n, "solver mesh_n", integer=True, ge=8)
-        require_number(self.mesh_gamma, "solver mesh_gamma", ge=1)
         require_number(self.n_kernel, "solver n_kernel", integer=True, ge=1)
         require_number(self.n_holmgren, "solver n_holmgren", integer=True, ge=1)
-        require_number(self.tol_v, "solver tol_v", gt=0)
         require_number(self.k_max, "solver k_max", integer=True, ge=1)
         if self.delta is not None:
             require_number(self.delta, "solver delta", gt=0)
-        require_number(self.contraction_onset, "solver contraction_onset", integer=True, ge=0)
+
+
+# the iteration stops once an iterate's sup falls below TOL_V times the sup
+# of the initial function, and is declared divergent when, past
+# CONTRACTION_ONSET iterations, the sups rise three times in a row
+TOL_V = 1e-8
+CONTRACTION_ONSET = 10
 
 
 # mesh nodes evaluated together: the kernel holds (node, tau, rho) arrays and
@@ -416,7 +418,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     if not s_min < t:
         raise TimeOrderError("solve needs s_min < t")
     assembler = KernelAssembler(problem, evaluator, config)
-    mesh = graded_mesh(t, s_min, config.mesh_n, config.mesh_gamma)
+    mesh = graded_mesh(t, s_min, config.mesh_n)
     rhs = RightHandSide(assembler, phi, t, float(mesh[0]))
     n = len(mesh)
     sqrt_rem = np.sqrt(t - mesh)
@@ -435,15 +437,6 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
                 mesh[block, None], tau_nodes[block])
         kern *= wt * (t - tau_nodes) ** (-0.5)
 
-    # linear interpolation of the iterates at the tau nodes, with the
-    # arithmetic of np.interp: nodes past the last mesh node take its value
-    clamp = tau_nodes >= mesh[-1]
-    left = np.minimum(np.searchsorted(mesh, tau_nodes, side="right") - 1, n - 2)
-    left = np.where(clamp, n - 1, left)
-    right = np.where(clamp, n - 1, left + 1)
-    offset = np.where(clamp, 0.0, tau_nodes - mesh[left])
-    spacing = np.where(clamp, 1.0, mesh[right] - mesh[left])
-
     diag = SolveDiagnostics(delta=assembler.delta,
                             m_delta=m_delta_witness(problem, assembler.delta))
     scale = max(phi.sup_norm, 1e-300)
@@ -453,17 +446,16 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     diag.iterate_sups.append(sup)
     rise_count = 0
     for k in range(1, config.k_max + 1):
-        if sup <= config.tol_v * scale:
+        if sup <= TOL_V * scale:
             diag.converged = True
             break
-        at_left = current[:, left]
-        w_interp = (current[:, right] - at_left) / spacing * offset + at_left
-        current = sqrt_rem * np.einsum("ijnq,jnq->in", kern, w_interp)
+        current = sqrt_rem * np.einsum("ijnq,nqj->in", kern,
+                                       interpolate_w(tau_nodes, mesh, current))
         total += current
         sup = float(np.max(np.abs(current)))
         diag.iterate_sups.append(sup)
         diag.iterations = k
-        if k > config.contraction_onset and sup > diag.iterate_sups[-2]:
+        if k > CONTRACTION_ONSET and sup > diag.iterate_sups[-2]:
             rise_count += 1
             if rise_count >= 3:
                 raise SeriesDivergenceError(
@@ -472,7 +464,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
         else:
             rise_count = 0
     else:
-        if sup > config.tol_v * scale:
+        if sup > TOL_V * scale:
             raise SeriesDivergenceError(
                 f"no convergence within k_max={config.k_max} iterations "
                 f"(m_delta witness {diag.m_delta:.3g})")

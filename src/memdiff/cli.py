@@ -1,7 +1,7 @@
 """Batch front door: load a problem config, run solves and checks, emit reports.
 
 Commands
-  validate     audit the problem conditions, print the per-condition report
+  validate     audit the problem and initial function, print the per-condition report
   solve        evaluate the field on a grid, write CSV (s,x,u,side)
   check        run one named check suite, write a JSON report
   compare-mc   solver vs Monte Carlo z-scores per grid point
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -77,22 +79,25 @@ def load_run_config(path: str) -> dict:
     return cfg
 
 
-def audit(problem: Problem, cfg: dict):
-    """validate() on the config's grid_resolution, else on validate's default."""
-    return validate(problem, cfg.get("grid_resolution", 65))
-
-
-def validated_problem(cfg: dict) -> Problem:
-    """The config's problem, audited on the grid of the validate command
-    before any solve."""
-    problem = Problem.from_dict(cfg["problem"])
-    if not audit(problem, cfg).passed:
-        raise ConfigError("problem failed validation; run the validate command")
-    return problem
-
-
 def build_phi(cfg: dict) -> InitialFunction:
     return InitialFunction.from_dict(cfg.get("phi", {"kind": "constant-one", "params": [1.0]}))
+
+
+def audit(cfg: dict) -> tuple:
+    """The config's problem, its initial function and validate() of both, on
+    the config's grid_resolution, else on validate's default."""
+    problem, phi = Problem.from_dict(cfg["problem"]), build_phi(cfg)
+    return problem, phi, validate(problem, cfg.get("grid_resolution", 65), phi)
+
+
+def validated(cfg: dict) -> tuple:
+    """The config's problem and initial function, audited on the grid of the
+    validate command before any solve."""
+    problem, phi, report = audit(cfg)
+    failed = ", ".join(c.condition for c in report.checks if not c.passed)
+    if failed:
+        raise ConfigError(f"failed validation of condition {failed}; run the validate command")
+    return problem, phi
 
 
 def build_grid(cfg: dict) -> np.ndarray:
@@ -165,15 +170,14 @@ def entry(check: str, case: str, statistic: float, tolerance: float) -> dict:
 
 
 def cmd_validate(cfg: dict, args) -> int:
-    report = audit(Problem.from_dict(cfg["problem"]), cfg)
+    report = audit(cfg)[2]
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     write_text(args.out, text)
     return 0 if report.passed else 1
 
 
 def cmd_solve(cfg: dict, args) -> int:
-    problem = validated_problem(cfg)
-    phi = build_phi(cfg)
+    problem, phi = validated(cfg)
     s_values, t = times(cfg, problem)
     grid = build_grid(cfg)
     precision = require_number(cfg.get("precision", 12), "precision",
@@ -215,8 +219,7 @@ def _dump_kernels(op, phi, t, s_min, path):
 
 
 def cmd_check(cfg: dict, args) -> int:
-    problem = validated_problem(cfg)
-    phi = build_phi(cfg)
+    problem, phi = validated(cfg)
     s, t = start_time(cfg, problem)
     grid = build_grid(cfg)
     suite = cfg.get("suite", args.suite)
@@ -268,34 +271,22 @@ def cmd_check(cfg: dict, args) -> int:
 
 
 def cmd_compare_mc(cfg: dict, args) -> int:
-    problem = validated_problem(cfg)
-    phi = build_phi(cfg)
+    problem, phi = validated(cfg)
     s, t = start_time(cfg, problem)
     grid = build_grid(cfg)
     config = build_sim(cfg, args)
-    op = SemigroupOperator(problem, build_solver(cfg))
-    field = op.apply(s, t, phi)
-
-    def one_point(x_val):
-        solver_val = float(field(float(x_val)))
-        res = simulate(problem, s, float(x_val), t, phi, config)
-        return compare(solver_val, res.mean, res.stderr)
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            comparisons = list(pool.map(one_point, grid))
-    else:
-        comparisons = [one_point(x) for x in grid]
-    entries = []
-    results = []
-    for x_val, c in zip(grid, comparisons):
-        results.append(c.to_dict())
-        entries.append(entry("mc-z-score", f"x={fmt_sig(float(x_val), 6)}",
-                             c.z_score, c.k_sigma))
+    field = SemigroupOperator(problem, build_solver(cfg)).apply(s, t, phi)
+    solver_values = [float(field(float(x_val))) for x_val in grid]
+    # the points' simulations are independent, each on its own seeded streams
+    with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
+        sims = list(pool.map(lambda x_val: simulate(problem, s, float(x_val), t, phi, config),
+                             grid))
+    comparisons = [compare(v, res.mean, res.stderr) for v, res in zip(solver_values, sims)]
+    entries = [entry("mc-z-score", f"x={fmt_sig(float(x_val), 6)}", c.z_score, c.k_sigma)
+               for x_val, c in zip(grid, comparisons)]
     write_text(args.out, report_json("compare-mc", entries,
-                                     {"results": results,
-                                      "paths": config.paths,
-                                      "seed": config.seed}))
+                                     {"results": [c.to_dict() for c in comparisons],
+                                      "paths": config.paths, "seed": config.seed}))
     return 0 if all(e["pass"] for e in entries) else 1
 
 
@@ -306,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["validate", "solve", "check", "compare-mc"])
     p.add_argument("--config", required=True, help="run configuration JSON")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker thread cap for per-point Monte Carlo runs")
     p.add_argument("--dump-kernels", default=None,
                    help="write kernel tables and density mesh to this path")
     p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import panel_rule
-from .errors import ConfigError, StepTooLargeError, TimeOrderError
+from .errors import StepTooLargeError, TimeOrderError
 from .problem import InitialFunction, Problem, require_number
 
 
@@ -72,15 +72,13 @@ def skew_density(params: SkewParams, dt: float, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def skew_action(params: SkewParams, dt: float, x: float, phi,
-                n_nodes: int = 24, width: float | None = None) -> float:
-    """integral of phi(y) skew_density(dt, x, y) dy (the oracle operator)."""
-    sd = params.sigma * math.sqrt(dt)
-    if width is None:
-        width = abs(x) + 10.0 * sd + 10.0
+def skew_action(params: SkewParams, dt: float, x: float, phi) -> float:
+    """integral of phi(y) skew_density(dt, x, y) dy (the oracle operator),
+    by 24-point Gauss panels on [-w, w], w = |x| + 10 standard deviations + 10."""
+    width = abs(x) + 10.0 * (params.sigma * math.sqrt(dt)) + 10.0
     edges = np.concatenate([
         np.linspace(-width, 0.0, 40), np.linspace(0.0, width, 40)[1:]])
-    y, w = panel_rule(edges, n_nodes)
+    y, w = panel_rule(edges, 24)
     return float(np.sum(phi(y) * skew_density(params, dt, x, y) * w))
 
 
@@ -91,20 +89,21 @@ class SimConfig:
     paths: int = 100_000
     dt: float = 1e-3
     seed: int = 0
-    scheme: str = "euler-skew"
-    block_size: int = 16384
-    jump_layer: float = 1.0
-    crossing_risk_cap: float = 0.05
 
     def __post_init__(self):
         require_number(self.paths, "mc paths", integer=True, ge=1)
         require_number(self.dt, "mc dt", gt=0)
         require_number(self.seed, "mc seed", integer=True, ge=0, lt=2 ** 64)
-        if self.scheme not in ("euler-skew", "exact-gaussian-increment"):
-            raise ConfigError(f"unknown mc scheme {self.scheme!r}")
-        require_number(self.block_size, "mc block_size", integer=True, ge=1)
-        require_number(self.jump_layer, "mc jump_layer", gt=0)
-        require_number(self.crossing_risk_cap, "mc crossing_risk_cap", ge=0)
+
+
+# paths simulated together, each block from its own counter-based stream;
+# the block size is part of the stream layout, so it fixes the estimates
+BLOCK_SIZE = 16384
+# half-width of the atom jump layer, in units of the step's standard deviation
+JUMP_LAYER = 1.0
+# largest mean second-interaction indicator of resolved steps that
+# simulate() accepts before it asks for a smaller dt
+CROSSING_RISK_CAP = 0.05
 
 
 @dataclass
@@ -114,10 +113,6 @@ class SimResult:
     paths: int
     crossing_risk: float
     jump_bias_indicator: float = 0.0
-
-    @property
-    def variance(self) -> float:
-        return self.stderr ** 2 * self.paths
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -134,7 +129,7 @@ def simulate(problem: Problem, s: float, x: float, t: float,
     rescaling the overshoot by the destination/landing diffusion ratio;
     for flat membranes and constant scales this resolve reproduces the
     exact one-step law.  Raises StepTooLargeError when the average
-    second-interaction indicator of resolved steps exceeds the cap.
+    second-interaction indicator of resolved steps exceeds CROSSING_RISK_CAP.
     """
     config = config or SimConfig()
     if s >= t:
@@ -151,7 +146,7 @@ def simulate(problem: Problem, s: float, x: float, t: float,
     n_left = config.paths
     block = 0
     while n_left > 0:
-        size = min(config.block_size, n_left)
+        size = min(BLOCK_SIZE, n_left)
         rng = _block_generator(config.seed, block)
         xs = np.full(size, float(x))
         risk = 0.0
@@ -163,11 +158,7 @@ def simulate(problem: Problem, s: float, x: float, t: float,
             right = xs >= h_k
             b = np.where(right, problem.diffusion(2, sk, xs),
                          problem.diffusion(1, sk, xs))
-            if config.scheme == "euler-skew":
-                a = np.where(right, problem.drift(2, sk, xs),
-                             problem.drift(1, sk, xs))
-            else:
-                a = 0.0
+            a = np.where(right, problem.drift(2, sk, xs), problem.drift(1, sk, xs))
             noise = rng.standard_normal(size)
             prop = xs + a * dt + np.sqrt(b * dt) * noise
 
@@ -206,7 +197,7 @@ def simulate(problem: Problem, s: float, x: float, t: float,
                 resolve, np.exp(-2.0 * e_res * e_res / (b * dt + 1e-300)), 0.0)))
             if has_atoms:
                 b_bar = 0.5 * (b1h + b2h)
-                layer = config.jump_layer * math.sqrt(b_bar * dt)
+                layer = JUMP_LAYER * math.sqrt(b_bar * dt)
                 in_layer = np.abs(xs - h_k1) < layer
                 uj = rng.random(size)
                 if np.any(in_layer):
@@ -215,7 +206,7 @@ def simulate(problem: Problem, s: float, x: float, t: float,
                     total_w = float(np.sum(w_at))
                     if total_w > 0:
                         d_sum = (b1h * math.sqrt(b2h) + b2h * math.sqrt(b1h)) / denom
-                        ell = math.sqrt(dt / b_bar) / config.jump_layer
+                        ell = math.sqrt(dt / b_bar) / JUMP_LAYER
                         p_jump = min(1.0, 0.5 * d_sum * total_w * ell)
                         do_jump = in_layer & (uj < p_jump)
                         if np.any(do_jump):
@@ -236,10 +227,10 @@ def simulate(problem: Problem, s: float, x: float, t: float,
     var = max(math.fsum(sq_sums) / n - mean * mean, 0.0)
     stderr = math.sqrt(var / n)
     crossing_risk = risk_sum / n
-    if crossing_risk > config.crossing_risk_cap:
+    if crossing_risk > CROSSING_RISK_CAP:
         raise StepTooLargeError(
             f"unobserved-crossing indicator {crossing_risk:.3f} exceeds "
-            f"{config.crossing_risk_cap}; reduce dt")
+            f"{CROSSING_RISK_CAP}; reduce dt")
     return SimResult(mean=mean, stderr=stderr, paths=n,
                      crossing_risk=crossing_risk,
                      jump_bias_indicator=jump_count / n)

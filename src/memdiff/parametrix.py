@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quadrature import singular_rule, window_nodes
+from ._quadrature import R_CUT, singular_rule, window_nodes
 from .errors import ConvergenceFailureError, TimeOrderError
 from .problem import SideSpec
 
@@ -44,6 +44,12 @@ from .problem import SideSpec
 # 8 anchors x 24 points in one pass peaked at 30 MB under tracemalloc, in
 # blocks of 16 at 2.6 MB
 POINT_BLOCK = 16
+
+# table rows sigma = t - span * zeta^TABLE_GAMMA, zeta uniform, cluster at
+# the terminal anchor like the mesh of the density solve
+TABLE_GAMMA = 2.0
+# a Neumann series stops once a term falls below this fraction of its first
+SERIES_TOL = 1e-8
 
 
 def _in_blocks(size: int, evaluate) -> np.ndarray:
@@ -58,20 +64,16 @@ def _in_blocks(size: int, evaluate) -> np.ndarray:
 class CorrectionQuadrature:
     """Discretization parameters for the correction-kernel machinery.
 
-    n_sigma, n_w, gamma control the product grid of the cached tables;
-    n_time and n_space the convolution quadratures (n_space is per panel of
-    the Gaussian window); r_cut truncates space integrals at
-    r_cut * sqrt(b_max * dt); depth and tol stop the Neumann iteration.
+    n_sigma and n_w size the product grid of the cached tables; n_time and
+    n_space the convolution quadratures (n_space is per panel of the
+    Gaussian window); depth caps the terms of the Neumann series.
     """
 
     n_sigma: int = 24
     n_w: int = 48
-    gamma: float = 2.0
     n_time: int = 12
     n_space: int = 10
-    r_cut: float = 8.0
     depth: int = 8
-    tol: float = 1e-8
 
     def refined(self, factor: int = 2) -> "CorrectionQuadrature":
         return replace(self, n_sigma=self.n_sigma * factor, n_w=self.n_w * factor,
@@ -114,12 +116,12 @@ def _z0_left(p):
     return lambda s, x, rho, v, b: _z0(b * (rho - s), v - x, p)
 
 
-def slice_integral(s, x, t, b, left, weight, n_space: int, r_cut: float):
+def slice_integral(s, x, t, b, left, weight, n_space: int):
     """integral over R of left(y) weight(y) dy on the terminal slice at t, at
     points (s, x) of any shape, with a window at x on the scale
     sqrt(b (t - s)); left and weight get the window nodes on one more
     trailing axis."""
-    y, wy = window_nodes(x, np.sqrt(b * (t - s)), n_space, r_cut)
+    y, wy = window_nodes(x, np.sqrt(b * (t - s)), n_space)
     return np.sum(left(y) * weight(y) * wy, axis=-1)
 
 
@@ -165,28 +167,29 @@ class _Table:
     """One terminal functional of Q on a graded (sigma, w) product grid.
 
     Values are stored regularized: g = (t_anchor - sigma)^reg_pow * u, and
-    interpolated bilinearly in (zeta, w) with zeta = ((t - sigma)/span)^(1/gamma)
+    interpolated bilinearly in (zeta, w), zeta = ((t - sigma)/span)^(1/TABLE_GAMMA)
     uniform over the rows.  Below the first row (sigma -> t_anchor) the
     regularized value is extended as a constant.  Used for the spatially
     smooth anchors (terminal-slice and space-time weights).
 
     Lookups take times rho and points v that broadcast; rho keeps its own
     (smaller) axes, so everything that depends on time alone is computed
-    once per time node.
+    once per time node.  b_max, the largest diffusion over the table's
+    extent, scales the windows of its build and of every Z0 convolution of it.
     """
 
     # first row of this table in g (nonzero in a stacked lookup)
     row0 = 0
 
-    def __init__(self, t_anchor, s_lo, w_lo, w_hi, reg_pow, quad):
+    def __init__(self, t_anchor, s_lo, w_lo, w_hi, b_max, reg_pow, quad):
         self.t_anchor = t_anchor
         self.s_lo = s_lo
         self.span = t_anchor - s_lo
-        self.gamma = quad.gamma
+        self.b_max = b_max
         self.reg_pow = reg_pow
         n = quad.n_sigma
         self.zeta = (np.arange(1, n + 1)) / n
-        self.sigma = t_anchor - self.span * self.zeta ** quad.gamma
+        self.sigma = t_anchor - self.span * self.zeta ** TABLE_GAMMA
         self.w = np.linspace(w_lo, w_hi, quad.n_w)
         self.g = np.zeros((n, quad.n_w))
         self.term_sups: list[float] = []
@@ -204,7 +207,7 @@ class _Table:
 
     def rows(self, rho):
         """Row bracket (iz, fz) of times rho: zeta rows iz and iz + 1."""
-        zeta = ((self.t_anchor - rho) / self.span) ** (1.0 / self.gamma)
+        zeta = ((self.t_anchor - rho) / self.span) ** (1.0 / TABLE_GAMMA)
         return _bracket(zeta * len(self.zeta) - 1.0, len(self.zeta))
 
     def columns(self, rho, v):
@@ -232,23 +235,22 @@ class _ScaledTable(_Table):
 
     Iterated kernels evaluated at a fixed terminal point (t, y) concentrate
     around y on the scale sqrt(b (t - sigma)), so rows hold values on nodes
-    y + w * sqrt(b_ref (t - sigma)), with the column grid w spanning
-    [-r_cut, r_cut] in units of that scale.  In (zeta, w) coordinates every
+    y + w * sqrt(b_max (t - sigma)), with the column grid w spanning
+    [-R_CUT, R_CUT] in units of that scale.  In (zeta, w) coordinates every
     series term is an O(1)-width smooth profile, which a plain product grid
     can interpolate.  Outside the w-range the kernels have decayed: values
     are zero there.
     """
 
-    def __init__(self, t_anchor, s_lo, y, b_ref, reg_pow, quad):
-        super().__init__(t_anchor, s_lo, -quad.r_cut, quad.r_cut, reg_pow, quad)
+    def __init__(self, t_anchor, s_lo, y, b_max, reg_pow, quad):
+        super().__init__(t_anchor, s_lo, -R_CUT, R_CUT, b_max, reg_pow, quad)
         self.y = y
-        self.b_ref = b_ref
 
     def covers(self, s_lo, w_lo, w_hi) -> bool:
         return self.s_lo <= s_lo + 1e-12
 
     def merged(self, s_lo, w_lo, w_hi) -> tuple:
-        # the self-similar grid has no window to widen; the request's sets b_ref
+        # the self-similar grid has no window to widen; the request's sets b_max
         return min(s_lo, self.s_lo), w_lo, w_hi
 
     @classmethod
@@ -256,7 +258,7 @@ class _ScaledTable(_Table):
         """The point tables of one kernel as a single lookup whose leading
         axis holds points: point k reads tables[anchor[k]]."""
         tab = copy.copy(tables[0])
-        for name in ("t_anchor", "span", "y", "b_ref"):
+        for name in ("t_anchor", "span", "y", "b_max"):
             per_table = np.array([getattr(t, name) for t in tables])
             setattr(tab, name, per_table[anchor][:, None, None])
         tab.row0 = (len(tab.zeta) * anchor)[:, None, None]
@@ -264,11 +266,11 @@ class _ScaledTable(_Table):
         return tab
 
     def nodes(self, k: int) -> np.ndarray:
-        scale = math.sqrt(self.b_ref * (self.t_anchor - self.sigma[k]))
+        scale = math.sqrt(self.b_max * (self.t_anchor - self.sigma[k]))
         return self.y + self.w * scale
 
     def columns(self, rho, v):
-        scale = np.sqrt(self.b_ref * (self.t_anchor - rho))
+        scale = np.sqrt(self.b_max * (self.t_anchor - rho))
         pw = ((v - self.y) / scale - self.w[0]) / (self.w[1] - self.w[0])
         iw, fw = _bracket(pw, len(self.w))
         return iw, fw, (pw >= 0.0) & (pw <= len(self.w) - 1.0)
@@ -306,7 +308,7 @@ class CorrectionKernel:
         return np.max(self.side.diffusion(ss, xs), axis=(-2, -1))
 
     def _window(self, centers, scales):
-        return window_nodes(centers, scales, self.quad.n_space, self.quad.r_cut)
+        return window_nodes(centers, scales, self.quad.n_space)
 
     def convolution_nodes(self, s, x, rho, b_max, t=None, spread_at=None, spread=1.0):
         """Window nodes (v, w_v) of an integral over (s, t) x R at points
@@ -344,7 +346,7 @@ class CorrectionKernel:
 
     def table(self, kind: str, key, t_anchor: float, s_lo: float,
               w_lo: float, w_hi: float, **ctx) -> _Table:
-        cache_key = (kind, key, round(t_anchor, 12))
+        cache_key = (kind, key, t_anchor)
         with self._lock:
             tab = self._tables.get(cache_key)
             if tab is not None and tab.covers(s_lo, w_lo, w_hi):
@@ -363,33 +365,33 @@ class CorrectionKernel:
             tab = _ScaledTable(t_anchor, s_lo, ctx["y"], b_max, reg_pow, self.quad)
         elif kind in ("final", "spacetime"):
             reg_pow = min(1.0 - 0.5 * alpha, 0.95) if kind == "final" else 0.0
-            tab = _Table(t_anchor, s_lo, w_lo, w_hi, reg_pow, self.quad)
+            tab = _Table(t_anchor, s_lo, w_lo, w_hi, b_max, reg_pow, self.quad)
         else:
             raise ValueError(f"unknown table kind {kind!r}")
-        first = self._first_term(kind, tab, b_max, ctx)
+        first = self._first_term(kind, tab, ctx)
         term = first * (t_anchor - tab.sigma)[:, None] ** reg_pow
         tab.g = term.copy()
         tab.term_sups = [float(np.max(np.abs(term)))]
         scale = max(tab.term_sups[0], 1e-300)
-        sweep = self._sweep(tab, b_max) if self.quad.depth > 1 else None
+        sweep = self._sweep(tab) if self.quad.depth > 1 else None
         for _ in range(1, self.quad.depth):
             term = sweep(term)
             tab.g += term
             sup = float(np.max(np.abs(term)))
             tab.term_sups.append(sup)
-            if sup <= self.quad.tol * scale:
+            if sup <= SERIES_TOL * scale:
                 break
         else:
             sups = tab.term_sups
-            if len(sups) >= 2 and sups[-1] > sups[-2] and sups[-1] > self.quad.tol * scale:
+            if len(sups) >= 2 and sups[-1] > sups[-2] and sups[-1] > SERIES_TOL * scale:
                 raise ConvergenceFailureError(
                     f"correction terms not decreasing at depth {self.quad.depth}: "
                     f"{sups[-2]:.3e} -> {sups[-1]:.3e}")
         return tab
 
-    def _first_term(self, kind, tab, b_max, ctx) -> np.ndarray:
+    def _first_term(self, kind, tab, ctx) -> np.ndarray:
         """The series' first term on the table grid, one sigma row at a time."""
-        t, quad, y = tab.t_anchor, self.quad, ctx.get("y")
+        t, quad, y, b_max = tab.t_anchor, self.quad, ctx.get("y"), tab.b_max
         k1_exp = 0.5 * self.alpha - 1.0
         out = np.zeros(tab.g.shape)
         for k, sig in enumerate(tab.sigma):
@@ -397,7 +399,7 @@ class CorrectionKernel:
             if kind == "final":
                 out[k] = slice_integral(sig, wrow, t, b_max,
                                         lambda v: self.source(sig, wrow[:, None], t, v),
-                                        ctx["weight"], quad.n_space, quad.r_cut)
+                                        ctx["weight"], quad.n_space)
             elif kind == "spacetime":
                 rho, wr = singular_rule(sig, t, quad.n_time, left_exp=k1_exp)
                 out[k] = self.convolution(self.source, lambda rho, v, b: ctx["coeff"](rho, v),
@@ -409,7 +411,7 @@ class CorrectionKernel:
                     sig, wrow, rho, wr, b_max, t=t, spread_at=y)
         return out
 
-    def _sweep(self, tab: _Table, b_max):
+    def _sweep(self, tab: _Table):
         """One Volterra sweep, K^(1) convolved with the previous term, as a
         linear map of that term's regularized values on the table grid.
 
@@ -434,7 +436,7 @@ class CorrectionKernel:
         op = np.empty((n_sigma, n_w, n_time, n_w))
         for k, sig in enumerate(tab.sigma):
             wrow = tab.nodes(k)
-            v, wv = self.convolution_nodes(sig, wrow, rho[k], b_max)
+            v, wv = self.convolution_nodes(sig, wrow, rho[k], tab.b_max)
             rho_k = rho[k][:, None]
             weight = self.source(sig, wrow[:, None, None], rho_k, v) * wv * wr[k][:, None]
             iw, fw, inside = tab.columns(rho_k, v)
@@ -497,18 +499,19 @@ class FundamentalSolution:
         """Z1^(p) at points (s, x) of shape (anchors, points); row a belongs
         to the terminal anchor (t[a], y[a]).
 
-        Each anchor's point table and b_max come from the smallest s and the
-        x-range of its row.  The first series term (closed form) and the
-        tabulated remainder are convolved with Z0 for all (anchor, point)
-        pairs, POINT_BLOCK pairs per array pass.
+        Each anchor's point table serves the smallest s and the x-range of
+        its row, and the table's b_max sets the row's windows.  The first
+        series term (closed form) and the tabulated remainder are convolved
+        with Z0 for all (anchor, point) pairs, POINT_BLOCK pairs per array
+        pass.
         """
         corr, n_time = self.correction, 2 * self.quad.n_time
         s_lo, w_lo, w_hi = self._extent(t, np.min(s, axis=1), np.minimum(np.min(x, axis=1), y),
                                         np.maximum(np.max(x, axis=1), y))
-        b_max = corr._b_max(t, w_lo, w_hi)
         extents = zip(*(v.tolist() for v in (t, y, s_lo, w_lo, w_hi)))
-        tables = [corr.table("point", (round(ya, 12),), ta, lo_s, lo, hi, y=ya)
+        tables = [corr.table("point", (ya,), ta, lo_s, lo, hi, y=ya)
                   for ta, ya, lo_s, lo, hi in extents]
+        b_max = np.array([tab.b_max for tab in tables])
         n_points = s.shape[1]
         anchor = np.repeat(np.arange(len(t)), n_points)
         s, x = s.ravel(), x.ravel()
@@ -528,16 +531,11 @@ class FundamentalSolution:
                                           t=t_a, spread_at=y_a, spread=2.0)
         return _in_blocks(s.size, block).reshape(-1, n_points)
 
-    def _bmax_guess(self, t):
-        """Largest diffusion sampled on [0, t] at x = 0; t may be an array."""
-        ss = np.linspace(0.0, t, 5, axis=-1)
-        return np.max(self.side.diffusion(ss, 0.0 * ss), axis=-1) + 1e-12
-
     def _extent(self, t, s, x_lo, x_hi):
         """Extent (s_lo, w_lo, w_hi) of the table at terminal time t that serves
         points (s', x) with s' >= s and x in [x_lo, x_hi], through t - s only, so
         time-shifted data get shifted tables; arrays give one extent per anchor."""
-        pad = self.quad.r_cut * np.sqrt(self._bmax_guess(t) * (t - s)) + 0.5
+        pad = R_CUT * np.sqrt(self.correction._b_max(t, x_lo, x_hi) * (t - s)) + 0.5
         return s, x_lo - pad, x_hi + pad
 
     # -- weighted terminal functionals ---------------------------------------
@@ -554,13 +552,14 @@ class FundamentalSolution:
         s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
         if np.any(s >= t):
             raise TimeOrderError("terminal integral needs s < t")
-        b_max = self._bmax_guess(t)
+        tab = None if self.is_exact else self.final_table(
+            key, weight, t, float(np.min(s)), float(np.min(x)), float(np.max(x)))
+        # Z0 windows on the table's b_max, or an exact side's one diffusion
+        b_max = self.side.diffusion.constant_value() if tab is None else tab.b_max
         out = slice_integral(s, x, t, b_max, lambda y: _z0(
             self.side.diffusion(t, y) * (t - s)[..., None], y - x[..., None], p),
-            weight, 2 * self.quad.n_space, self.quad.r_cut)
-        if not self.is_exact and s.size:
-            tab = self.final_table(key, weight, t, float(np.min(s)),
-                                   float(np.min(x)), float(np.max(x)))
+            weight, 2 * self.quad.n_space)
+        if tab is not None:
             s_flat, x_flat = s.ravel(), x.ravel()
 
             def block(pts):
@@ -577,13 +576,14 @@ class FundamentalSolution:
         if s >= t:
             raise TimeOrderError("space-time integral needs s < t")
         corr, z0 = self.correction, _z0_left(0)
-        b_max = self._bmax_guess(t)
+        tab = None if self.is_exact else corr.table(
+            "spacetime", key, t, *self._extent(t, s, x, x), coeff=coeff)
+        b_max = self.side.diffusion.constant_value() if tab is None else tab.b_max
         rho, wr = singular_rule(s, t, 2 * self.quad.n_time)
         out = float(corr.convolution(z0, lambda rho, v, b: coeff(rho, v),
                                      s, x, rho, wr, b_max))
-        if self.is_exact:
+        if tab is None:
             return out
-        tab = corr.table("spacetime", key, t, *self._extent(t, s, x, x), coeff=coeff)
         return out + float(corr.convolution(z0, lambda rho, v, b: tab.eval(rho, v),
                                             s, x, rho, wr, b_max))
 
@@ -598,16 +598,15 @@ def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):
     """
     if s >= t:
         raise TimeOrderError("moment identities need s < t")
-    xr = round(x, 12)
     m0 = fs.terminal_integral(s, x, t, lambda y: np.ones_like(y), ("m0",))
-    m1 = fs.terminal_integral(s, x, t, lambda y: y - x, ("m1", xr))
-    m2 = fs.terminal_integral(s, x, t, lambda y: (y - x) ** 2, ("m2", xr))
+    m1 = fs.terminal_integral(s, x, t, lambda y: y - x, ("m1", x))
+    m2 = fs.terminal_integral(s, x, t, lambda y: (y - x) ** 2, ("m2", x))
     ra = rax = 0.0
     if not (fs.side.drift.is_constant and fs.side.drift.constant_value() == 0.0):
         ra = fs.spacetime_integral(s, x, t, lambda tau, z: fs.side.drift(tau, z),
                                    ("a",))
         rax = fs.spacetime_integral(
-            s, x, t, lambda tau, z: fs.side.drift(tau, z) * (z - x), ("ax", xr))
+            s, x, t, lambda tau, z: fs.side.drift(tau, z) * (z - x), ("ax", x))
     rb = fs.spacetime_integral(s, x, t, lambda tau, z: fs.side.diffusion(tau, z),
                                ("b",))
     return (abs(m0 - 1.0), abs(m1 - ra), abs(m2 - rb - 2.0 * rax))

@@ -25,12 +25,25 @@ from .parametrix import CorrectionQuadrature, FundamentalSolution, slice_integra
 from .problem import InitialFunction, Problem
 
 
-def graded_mesh(t: float, s_min: float, n: int = 64, gamma: float = 2.0) -> np.ndarray:
-    """Time nodes s_k = t - (t - s_min) (k/n)^gamma, ascending, clustered at t."""
+# grading exponent of the density mesh: squared spacing toward t matches the
+# sqrt(t - s) behaviour of the regularized densities there
+MESH_GAMMA = 2.0
+
+
+def graded_mesh(t: float, s_min: float, n: int = 64) -> np.ndarray:
+    """Time nodes s_k = t - (t - s_min) (k/n)^MESH_GAMMA, ascending, clustered at t."""
     if not s_min < t:
         raise TimeOrderError("graded mesh needs s_min < t")
     k = np.arange(1, n + 1)
-    return (t - (t - s_min) * (k / n) ** gamma)[::-1].copy()
+    return (t - (t - s_min) * (k / n) ** MESH_GAMMA)[::-1].copy()
+
+
+def interpolate_w(tau, mesh: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Regularized densities at the times tau from their values w on the mesh
+    nodes, one row of w per density and one entry of the result's trailing
+    axis: linear between nodes, constant past the last node (and before the
+    first)."""
+    return np.stack([np.interp(tau, mesh, row) for row in np.atleast_2d(w)], axis=-1)
 
 
 @dataclass
@@ -69,7 +82,7 @@ class DensityPair:
         tau = np.asarray(tau, dtype=float)
         if np.any(tau < self.mesh[0] - 1e-12):
             raise MeshMismatchError("evaluation time below the mesh span")
-        out = np.interp(tau, self.mesh, self.w1 if i == 1 else self.w2)
+        out = interpolate_w(tau, self.mesh, self.w1 if i == 1 else self.w2)[..., 0]
         return out if out.shape else float(out)
 
     def v(self, i: int, tau):
@@ -86,7 +99,6 @@ class PotentialQuadrature:
 
     n_time: int = 32
     n_space: int = 16
-    r_cut: float = 8.0
     geo_levels: int = 13
     geo_nodes: int = 6
 
@@ -140,7 +152,7 @@ class PotentialEvaluator:
             b = fs.side.diffusion(t, self.problem.h(t))
             out = slice_integral(s, x, t, b,
                                  lambda y: fs.principal(s[..., None], x[..., None], t, y, p),
-                                 phi, self.quad.n_space, self.quad.r_cut)
+                                 phi, self.quad.n_space)
         else:
             out = np.asarray(fs.terminal_integral(s, x, t, phi, _poisson_key(phi), p))
         return out if out.ndim else float(out)

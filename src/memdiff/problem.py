@@ -631,11 +631,10 @@ class Problem:
         v = np.concatenate([np.atleast_1d(u) for u in vals])
         return float(np.min(v)), float(np.max(v))
 
-    def side_of(self, s: float, x: float, tol_mem: float | None = None) -> str:
+    def side_of(self, s: float, x: float) -> str:
         """Classify x relative to the membrane at time s."""
         h = float(self.membrane(s))
-        tol = self.membrane_tolerance(s) if tol_mem is None else tol_mem
-        if abs(x - h) <= tol:
+        if abs(x - h) <= self.membrane_tolerance(s):
             return SIDE_MEMBRANE
         return SIDE_LEFT if x < h else SIDE_RIGHT
 

@@ -21,7 +21,7 @@ from ._quadrature import panel_rule
 from .boundary_system import SolverConfig, solve_densities
 from .errors import MeasureNotNullError, TimeOrderError
 from .parametrix import CorrectionQuadrature
-from .potentials import DensityPair, PotentialEvaluator, PotentialQuadrature
+from .potentials import DensityPair, PotentialEvaluator
 from .problem import InitialFunction, Problem
 
 
@@ -113,12 +113,10 @@ class SemigroupOperator:
     """Memoizing front end for the transition operators of one problem."""
 
     def __init__(self, problem: Problem, solver: SolverConfig | None = None,
-                 potential_quad: PotentialQuadrature | None = None,
                  correction_quad: CorrectionQuadrature | None = None):
         self.problem = problem
         self.solver = solver or SolverConfig()
-        self.evaluator = PotentialEvaluator(problem, potential_quad,
-                                            correction_quad)
+        self.evaluator = PotentialEvaluator(problem, correction_quad=correction_quad)
         self.coefficients = EffectiveCoefficients(problem)
         self._memo: dict = {}
         self._lock = threading.Lock()
@@ -149,12 +147,11 @@ class SemigroupOperator:
     # -- semigroup-law checks ------------------------------------------------------
 
     def chapman_kolmogorov_gap(self, s: float, tau: float, t: float,
-                               phi: InitialFunction, x_grid,
-                               n_tab: int = 481) -> float:
+                               phi: InitialFunction, x_grid) -> float:
         """Sup discrepancy of T_st phi vs T_s,tau applied to T_tau,t phi.
 
         The intermediate field is re-ingested as a tabulated initial
-        function on a dense window with cubic interpolation.
+        function on 481 points of a dense window, with cubic interpolation.
         """
         if not (s <= tau <= t):
             raise TimeOrderError("need s <= tau <= t")
@@ -164,7 +161,7 @@ class SemigroupOperator:
         b_max = self.problem.diffusion_bounds_rough()[1]
         pad = 8.0 * math.sqrt(b_max * max(t - s, 1e-12)) + 1.0
         x_dense = np.linspace(float(np.min(x_grid)) - pad,
-                              float(np.max(x_grid)) + pad, n_tab)
+                              float(np.max(x_grid)) + pad, 481)
         phi_mid = InitialFunction.from_samples(x_dense, inner(x_dense))
         outer = self.apply(s, tau, phi_mid)(x_grid)
         return float(np.max(np.abs(outer - direct)))
@@ -230,30 +227,26 @@ class SemigroupOperator:
         return term
 
     def weak_generator_pairing(self, s: float, phi: InitialFunction,
-                               f: InitialFunction, dt_values,
-                               support: tuple | None = None, n_panels: int = 24,
-                               n_nodes: int = 12):
+                               f: InitialFunction, dt_values):
         """Pairing of the transition quotient against a test function.
 
         Returns (list of lhs values, rhs): lhs(dt) pairs f with the quotient
-        (T_{s,s+dt} phi - phi)/dt by quadrature; rhs pairs f with the
+        (T_{s,s+dt} phi - phi)/dt by a 24-panel, 12-point Gauss rule over
+        the support, split at the membrane; rhs pairs f with the
         generator plus the membrane term carrying the Dirac drift weight and
         the jump-measure increments.
         """
         prob = self.problem
         h = float(prob.h(s))
-        if support is None:
-            if phi.kind == "polynomial-clamped" or f.kind == "polynomial-clamped":
-                c, _, r = f.params[:3] if f.kind == "polynomial-clamped" \
-                    else phi.params[:3]
-                support = (c - r, c + r)
-            else:
-                support = (h - 6.0, h + 6.0)
-        lo, hi = support
-        edges = np.linspace(lo, hi, n_panels + 1)
+        if phi.kind == "polynomial-clamped" or f.kind == "polynomial-clamped":
+            c, _, r = f.params[:3] if f.kind == "polynomial-clamped" else phi.params[:3]
+            lo, hi = c - r, c + r
+        else:
+            lo, hi = h - 6.0, h + 6.0
+        edges = np.linspace(lo, hi, 25)
         if lo < h < hi:
             edges = np.unique(np.concatenate([edges, [h]]))
-        x, w = panel_rule(edges, n_nodes)
+        x, w = panel_rule(edges, 12)
         f_vals = f(x)
 
         lhs = []
@@ -268,12 +261,12 @@ class SemigroupOperator:
         return lhs, rhs
 
     def generator_domain_check(self, s: float, phi: InitialFunction,
-                               dt_values, x_grid, tol_dom: float = 1e-8):
+                               dt_values, x_grid):
         """Domain residuals of the ordinary generator and the pointwise limit.
 
         residual 1: mismatch of the two side generators at the membrane;
         residual 2: the interface term that must vanish on the domain.  The
-        pointwise limit check runs only when both residuals pass.
+        pointwise limit check runs only when both residuals are at most 1e-8.
         """
         h = float(self.problem.h(s))
         res1 = float(abs(self._side_generator(1, s, phi, h)
@@ -281,7 +274,7 @@ class SemigroupOperator:
         res2 = abs(self._interface_term(s, phi))
         result = {"residual_generator_match": res1,
                   "residual_interface_term": res2,
-                  "in_domain": bool(res1 <= tol_dom and res2 <= tol_dom),
+                  "in_domain": bool(res1 <= 1e-8 and res2 <= 1e-8),
                   "limit_deviations": None}
         if not result["in_domain"]:
             return result

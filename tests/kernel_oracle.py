@@ -25,9 +25,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from memdiff._quadrature import singular_rule
-from memdiff.boundary_system import KernelAssembler, theta_blend_integral
+from memdiff.boundary_system import TOL_V, KernelAssembler, theta_blend_integral
 from memdiff.errors import ConvergenceFailureError, SingularIntegrandError, TimeOrderError
-from memdiff.parametrix import CorrectionKernel, FundamentalSolution, _ScaledTable, _z0
+from memdiff.parametrix import (
+    SERIES_TOL,
+    TABLE_GAMMA,
+    CorrectionKernel,
+    FundamentalSolution,
+    _ScaledTable,
+    _z0,
+)
 from memdiff.potentials import DensityPair, graded_mesh
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -299,7 +306,7 @@ def reference_solve(assembler: KernelAssembler, phi, t: float, s_min: float = 0.
     config = assembler.config
     kernels = ScalarKernels(assembler)
     rhs = ScalarRightHandSide(kernels, phi, t)
-    mesh = graded_mesh(t, s_min, config.mesh_n, config.mesh_gamma)
+    mesh = graded_mesh(t, s_min, config.mesh_n)
     n = len(mesh)
     sqrt_rem = np.sqrt(t - mesh)
     w = np.array([[rhs.combined(i, float(s)) * sqrt_rem[idx]
@@ -319,7 +326,7 @@ def reference_solve(assembler: KernelAssembler, phi, t: float, s_min: float = 0.
     current = w
     sups = [float(np.max(np.abs(current)))]
     for _ in range(config.k_max):
-        if sups[-1] <= config.tol_v * scale:
+        if sups[-1] <= TOL_V * scale:
             break
         nxt = np.zeros_like(current)
         for idx in range(n):
@@ -427,9 +434,9 @@ def _bilinear(g, pz, pw, clip_w=True):
 def table_lookup(tab, g, rho, v):
     """Raw values u(rho, v) of the series term g on the grid of table tab."""
     rho = np.asarray(rho, dtype=float)
-    pz = ((tab.t_anchor - rho) / tab.span) ** (1.0 / tab.gamma) * len(tab.zeta) - 1.0
+    pz = ((tab.t_anchor - rho) / tab.span) ** (1.0 / TABLE_GAMMA) * len(tab.zeta) - 1.0
     if isinstance(tab, _ScaledTable):  # point table, self-similar columns
-        scale = np.sqrt(tab.b_ref * (tab.t_anchor - rho))
+        scale = np.sqrt(tab.b_max * (tab.t_anchor - rho))
         pw = ((v - tab.y) / scale - tab.w[0]) / (tab.w[1] - tab.w[0])
         reg = _bilinear(g, pz, pw, clip_w=False)
     else:
@@ -461,7 +468,7 @@ def reference_table(side, quad, kind, t_anchor, s_lo, w_lo, w_hi, **ctx):
     stopping rule and divergence test."""
     kernel = CorrectionKernel(side, replace(quad, depth=1))
     tab = kernel.table(kind, None, t_anchor, s_lo, w_lo, w_hi, **ctx)
-    b_max = kernel._b_max(t_anchor, w_lo, w_hi)
+    b_max = tab.b_max
     term = tab.g.copy()
     scale = max(tab.term_sups[0], 1e-300)
     for _ in range(1, quad.depth):
@@ -469,11 +476,11 @@ def reference_table(side, quad, kind, t_anchor, s_lo, w_lo, w_hi, **ctx):
         tab.g = tab.g + term
         sup = float(np.max(np.abs(term)))
         tab.term_sups.append(sup)
-        if sup <= quad.tol * scale:
+        if sup <= SERIES_TOL * scale:
             break
     else:
         sups = tab.term_sups
-        if len(sups) >= 2 and sups[-1] > sups[-2] and sups[-1] > quad.tol * scale:
+        if len(sups) >= 2 and sups[-1] > sups[-2] and sups[-1] > SERIES_TOL * scale:
             raise ConvergenceFailureError("correction terms not decreasing")
     return tab
 
@@ -508,8 +515,8 @@ def point_correction_loop(fs: FundamentalSolution, s, x, t: float, y: float, p: 
                                        np.asarray(x, dtype=float))
     s_lo, w_lo, w_hi = fs._extent(t, float(np.min(s_arr)), min(float(np.min(x_arr)), y),
                                   max(float(np.max(x_arr)), y))
-    tab = fs.correction.table("point", (round(y, 12),), t, s_lo, w_lo, w_hi, y=y)
-    b_max = fs.correction._b_max(t, w_lo, w_hi)
+    tab = fs.correction.table("point", (y,), t, s_lo, w_lo, w_hi, y=y)
+    b_max = tab.b_max
     alpha = fs.correction.alpha
     out = np.empty(s_arr.shape)
     for idx in np.ndindex(s_arr.shape):

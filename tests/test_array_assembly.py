@@ -86,7 +86,7 @@ def assert_close(got, want):
 def test_kernel_matrix_matches_scalar_reference(name):
     _, _, t, config, _ = CASES[name]
     asm, ref = assembler(name), ScalarKernels(assembler(name))
-    mesh = graded_mesh(t, 0.0, config.mesh_n, config.mesh_gamma)
+    mesh = graded_mesh(t, 0.0, config.mesh_n)
     nodes = mesh[[0, len(mesh) // 2, -1]]
     tau, _ = singular_rule(nodes, t, config.n_kernel, left_exp=-0.5, right_exp=-0.5)
     got = asm.system_kernel_matrix(nodes[:, None], tau)
@@ -99,7 +99,7 @@ def test_kernel_matrix_matches_scalar_reference(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_right_hand_side_matches_scalar_reference(name):
     _, phi, t, config, _ = CASES[name]
-    mesh = graded_mesh(t, 0.0, config.mesh_n, config.mesh_gamma)
+    mesh = graded_mesh(t, 0.0, config.mesh_n)
     got = RightHandSide(assembler(name), phi, t).combined(mesh)
     ref = ScalarRightHandSide(ScalarKernels(assembler(name)), phi, t)
     want = np.array([[ref.combined(i, float(s)) for s in mesh] for i in (1, 2)])
@@ -150,7 +150,7 @@ def test_anchor_array_kernel_matches_per_anchor_eval():
     # points of each along the trailing axis; anchor heights differ
     _, _, t, config, correction = CASES["variable"]
     side = variable_problem().left
-    mesh = graded_mesh(t, 0.0, config.mesh_n, config.mesh_gamma)[:3]
+    mesh = graded_mesh(t, 0.0, config.mesh_n)[:3]
     tau, _ = singular_rule(mesh, t, config.n_kernel, left_exp=-0.5, right_exp=-0.5)
     rho, _ = singular_rule(mesh[:, None], tau, config.n_holmgren)
     x, y = 0.1 * np.sin(5.0 * rho), 0.05 * tau[..., None]
@@ -172,7 +172,7 @@ def test_variable_side_layer_and_direct_value_match_per_anchor_eval():
     prob = variable_problem(MembranePath("sinusoidal", [0.0, 0.1, 2.0]))
     _, _, t, config, correction = CASES["variable"]
     quad = PotentialQuadrature(n_time=8, geo_levels=3, geo_nodes=4)
-    mesh = graded_mesh(t, 0.0, config.mesh_n, config.mesh_gamma)
+    mesh = graded_mesh(t, 0.0, config.mesh_n)
     dens = DensityPair(t, mesh, np.cos(mesh), np.sin(mesh))
     s, x = 0.1, np.array([-0.7, -0.3, -0.05])
     got = PotentialEvaluator(prob, quad, correction).layer(1, s, x, t, dens)
@@ -231,7 +231,7 @@ def test_moving_membrane_builds_one_poisson_table(monkeypatch):
 def test_moving_membrane_right_hand_side_is_order_independent():
     _, _, _, config, correction = CASES["variable"]
     t = 0.4
-    mesh = graded_mesh(t, 0.0, config.mesh_n, config.mesh_gamma)
+    mesh = graded_mesh(t, 0.0, config.mesh_n)
 
     def rhs():
         ev = PotentialEvaluator(MOVING_VARIABLE, None, correction)

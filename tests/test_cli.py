@@ -2,13 +2,17 @@
 
 import json
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memdiff.boundary_system import SolverConfig
 from memdiff.cli import fmt_sig, main
 from memdiff.errors import ConvergenceFailureError, SingularIntegrandError
+from memdiff.mc_oracle import SimConfig
 from memdiff.problem import InitialFunction, Problem, validate
 from memdiff.semigroup import SemigroupOperator
 
@@ -151,8 +155,7 @@ def test_compare_mc_command_skew(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "mc.json"
-    assert run(["compare-mc", "--config", cfg_path, "--out", out,
-                "--threads", "2"]) == 0
+    assert run(["compare-mc", "--config", cfg_path, "--out", out]) == 0
     assert read_json(out)["passed"]
 
 
@@ -190,6 +193,35 @@ def test_check_rejects_config_failing_validation(tmp_path, capsys):
                 "--out", out]) == 2
     assert "failed validation" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "compare-mc"])
+def test_phi_above_its_declared_sup_norm_exits_2(tmp_path, capsys, command):
+    # condition III: the amplitude-1 Gaussian declares sup_norm 0.1; the
+    # validate command reports the failed condition, the others refuse it
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["phi"]["sup_norm"] = 0.1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["validate", "--config", cfg_path, "--out", out]) == 1
+    assert [c["condition"] for c in read_json(out)["checks"] if not c["passed"]] == ["III"]
+    out.unlink()
+    assert run([command, "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "condition III" in err
+    assert not out.exists()
+
+
+def test_readme_range_table_lists_every_run_setting():
+    # the solver.* and mc.* rows of README's range table name exactly the
+    # fields of SolverConfig and SimConfig
+    rows = [line for line in (REPO / "README.md").read_text().splitlines()
+            if line.startswith("| `")]
+    for section, config in (("solver", SolverConfig), ("mc", SimConfig)):
+        named = {m for row in rows for m in re.findall(rf"`{section}\.(\w+)`", row)}
+        assert named == {f.name for f in fields(config)}
 
 
 @pytest.mark.parametrize("case", ["invalid-problem", "zero-paths", "unknown-mc-key"])

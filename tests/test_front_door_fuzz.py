@@ -56,8 +56,6 @@ PROBLEMS.append(_with_atom_and_window())
 
 RUN_CONFIG = _read("skew.json")
 RUN_CONFIG.update(solver={f.name: f.default for f in fields(SolverConfig)}, grid_resolution=65)
-RUN_CONFIG["mc"].update(scheme="euler-skew", block_size=16384, jump_layer=1.0,
-                        crossing_risk_cap=0.05)
 RUN_SECTIONS = ("grid", "solver", "mc", "s", "t", "precision", "grid_resolution")
 
 
@@ -81,15 +79,10 @@ RUN_SCHEMA = _object_schema({
     "t": _num(exclusiveMinimum=0, maximum=1.5),
     "grid": _object_schema({"min": _num(), "max": _num(), "n": _int(1)}, ("min", "max", "n")),
     "solver": _object_schema({
-        "mesh_n": _int(8), "mesh_gamma": _num(minimum=1), "n_kernel": _int(1),
-        "n_holmgren": _int(1), "tol_v": _num(exclusiveMinimum=0), "k_max": _int(1),
-        "delta": {"anyOf": [{"type": "null"}, _num(exclusiveMinimum=0)]},
-        "contraction_onset": _int(0)}),
+        "mesh_n": _int(8), "n_kernel": _int(1), "n_holmgren": _int(1), "k_max": _int(1),
+        "delta": {"anyOf": [{"type": "null"}, _num(exclusiveMinimum=0)]}}),
     "mc": _object_schema({
-        "paths": _int(1), "dt": _num(exclusiveMinimum=0), "seed": _int(0, 2 ** 64 - 1),
-        "scheme": {"enum": ["euler-skew", "exact-gaussian-increment"]},
-        "block_size": _int(1), "jump_layer": _num(exclusiveMinimum=0),
-        "crossing_risk_cap": _num(minimum=0)}),
+        "paths": _int(1), "dt": _num(exclusiveMinimum=0), "seed": _int(0, 2 ** 64 - 1)}),
     "precision": _int(1, 17),
     "grid_resolution": _int(3),
 }, ("t",))
@@ -180,10 +173,11 @@ def test_run_config_parsers_refuse_what_the_schema_refuses(doc):
 @pytest.mark.parametrize("overrides", [{"block_size": 0}, {"paths": 2.5}, {"seed": -1},
                                        {"crossing_risk_cap": "x"}, {"dt": math.nan}])
 def test_sim_settings_are_refused_before_any_simulation(overrides):
-    # simulate() would loop forever on block_size = 0, so the setting is
-    # refused where the settings are parsed and never reaches it
+    # an out-of-range setting is refused where the settings are parsed, and
+    # block_size and crossing_risk_cap, constants of simulate(), as unknown keys
     args = argparse.Namespace(paths=None, seed=None)
     with pytest.raises(ConfigError):
         cli.build_sim({"mc": overrides}, args)
-    with pytest.raises(ConfigError):
-        SimConfig(**overrides)
+    if set(overrides) <= {f.name for f in fields(SimConfig)}:
+        with pytest.raises(ConfigError):
+            SimConfig(**overrides)

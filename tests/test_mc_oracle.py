@@ -1,6 +1,8 @@
 """Skew-density closed form and particle-simulation cross-checks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,11 @@ from memdiff.mc_oracle import (
     skew_action,
     skew_density,
 )
-from memdiff.problem import InitialFunction
+from memdiff.problem import InitialFunction, Problem
 from memdiff.semigroup import SemigroupOperator
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def gauss(z, var):
@@ -104,27 +109,36 @@ def test_simulation_skew_exit_probability(skew_problem):
     assert abs(res.mean - 0.75) <= max(3 * res.stderr, 6e-3)
 
 
-def test_simulation_exact_scheme_agrees_with_euler(symmetric_problem, centered_phi):
-    cfg_e = SimConfig(paths=20_000, dt=1e-3, seed=3, scheme="euler-skew")
-    cfg_x = SimConfig(paths=20_000, dt=1e-3, seed=5,
-                      scheme="exact-gaussian-increment")
-    r_e = simulate(symmetric_problem, 0.0, 0.1, 0.5, centered_phi, cfg_e)
-    r_x = simulate(symmetric_problem, 0.0, 0.1, 0.5, centered_phi, cfg_x)
-    assert abs(r_e.mean - r_x.mean) <= 3 * (r_e.stderr + r_x.stderr)
+def test_simulation_seeds_agree(symmetric_problem, centered_phi):
+    cfg_a = SimConfig(paths=20_000, dt=1e-3, seed=3)
+    cfg_b = SimConfig(paths=20_000, dt=1e-3, seed=5)
+    r_a = simulate(symmetric_problem, 0.0, 0.1, 0.5, centered_phi, cfg_a)
+    r_b = simulate(symmetric_problem, 0.0, 0.1, 0.5, centered_phi, cfg_b)
+    assert abs(r_a.mean - r_b.mean) <= 3 * (r_a.stderr + r_b.stderr)
 
 
-def test_schemes_agree_in_distribution(symmetric_problem):
-    # empirical distribution functions of the two schemes compared at five
+def test_seeds_agree_in_distribution(symmetric_problem):
+    # empirical distribution functions of two seeds compared at five
     # thresholds, each a proportion with binomial error bars
-    cfg_e = SimConfig(paths=10_000, dt=1e-3, seed=3, scheme="euler-skew")
-    cfg_x = SimConfig(paths=10_000, dt=1e-3, seed=5,
-                      scheme="exact-gaussian-increment")
+    cfg_a = SimConfig(paths=10_000, dt=1e-3, seed=3)
+    cfg_b = SimConfig(paths=10_000, dt=1e-3, seed=5)
     for cut in (-0.6, -0.2, 0.0, 0.3, 0.8):
         ind = InitialFunction("indicator-smoothed", [-1e6, cut, 1e-4])
-        r_e = simulate(symmetric_problem, 0.0, 0.1, 0.5, ind, cfg_e)
-        r_x = simulate(symmetric_problem, 0.0, 0.1, 0.5, ind, cfg_x)
-        spread = math.sqrt(r_e.stderr ** 2 + r_x.stderr ** 2)
-        assert abs(r_e.mean - r_x.mean) <= 3.5 * max(spread, 1e-4)
+        r_a = simulate(symmetric_problem, 0.0, 0.1, 0.5, ind, cfg_a)
+        r_b = simulate(symmetric_problem, 0.0, 0.1, 0.5, ind, cfg_b)
+        spread = math.sqrt(r_a.stderr ** 2 + r_b.stderr ** 2)
+        assert abs(r_a.mean - r_b.mean) <= 3.5 * max(spread, 1e-4)
+
+
+def test_simulation_honours_constant_drift():
+    # started at x = -3 with t = 0.1 the paths stay far from the membrane, and
+    # phi(y) = y + 3 near -3, so the estimate is the mean displacement mu t
+    cfg = json.loads((CONFIGS / "symmetric_heat.json").read_text())
+    cfg["problem"]["left"]["drift"]["params"] = [1.0]
+    problem = Problem.from_dict(cfg["problem"])
+    phi = InitialFunction("polynomial-clamped", [-3.0, 2.0, 3.0, 0.0, 1.0])
+    res = simulate(problem, 0.0, -3.0, 0.1, phi, SimConfig(paths=20_000, dt=1e-3, seed=7))
+    assert abs(res.mean - 0.1) <= 3 * res.stderr
 
 
 def test_simulation_moving_membrane_vs_solver(moving_membrane_problem,
