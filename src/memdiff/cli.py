@@ -8,9 +8,10 @@ Commands
 
 Exit codes: 0 success / all checks passed, 1 some check failed, 2 config or
 validation error, 3 solver failure (a divergent density iteration or
-correction series, a non-decaying Holmgren integrand) or unreliable
-simulation step, 4 I/O error.  Reports carry no timestamps, so reruns with
-identical inputs are byte-identical.
+correction series, a non-decaying Holmgren integrand), an unreliable
+simulation step or a zero-variance Monte Carlo estimate, 4 I/O error.
+Reports carry no timestamps, so reruns with identical inputs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     SeriesDivergenceError,
     SingularIntegrandError,
     StepTooLargeError,
+    ZeroVarianceError,
 )
 from .mc_oracle import SimConfig, compare, simulate
 from .parametrix import moment_residuals
@@ -281,6 +283,11 @@ def cmd_compare_mc(cfg: dict, args) -> int:
     with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
         sims = list(pool.map(lambda x_val: simulate(problem, s, float(x_val), t, phi, config),
                              grid))
+    for x_val, res in zip(grid, sims):
+        if res.stderr <= 0:
+            raise ZeroVarianceError(
+                f"x={fmt_sig(float(x_val), 6)}: every path returned phi = "
+                f"{fmt_sig(res.mean)}, so the estimate has no standard error and no z-score")
     comparisons = [compare(v, res.mean, res.stderr) for v, res in zip(solver_values, sims)]
     entries = [entry("mc-z-score", f"x={fmt_sig(float(x_val), 6)}", c.z_score, c.k_sigma)
                for x_val, c in zip(grid, comparisons)]
@@ -321,7 +328,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SeriesDivergenceError, ConvergenceFailureError, SingularIntegrandError,
-            StepTooLargeError) as exc:
+            StepTooLargeError, ZeroVarianceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except IOError as exc:

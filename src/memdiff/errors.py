@@ -45,5 +45,9 @@ class StepTooLargeError(MemdiffError):
     """Monte Carlo membrane-crossing resolution is unreliable at this step size."""
 
 
+class ZeroVarianceError(MemdiffError):
+    """Every Monte Carlo path returned the same phi value: no standard error."""
+
+
 class ConfigError(MemdiffError):
     """A problem, run configuration or setting is malformed or out of range."""

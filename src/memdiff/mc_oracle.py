@@ -5,7 +5,9 @@ crossing parameter alpha, scale sigma) is the image formula
 
     p(dt, x, y) = g(y - x) + sign(y) (2 alpha - 1) g(|x| + |y|),
 
-with g the centered Gaussian density of variance sigma^2 dt.  The particle
+with g the centered Gaussian density of variance sigma^2 dt.  Rescaling
+each side of a unit skew Brownian motion by its own sigma gives the closed
+form for two constant diffusion scales (two_scale_density).  The particle
 simulation realizes the pasted diffusion directly: Euler-Maruyama between
 crossings, and on a membrane crossing the landing side is redrawn with the
 membrane weights read as exit probabilities.  Atomic jump measures are
@@ -23,7 +25,7 @@ import numpy as np
 
 from ._quadrature import panel_rule
 from .errors import StepTooLargeError, TimeOrderError
-from .problem import InitialFunction, Problem, require_number
+from .problem import CoefficientField, InitialFunction, Problem, require_number
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,42 @@ def skew_density(params: SkewParams, dt: float, x, y):
 
     out = g(y - x) + np.sign(y) * (2.0 * params.alpha - 1.0) * g(np.abs(x) + np.abs(y))
     return float(out) if out.ndim == 0 else out
+
+
+def two_scale_density(problem: Problem, dt: float, x, y):
+    """Transition density of the two-scale problem after elapsed time dt.
+
+    Constant diffusions b1 and b2, zero drifts, constant q, a flat membrane
+    at h and no atoms.  X = h + sigma(Y) Y with Y a unit skew Brownian
+    motion of parameter beta = q2 sqrt(b1) / (q1 sqrt(b2) + q2 sqrt(b1))
+    and sigma = sqrt(b1) left, sqrt(b2) right (the oscillating Brownian
+    motion of Keilson and Wellner), so
+
+        p(dt, x, y) = p_skew^beta(dt, (x - h)/sigma(x), (y - h)/sigma(y)) / sigma(y).
+
+    beta is written out here, apart from Problem.membrane_weights, so that
+    the closed form stays an independent check of the solver.
+    """
+    left, right = problem.left, problem.right
+    if not (left.diffusion.is_constant and right.diffusion.is_constant
+            and all(f.is_constant and f.constant_value() == 0.0
+                    for f in (left.drift, right.drift))
+            and problem.membrane.is_constant and problem.wentzell.measure.is_null
+            and problem.wentzell.q1.is_constant and problem.wentzell.q2.is_constant):
+        raise ValueError("the two-scale closed form needs constant diffusions, zero "
+                         "drifts, constant q, a flat membrane and no atoms")
+    r1 = math.sqrt(left.diffusion.constant_value())
+    r2 = math.sqrt(right.diffusion.constant_value())
+    q1 = float(problem.q(1, 0.0))
+    q2 = float(problem.q(2, 0.0))
+    beta = q2 * r1 / (q1 * r2 + q2 * r1)
+    h = float(problem.h(0.0))
+    x = np.asarray(x, dtype=float) - h
+    y = np.asarray(y, dtype=float) - h
+    sigma_y = np.where(y >= 0.0, r2, r1)
+    out = skew_density(SkewParams(beta), dt, x / np.where(x >= 0.0, r2, r1),
+                       y / sigma_y) / sigma_y
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def skew_action(params: SkewParams, dt: float, x: float, phi) -> float:
@@ -119,6 +157,24 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, block]))
 
 
+def _on_sides(left: CoefficientField, right: CoefficientField):
+    """The coefficient on each path's side, as a function of (on_right, s, xs).
+
+    A constant field enters as its scalar; two equal constants give the
+    scalar itself, so the step arithmetic broadcasts it instead of
+    reading an array.
+    """
+    c1 = left.constant_value() if left.is_constant else None
+    c2 = right.constant_value() if right.is_constant else None
+    if c1 is not None and c1 == c2:
+        return lambda on_right, s, xs: c1
+
+    def value(on_right, s, xs):
+        return np.where(on_right, right(s, xs) if c2 is None else c2,
+                        left(s, xs) if c1 is None else c1)
+    return value
+
+
 def simulate(problem: Problem, s: float, x: float, t: float,
              phi: InitialFunction, config: SimConfig | None = None) -> SimResult:
     """Estimate the phi-average of the pasted diffusion started at (s, x).
@@ -130,6 +186,11 @@ def simulate(problem: Problem, s: float, x: float, t: float,
     for flat membranes and constant scales this resolve reproduces the
     exact one-step law.  Raises StepTooLargeError when the average
     second-interaction indicator of resolved steps exceeds CROSSING_RISK_CAP.
+
+    The time-only data (membrane, q, membrane diffusions) is evaluated once
+    per call on the arrays of step times, and the resolve runs on the
+    resolved paths only; every step still draws full blocks in a fixed
+    order (normal, touch uniform, side uniform, then the atom draws).
     """
     config = config or SimConfig()
     if s >= t:
@@ -138,6 +199,27 @@ def simulate(problem: Problem, s: float, x: float, t: float,
     dt = (t - s) / n_steps
     meas = problem.wentzell.measure
     has_atoms = not meas.is_null
+
+    starts = s + np.arange(n_steps) * dt
+    ends = starts + dt
+    h0 = problem.h(starts)
+    b1h = problem.diffusion(1, starts, h0)
+    b2h = problem.diffusion(2, starts, h0)
+    r1, r2 = np.sqrt(b1h), np.sqrt(b2h)
+    q1, q2 = problem.q(1, starts), problem.q(2, starts)
+    # the membrane weights are written out here on purpose, apart from
+    # Problem.membrane_weights, so that the oracle stays an independent
+    # check of the solver
+    denom = q1 * r2 + q2 * r1
+    l2 = q2 * r1 / denom
+    steps = (starts, ends, h0, problem.h(ends), r1, r2, l2)
+    if has_atoms:
+        b_bar = 0.5 * (b1h + b2h)
+        layers = JUMP_LAYER * np.sqrt(b_bar * dt)
+        half_d_sum = 0.5 * ((b1h * r2 + b2h * r1) / denom)
+        ells = np.sqrt(dt / b_bar) / JUMP_LAYER
+    diffusion = _on_sides(problem.left.diffusion, problem.right.diffusion)
+    drift = _on_sides(problem.left.drift, problem.right.drift)
 
     sums = []
     sq_sums = []
@@ -150,64 +232,45 @@ def simulate(problem: Problem, s: float, x: float, t: float,
         rng = _block_generator(config.seed, block)
         xs = np.full(size, float(x))
         risk = 0.0
-        for k in range(n_steps):
-            sk = s + k * dt
-            sk1 = sk + dt
-            h_k = float(problem.h(sk))
-            h_k1 = float(problem.h(sk1))
+        for k, (sk, sk1, h_k, h_k1, r1_k, r2_k, l2_k) in enumerate(zip(*steps)):
             right = xs >= h_k
-            b = np.where(right, problem.diffusion(2, sk, xs),
-                         problem.diffusion(1, sk, xs))
-            a = np.where(right, problem.drift(2, sk, xs), problem.drift(1, sk, xs))
+            b_dt = diffusion(right, sk, xs) * dt
+            a = drift(right, sk, xs)
             noise = rng.standard_normal(size)
-            prop = xs + a * dt + np.sqrt(b * dt) * noise
-
-            b1h = float(problem.diffusion(1, sk, h_k))
-            b2h = float(problem.diffusion(2, sk, h_k))
-            q1 = float(problem.q(1, sk))
-            q2 = float(problem.q(2, sk))
-            # the membrane weights are written out here on purpose, apart
-            # from Problem.membrane_weights, so that the oracle stays an
-            # independent check of the solver
-            denom = q1 * math.sqrt(b2h) + q2 * math.sqrt(b1h)
-            l2 = q2 * math.sqrt(b1h) / denom
+            prop = xs + a * dt + np.sqrt(b_dt) * noise
 
             land_right = prop >= h_k1
-            crossed = right != land_right
             # same-side steps may still have touched the membrane: the
             # Brownian bridge touch probability exp(-2 d0 d1 / (b dt));
             # resolving touched steps alongside crossed ones makes the
             # one-step law exact for flat membranes and constant scales
-            d0 = np.abs(xs - h_k)
-            d1 = np.abs(prop - h_k1)
-            p_touch = np.exp(-2.0 * d0 * d1 / (b * dt + 1e-300))
-            u_touch = rng.random(size)
-            resolve = crossed | (u_touch < p_touch)
-            u_side = rng.random(size)
-            dest_right = u_side < l2
             excess = np.abs(prop - h_k1)
-            scale = np.where(dest_right, math.sqrt(b2h), math.sqrt(b1h)) \
-                / np.where(land_right, math.sqrt(b2h), math.sqrt(b1h))
-            resolved = h_k1 + np.where(dest_right, 1.0, -1.0) * excess * scale
-            xs = np.where(resolve, resolved, prop)
+            b_dt_eps = b_dt + 1e-300
+            p_touch = np.exp(-2.0 * np.abs(xs - h_k) * excess / b_dt_eps)
+            u_touch = rng.random(size)
+            at = np.flatnonzero((right != land_right) | (u_touch < p_touch))
+            u_side = rng.random(size)
+
+            dest_right = u_side[at] < l2_k
+            e_res = excess[at] * (np.where(dest_right, r2_k, r1_k)
+                                  / np.where(land_right[at], r2_k, r1_k))
+            xs = prop
+            xs[at] = h_k1 + np.where(dest_right, 1.0, -1.0) * e_res
             # step-size reliability: probability that a resolved step
             # interacts with the membrane again before it ends
-            e_res = excess * scale
-            risk += float(np.mean(np.where(
-                resolve, np.exp(-2.0 * e_res * e_res / (b * dt + 1e-300)), 0.0)))
+            again = np.zeros(size)
+            again[at] = np.exp(-2.0 * e_res * e_res
+                               / (b_dt_eps[at] if np.ndim(b_dt_eps) else b_dt_eps))
+            risk += float(np.mean(again))
             if has_atoms:
-                b_bar = 0.5 * (b1h + b2h)
-                layer = JUMP_LAYER * math.sqrt(b_bar * dt)
-                in_layer = np.abs(xs - h_k1) < layer
+                in_layer = np.abs(xs - h_k1) < layers[k]
                 uj = rng.random(size)
                 if np.any(in_layer):
                     y_at = meas.positions(sk1)
                     w_at = meas.weights(sk1)
                     total_w = float(np.sum(w_at))
                     if total_w > 0:
-                        d_sum = (b1h * math.sqrt(b2h) + b2h * math.sqrt(b1h)) / denom
-                        ell = math.sqrt(dt / b_bar) / JUMP_LAYER
-                        p_jump = min(1.0, 0.5 * d_sum * total_w * ell)
+                        p_jump = min(1.0, half_d_sum[k] * total_w * ells[k])
                         do_jump = in_layer & (uj < p_jump)
                         if np.any(do_jump):
                             choice = rng.random(size)

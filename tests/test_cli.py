@@ -159,6 +159,29 @@ def test_compare_mc_command_skew(tmp_path):
     assert read_json(out)["passed"]
 
 
+@pytest.mark.parametrize("case", ["constant-one", "unreached-gaussian", "one-path"])
+def test_compare_mc_zero_variance_exits_3(tmp_path, capsys, case):
+    # every path returns the same phi value: the estimate has no standard
+    # error and so no z-score; the point is named and no report is written
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["grid"] = {"min": -0.5, "max": 0.5, "n": 3}
+    cfg["mc"] = {"paths": 2000, "dt": 0.002, "seed": 42}
+    extra = []
+    if case == "constant-one":
+        cfg["phi"] = {"kind": "constant-one", "params": [1.0]}
+    elif case == "unreached-gaussian":
+        cfg["phi"] = {"kind": "gaussian-bump", "params": [1.0, 30.0, 0.1]}
+    else:
+        extra = ["--paths", "1"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "mc.json"
+    assert run(["compare-mc", "--config", cfg_path, "--out", out] + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: x=-0.5:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dump_kernels(tmp_path):
     out = tmp_path / "field.csv"
     dump = tmp_path / "kernels.json"

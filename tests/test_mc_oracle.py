@@ -1,5 +1,6 @@
 """Skew-density closed form and particle-simulation cross-checks."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import atom_at, make_problem
+from memdiff._quadrature import panel_rule
 from memdiff.errors import StepTooLargeError
 from memdiff.mc_oracle import (
     SimConfig,
@@ -15,9 +18,18 @@ from memdiff.mc_oracle import (
     simulate,
     skew_action,
     skew_density,
+    two_scale_density,
 )
-from memdiff.problem import InitialFunction, Problem
+from memdiff.problem import (
+    CoefficientField,
+    InitialFunction,
+    MembranePath,
+    Problem,
+    TimeFunction,
+    WentzellData,
+)
 from memdiff.semigroup import SemigroupOperator
+from simulate_reference import reference_simulate
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -56,7 +68,6 @@ def test_density_started_on_membrane():
 
 def test_density_normalization():
     rng = np.random.default_rng(1)
-    from memdiff._quadrature import panel_rule
     for _ in range(10):
         alpha = rng.uniform(0.05, 0.95)
         dt = rng.uniform(0.05, 1.5)
@@ -78,6 +89,48 @@ def test_skew_action_matches_heat_for_even_data():
     var = 0.64 + d
     want = 0.8 / math.sqrt(var)  # value at x = 0 of the heat evolution
     assert skew_action(params, d, 0.0, phi) == pytest.approx(want, rel=1e-9)
+
+
+def two_scale_action(problem, t, x, phi):
+    """integral of phi(y) two_scale_density(t, x, y) dy by 24-point panels."""
+    edges = np.concatenate([np.linspace(-12.0, 0.0, 40), np.linspace(0.0, 12.0, 40)[1:]])
+    y, w = panel_rule(edges, 24)
+    return float(np.sum(phi(y) * two_scale_density(problem, t, x, y) * w))
+
+
+@pytest.mark.parametrize("b2, q1, q2, t, center, width", [
+    (4.0, 0.5, 0.5, 1.25, 0.0, 0.4),    # phi centred on the membrane
+    (4.0, 0.25, 0.75, 0.6, 0.0, 0.6),   # on the membrane, asymmetric q
+    (2.5, 0.3, 0.7, 0.8, 0.3, 0.6),
+    (0.5, 0.6, 0.4, 0.5, -0.4, 0.5),    # the faster side on the left
+])
+def test_two_scale_closed_form_matches_solver(b2, q1, q2, t, center, width):
+    problem = make_problem(b1=1.0, b2=b2, q1=q1, q2=q2)
+    phi = InitialFunction.gaussian(1.0, center, width)
+    xs = np.linspace(-1.5, 1.5, 7)
+    field = SemigroupOperator(problem).apply(0.0, t, phi)(xs)
+    want = [two_scale_action(problem, t, float(x), phi) for x in xs]
+    assert np.max(np.abs(field - want)) <= 1e-3
+
+
+def test_two_scale_density_with_equal_scales_is_skew():
+    problem = make_problem(b1=2.0, b2=2.0, q1=0.3, q2=0.7)
+    params = SkewParams(alpha=0.7, sigma=math.sqrt(2.0))
+    y = np.linspace(-3.0, 3.0, 41)
+    for x in (-0.7, 0.0, 0.4):
+        np.testing.assert_allclose(two_scale_density(problem, 0.6, x, y),
+                                   skew_density(params, 0.6, x, y), rtol=0, atol=1e-15)
+
+
+def test_two_scale_density_shifts_with_the_membrane():
+    flat = make_problem(b1=1.0, b2=4.0, q1=0.3, q2=0.7)
+    shifted = make_problem(b1=1.0, b2=4.0, q1=0.3, q2=0.7,
+                           membrane=MembranePath.constant(0.5))
+    y = np.linspace(-2.0, 2.0, 9)
+    np.testing.assert_allclose(two_scale_density(shifted, 0.4, 0.8, y + 0.5),
+                               two_scale_density(flat, 0.4, 0.3, y), rtol=1e-14)
+    with pytest.raises(ValueError):
+        two_scale_density(make_problem(a1=1.0), 0.4, 0.0, y)
 
 
 def test_simulation_seed_determinism(symmetric_problem, gaussian_phi):
@@ -184,3 +237,49 @@ def test_compare_roundtrip_dict():
     d = compare(0.5, 0.49, 0.01).to_dict()
     assert set(d) == {"passed", "z_score", "solver_value", "mc_estimate",
                       "stderr", "k_sigma"}
+
+
+def _varying_left_diffusion():
+    problem = make_problem(q1=0.25, q2=0.75)
+    left = dataclasses.replace(problem.left, diffusion=CoefficientField(
+        "sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, 0.1, 2.0]))
+    return dataclasses.replace(problem, left=left)
+
+
+def _moving_membrane_varying_q():
+    problem = make_problem(membrane=MembranePath("sinusoidal", [0.0, 0.1, 2.0]))
+    wz = WentzellData(TimeFunction("linear", [0.3, 0.2]),
+                      TimeFunction("sinusoidal", [0.6, 0.1, 3.0]),
+                      problem.wentzell.measure)
+    return dataclasses.replace(problem, wentzell=wz)
+
+
+BITWISE_CASES = {
+    "flat-heat": (lambda: make_problem(), 3000),
+    "flat-skew": (lambda: make_problem(q1=0.25, q2=0.75), 3000),
+    "two-scale": (lambda: make_problem(b1=1.0, b2=4.0), 3000),
+    "moving-membrane": (lambda: Problem.from_dict(json.loads(
+        (CONFIGS / "moving_membrane.json").read_text())["problem"]), 3000),
+    "moving-membrane-varying-q": (_moving_membrane_varying_q, 3000),
+    "constant-drifts": (lambda: make_problem(a1=1.0, a2=-0.5, q1=0.25, q2=0.75), 3000),
+    "varying-diffusion": (_varying_left_diffusion, 3000),
+    "atoms": (lambda: make_problem(atoms=(atom_at(-1.0), atom_at(1.0))), 3000),
+    "atoms-two-scale": (lambda: make_problem(b1=1.0, b2=2.0, q1=0.4, q2=0.6, atoms=(
+        atom_at(-1.0, 0.6), atom_at(1.0, 1.1))), 3000),
+    "two-blocks": (lambda: make_problem(b1=1.0, b2=2.5, q1=0.3, q2=0.7), 20_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+def test_simulate_bitwise_equals_reference(case, gaussian_phi):
+    # the time data and the resolved-only resolve change no bit: the same
+    # streams are drawn in the same order and every sum runs in full order
+    build, paths = BITWISE_CASES[case]
+    problem = build()
+    config = SimConfig(paths=paths, dt=0.002, seed=5)
+    got = simulate(problem, 0.1, 0.2, 0.6, gaussian_phi, config)
+    want = reference_simulate(problem, 0.1, 0.2, 0.6, gaussian_phi, config)
+    for name in ("mean", "stderr", "crossing_risk", "jump_bias_indicator"):
+        assert getattr(got, name) == getattr(want, name), name
+    if case.startswith("atoms"):
+        assert got.jump_bias_indicator > 0  # the jump-layer branch ran
