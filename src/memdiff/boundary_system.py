@@ -17,11 +17,10 @@ never by numerical differentiation.  After elimination the system reads
     V_i(s,t) = Psi_i(s,t) + sum_j integral N_ij(s,tau) V_j(tau,t) d tau
 
 and is solved by successive approximations on the regularized unknowns
-W_i = (t-s)^(1/2) V_i over a graded mesh.  The jump-measure part of the
-kernels is handled through the split into a weakly singular piece and a
-factored strongly singular piece; the theta-integral appearing in the
-factorization has an affine exponent and is therefore evaluated in closed
-form.
+W_i = (t-s)^(1/2) V_i over a graded mesh.  The jump measure has finitely
+many atoms, none on the membrane (validate refuses one there), so each atom
+keeps a positive distance from it and enters the kernels through the plain
+difference w_k (G(y_k) - G(h)), a regular kernel.
 
 Everything is evaluated on arrays (product-integration Nystrom): the
 kernels on the (mesh node, tau node) array with the Holmgren rho nodes as a
@@ -59,15 +58,12 @@ class SolverConfig:
     n_kernel: int = 16
     n_holmgren: int = 24
     k_max: int = 200
-    delta: float | None = None
 
     def __post_init__(self):
         require_number(self.mesh_n, "solver mesh_n", integer=True, ge=8)
         require_number(self.n_kernel, "solver n_kernel", integer=True, ge=1)
         require_number(self.n_holmgren, "solver n_holmgren", integer=True, ge=1)
         require_number(self.k_max, "solver k_max", integer=True, ge=1)
-        if self.delta is not None:
-            require_number(self.delta, "solver delta", gt=0)
 
 
 # the iteration stops once an iterate's sup falls below TOL_V times the sup
@@ -135,23 +131,6 @@ def holmgren_transform(f, s, t, f_s=None, n: int = 24, left_exp: float = -0.5):
 # kernels
 # ---------------------------------------------------------------------------
 
-def theta_blend_integral(sq_far, sq_near, denom):
-    """Closed form of the theta integral of the factored atom kernel.
-
-    integral over theta in (0,1) of exp(-[(1-theta) sq_far + theta sq_near]
-    / denom), which equals (exp(-c0) - exp(-c1)) / (c1 - c0) with
-    c0 = sq_far/denom, c1 = sq_near/denom.
-    """
-    c0 = np.asarray(sq_far, dtype=float) / denom
-    c1 = np.asarray(sq_near, dtype=float) / denom
-    d = c1 - c0
-    small = np.abs(d) < 1e-6
-    d_safe = np.where(small, 1.0, d)
-    out = np.where(small, np.exp(-0.5 * (c0 + c1)),
-                   (np.exp(-c0) - np.exp(-c1)) / d_safe)
-    return out if out.shape else float(out)
-
-
 class KernelAssembler:
     """The interface kernels of one problem on arrays of (s, tau) pairs."""
 
@@ -160,8 +139,6 @@ class KernelAssembler:
         self.problem = problem
         self.config = config or SolverConfig()
         self.evaluator = evaluator or PotentialEvaluator(problem)
-        self.delta = (self.config.delta if self.config.delta is not None
-                      else default_delta(problem))
         self._flat_exact = {
             i: self.evaluator.fs[i].is_exact and problem.membrane.is_constant
             for i in (1, 2)
@@ -176,47 +153,25 @@ class KernelAssembler:
     # -- the system kernel ------------------------------------------------------
 
     def _side_kernel(self, j: int, s, tau, h_s, h_tau):
-        """Side-j parts shared by both equations: (regular plus factored
-        singular part, transformed continuity kernel)."""
+        """Side-j parts shared by both equations: (flux kernel, transformed
+        continuity kernel)."""
         prob = self.problem
         fs = self.evaluator.fs[j]
-        b_tau = prob.diffusion(j, tau, h_tau)
-        dt = tau - s
-        denom = 2.0 * b_tau * dt
 
         def g(x, p=0, mask=None):
             return fs.on_anchors(s[..., None], x[..., None], tau[..., None],
                                  h_tau[..., None], p, mask)[..., 0]
 
         # reflection term first: it opens every anchor of a correction side
-        k_reg = (-1.0) ** j * prob.q(j, s) * g(h_s, p=1)
-        near_sum = 0.0
+        k = (-1.0) ** j * prob.q(j, s) * g(h_s, p=1)
         for atom in prob.wentzell.measure.atoms:
             y = np.broadcast_to(atom.position(s), s.shape)
             w = np.broadcast_to(atom.weight(s), s.shape)
             on_side = (np.where(y < h_s, 1, 2) == j) & (w != 0.0)
-            if not np.any(on_side):
-                continue
-            near = on_side & (np.abs(y - h_s) < self.delta)
-            far = on_side & ~near
-            g_y, g_h = g(y, mask=on_side), g(h_s, mask=on_side)
-            k_reg = k_reg + np.where(far, w * (g_y - g_h), 0.0)
-            if not np.any(near):
-                continue
-            # near atom: the correction-part difference stays regular, the
-            # principal difference is factored through the theta integral
-            if not fs.is_exact:
-                k_reg = k_reg + np.where(near, w * (
-                    (g_y - fs.principal(s, y, tau, h_tau))
-                    - (g_h - fs.principal(s, h_s, tau, h_tau))), 0.0)
-            theta = theta_blend_integral((y - h_tau) ** 2, (h_s - h_tau) ** 2, denom)
-            # membrane-motion part of the factored principal difference
-            k_reg = k_reg + np.where(
-                near, (h_tau - h_s) / (math.sqrt(2 * math.pi) * (b_tau * dt) ** 1.5)
-                * (y - h_s) * w * theta, 0.0)
-            near_sum = near_sum + np.where(near, (y - h_s) ** 2 * w * theta, 0.0)
-        bare_pref = -1.0 / (2.0 * math.sqrt(2 * math.pi) * (b_tau * dt) ** 1.5)
-        return k_reg + bare_pref * near_sum, self._holmgren_kernel(j, s, tau, h_tau)
+            if np.any(on_side):
+                k = k + np.where(on_side, w * (g(y, mask=on_side) - g(h_s, mask=on_side)),
+                                 0.0)
+        return k, self._holmgren_kernel(j, s, tau, h_tau)
 
     def _holmgren_kernel(self, j: int, s, tau, h_tau):
         """Kernel produced by transforming the continuity equation.
@@ -246,10 +201,9 @@ class KernelAssembler:
         """Full kernel values N_ij(s, tau), shape (2, 2) + broadcast shape.
 
         s and tau broadcast together.  N_ij = d_i (K_j + (-1)^i q_other /
-        sqrt(b_other) R_j): K_j carries the reflection term, the far-atom
-        and correction measure terms, the membrane-motion atom term and the
-        factored near-atom part, whose atom weights are squared distances to
-        the membrane; R_j is the Holmgren-transformed continuity kernel.
+        sqrt(b_other) R_j): K_j is the flux kernel of side j, the reflection
+        term plus w_k (G(y_k) - G(h)) for each atom on that side; R_j is the
+        Holmgren-transformed continuity kernel.
         """
         s, tau = np.broadcast_arrays(np.asarray(s, dtype=float),
                                      np.asarray(tau, dtype=float))
@@ -274,30 +228,20 @@ def elimination_factor(problem: Problem, i: int, s, h):
     return (-1.0) ** i * problem.q(3 - i, s) / np.sqrt(problem.diffusion(3 - i, s, h))
 
 
-def _atom_sample(problem: Problem):
-    """65 times over the horizon, and each atom's distance to the membrane
-    and weight there, one row per atom."""
-    ss = np.linspace(0.0, problem.horizon, 65)
+def m_delta_witness(problem: Problem) -> float:
+    """Sampled smallness witness of the measure mass, m_delta at delta =
+    infinity since no atom is split off: (b_max/b_min)^2 pi/(2 q0) times
+    the largest sum over the atoms of w_k |y_k - h|, at 65 times over the
+    horizon."""
     atoms = problem.wentzell.measure.atoms
-    gaps = np.abs(np.array([a.position(ss) for a in atoms]) - problem.membrane(ss))
-    return ss, gaps, np.array([a.weight(ss) for a in atoms])
-
-
-def default_delta(problem: Problem) -> float:
-    """Half the minimal atom distance to the membrane over the horizon."""
-    if problem.wentzell.measure.is_null:
-        return math.inf
-    return 0.5 * float(np.min(_atom_sample(problem)[1]))
-
-
-def m_delta_witness(problem: Problem, delta: float) -> float:
-    """Sampled smallness witness of the near-membrane measure mass."""
-    if problem.wentzell.measure.is_null or not math.isfinite(delta):
+    if not atoms:
         return 0.0
     b_min, b_max = problem.diffusion_bounds_rough()
-    ss, gaps, weights = _atom_sample(problem)
+    ss = np.linspace(0.0, problem.horizon, 65)
+    gaps = np.abs(np.array([a.position(ss) for a in atoms]) - problem.membrane(ss))
+    weights = np.array([a.weight(ss) for a in atoms])
     q0 = float(np.min(problem.wentzell.q1(ss) + problem.wentzell.q2(ss)))
-    worst = float(np.max(np.sum(np.where(gaps < delta, gaps * weights, 0.0), axis=0)))
+    worst = float(np.max(np.sum(gaps * weights, axis=0)))
     return (b_max / b_min) ** 2 * math.pi / (2.0 * q0) * worst
 
 
@@ -396,7 +340,6 @@ class RightHandSide:
 class SolveDiagnostics:
     iterate_sups: list = field(default_factory=list)
     iterations: int = 0
-    delta: float = math.inf
     m_delta: float = 0.0
     converged: bool = False
     # numerical witness that the regularized densities stay bounded by a
@@ -437,8 +380,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
                 mesh[block, None], tau_nodes[block])
         kern *= wt * (t - tau_nodes) ** (-0.5)
 
-    diag = SolveDiagnostics(delta=assembler.delta,
-                            m_delta=m_delta_witness(problem, assembler.delta))
+    diag = SolveDiagnostics(m_delta=m_delta_witness(problem))
     scale = max(phi.sup_norm, 1e-300)
     total = w.copy()
     current = w
@@ -460,7 +402,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
             if rise_count >= 3:
                 raise SeriesDivergenceError(
                     f"iterate sup norms not contracting (m_delta witness "
-                    f"{diag.m_delta:.3g}, delta {diag.delta:.3g})")
+                    f"{diag.m_delta:.3g})")
         else:
             rise_count = 0
     else:

@@ -723,36 +723,33 @@ def validate(problem: Problem, grid_resolution: int = 65,
     S, X = np.meshgrid(ss, xs, indexing="ij")
     checks = []
 
-    # condition I: uniform parabolicity
-    b_min, b_max = np.inf, -np.inf
-    for i in (1, 2):
-        v = np.asarray(problem.diffusion(i, S, X), dtype=float)
+    # condition I: uniform parabolicity (the diffusion samples serve
+    # condition II too)
+    diffusions = [np.asarray(problem.diffusion(i, S, X), dtype=float) for i in (1, 2)]
+    ok = True
+    notes = []
+    for i, v in enumerate(diffusions, 1):
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
             raise NonparabolicCoefficientError(
                 f"diffusion sample <= 0 on side {i} (min {np.min(v):.3g})")
-        b_min = min(b_min, float(np.min(v)))
-        b_max = max(b_max, float(np.max(v)))
-    ok = True
-    notes = []
-    for i, side in ((1, problem.left), (2, problem.right)):
-        v = np.asarray(problem.diffusion(i, S, X), dtype=float)
+        side = problem.side(i)
         if side.diffusion_min is not None and np.min(v) < side.diffusion_min - 1e-12:
             ok = False
             notes.append(f"side {i} sample below declared minimum")
         if side.diffusion_max is not None and np.max(v) > side.diffusion_max + 1e-12:
             ok = False
             notes.append(f"side {i} sample above declared maximum")
+    b_min = min(float(np.min(v)) for v in diffusions)
+    b_max = max(float(np.max(v)) for v in diffusions)
     checks.append(ConditionCheck("I", ok, {"b_min": b_min, "b_max": b_max},
                                  "; ".join(notes)))
 
     # condition II: sampled Holder quotients of the coefficients
     quot = 0.0
-    for i in (1, 2):
+    for i, diffusion in enumerate(diffusions, 1):
         alpha = problem.side(i).holder_exponent
-        for fld in (problem.side(i).drift, problem.side(i).diffusion):
-            v = np.asarray(fld(S, X), dtype=float)
-            if v.shape != S.shape:
-                v = np.broadcast_to(v, S.shape)
+        for v in (np.asarray(problem.drift(i, S, X), dtype=float), diffusion):
+            v = np.broadcast_to(v, S.shape)
             dx = np.abs(np.diff(xs))[None, :]
             quot = max(quot, _holder_quotient(np.diff(v, axis=1), dx, alpha))
             ds = np.abs(np.diff(ss))[:, None]

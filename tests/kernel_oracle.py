@@ -1,13 +1,12 @@
 """Scalar reference for the interface system: one (s, tau) pair at a time.
 
 Point-by-point evaluation of the Holmgren transform, the flux and
-transformed continuity kernels, the combined system kernel with its
-factored singular part, the right-hand side, and the successive
-approximations with per-node np.interp.  The library evaluates the same
-formulas on whole node arrays; the tests compare the two.
+transformed continuity kernels, the combined system kernel, the right-hand
+side, and the successive approximations with per-node np.interp.  The
+library evaluates the same formulas on whole node arrays; the tests compare
+the two.
 
-Two validation-only routes live here as well: the u-substitution time
-integral of the factored singular part, and the Gaussian envelope fit of
+A validation-only route lives here as well: the Gaussian envelope fit of
 the parametrix correction kernel.
 
 The parametrix correction has its row-by-row reference too: the Neumann
@@ -20,12 +19,12 @@ Kernels on arrays of terminal anchors have a per-anchor loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from memdiff._quadrature import singular_rule
-from memdiff.boundary_system import TOL_V, KernelAssembler, theta_blend_integral
+from memdiff.boundary_system import TOL_V, KernelAssembler
 from memdiff.errors import ConvergenceFailureError, SingularIntegrandError, TimeOrderError
 from memdiff.parametrix import (
     SERIES_TOL,
@@ -35,7 +34,7 @@ from memdiff.parametrix import (
     _ScaledTable,
     _z0,
 )
-from memdiff.potentials import DensityPair, graded_mesh
+from memdiff.potentials import graded_mesh
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -68,26 +67,6 @@ def scalar_holmgren_transform(f, s: float, t: float, f_s: float | None = None,
     return INV_SQRT_2PI * integral - SQRT_2_OVER_PI * fs_val / math.sqrt(t - s)
 
 
-@dataclass
-class SingularKernelPart:
-    """Factored strongly singular kernel piece of one (equation, side) pair.
-
-    value = prefactor * sum over near atoms of weight_k * theta_integral_k,
-    with prefactor = -d_i(s) / (2 sqrt(2 pi) [b_j(tau,h(tau)) (tau-s)]^(3/2)),
-    weight_k = (y_k - h(s))^2 w_k(s).
-    """
-
-    prefactor: float
-    weights: np.ndarray
-    theta_integrals: np.ndarray
-
-    @property
-    def value(self) -> float:
-        if len(self.weights) == 0:
-            return 0.0
-        return self.prefactor * float(np.sum(self.weights * self.theta_integrals))
-
-
 class ScalarKernels:
     """Pointwise kernels of the assembler's problem, evaluator and config."""
 
@@ -95,7 +74,6 @@ class ScalarKernels:
         self.problem = assembler.problem
         self.config = assembler.config
         self.evaluator = assembler.evaluator
-        self.delta = assembler.delta
         self._flat_exact = {
             i: self.evaluator.fs[i].is_exact and self.problem.membrane.is_constant
             for i in (1, 2)
@@ -164,76 +142,22 @@ class ScalarKernels:
             left_exp=self.problem.kernel_time_exponent())
         return (-1.0) ** j * value
 
-    def _kernel_pieces(self, j: int, s: float, tau: float, delta: float):
-        """(k_reg, near_weights, near_thetas, bare_prefactor, r_val) of side j."""
-        h_s = float(self.problem.h(s))
-        h_tau = float(self.problem.h(tau))
-        q_j = float(self.problem.q(j, s))
-        b_j_tau = float(self.problem.diffusion(j, tau, h_tau))
-        dt = tau - s
-        denom = 2.0 * b_j_tau * dt
-
-        k_reg = (-1.0) ** j * q_j * float(self._g(j, s, h_s, tau, h_tau, p=1))
-        y, w, sides = self._atom_data(s)
-        near_w, near_theta = [], []
-        fs = self.evaluator.fs[j]
-        for yk, wk, side in zip(y, w, sides):
-            if side != j or wk == 0.0:
-                continue
-            if abs(yk - h_s) >= delta:
-                k_reg += wk * float(self._g(j, s, yk, tau, h_tau)
-                                    - self._g(j, s, h_s, tau, h_tau))
-                continue
-            if not fs.is_exact:
-                k_reg += wk * float(
-                    (fs.eval(s, yk, tau, h_tau) - fs.principal(s, yk, tau, h_tau))
-                    - (fs.eval(s, h_s, tau, h_tau) - fs.principal(s, h_s, tau, h_tau)))
-            theta = float(theta_blend_integral((yk - h_tau) ** 2,
-                                               (h_s - h_tau) ** 2, denom))
-            k_reg += ((h_tau - h_s) / (math.sqrt(2 * math.pi) * (b_j_tau * dt) ** 1.5)
-                      * (yk - h_s) * wk * theta)
-            near_w.append((yk - h_s) ** 2 * wk)
-            near_theta.append(theta)
-        bare_pref = -1.0 / (2.0 * math.sqrt(2 * math.pi) * (b_j_tau * dt) ** 1.5)
-        r_val = self.holmgren_kernel(j, s, tau)
-        return k_reg, np.asarray(near_w), np.asarray(near_theta), bare_pref, r_val
-
-    def system_kernel(self, i: int, j: int, s: float, tau: float,
-                      delta: float | None = None):
-        """Regular and factored singular parts of N_ij; their sum is N_ij."""
-        if s >= tau:
-            raise TimeOrderError("system kernel needs s < tau")
-        delta = self.delta if delta is None else delta
-        d_i = self.coupling_weights(s)[i - 1]
-        h_s = float(self.problem.h(s))
-        q_other = float(self.problem.q(3 - i, s))
-        b_other = float(self.problem.diffusion(3 - i, s, h_s))
-        k_reg, near_w, near_theta, bare_pref, r_val = \
-            self._kernel_pieces(j, s, tau, delta)
-        regular = d_i * (k_reg + (-1.0) ** i * q_other / math.sqrt(b_other) * r_val)
-        return regular, SingularKernelPart(d_i * bare_pref, near_w, near_theta)
-
-    def system_kernel_value(self, i: int, j: int, s: float, tau: float) -> float:
-        reg, sing = self.system_kernel(i, j, s, tau)
-        return reg + sing.value
-
     def system_kernel_matrix(self, s: float, tau_nodes) -> np.ndarray:
-        """Full kernel values N_ij(s, tau_q), shape (2, 2, len(tau_nodes))."""
+        """Full kernel values N_ij(s, tau_q) = d_i (K_j + (-1)^i q_other /
+        sqrt(b_other) R_j), with K_j the flux kernel and R_j the transformed
+        continuity kernel; shape (2, 2, len(tau_nodes))."""
         d = self.coupling_weights(s)
         h_s = float(self.problem.h(s))
         out = np.zeros((2, 2, len(tau_nodes)))
         for q_idx, tq in enumerate(tau_nodes):
             for j in (1, 2):
-                k_reg, near_w, near_theta, bare_pref, r_val = \
-                    self._kernel_pieces(j, float(s), float(tq), self.delta)
-                sing = bare_pref * float(np.sum(near_w * near_theta)) \
-                    if len(near_w) else 0.0
-                base = k_reg + sing
+                k_val = self.flux_kernel(j, float(s), float(tq))
+                r_val = self.holmgren_kernel(j, float(s), float(tq))
                 for i in (1, 2):
                     q_other = float(self.problem.q(3 - i, s))
                     b_other = float(self.problem.diffusion(3 - i, s, h_s))
                     out[i - 1, j - 1, q_idx] = d[i - 1] * (
-                        base + (-1.0) ** i * q_other / math.sqrt(b_other) * r_val)
+                        k_val + (-1.0) ** i * q_other / math.sqrt(b_other) * r_val)
         return out
 
 
@@ -338,52 +262,6 @@ def reference_solve(assembler: KernelAssembler, phi, t: float, s_min: float = 0.
         total += current
         sups.append(float(np.max(np.abs(current))))
     return mesh, total, sups
-
-
-def singular_part_time_integral(assembler: KernelAssembler, i: int, j: int,
-                                s: float, t: float, densities: DensityPair,
-                                delta: float | None = None, n_theta: int = 24,
-                                n_u: int = 20) -> float:
-    """Time integral of the factored singular kernel against the density.
-
-    Substitution route: theta stays an outer quadrature variable (with the
-    inverse-square-root endpoint weight at theta = 1, n_theta nodes) and the
-    inner time integral uses u = g/sqrt(tau-s) (two panels of n_u nodes),
-    which maps the (tau-s)^(-3/2) exponential-weighted singularity onto a
-    Gaussian-type integrand, the same change of variables that produces the
-    closed-form full-interval integral.  Used to validate the direct
-    product-quadrature route.
-    """
-    prob = assembler.problem
-    delta = assembler.delta if delta is None else delta
-    h_s = float(prob.h(s))
-    b_j_s = float(prob.diffusion(j, s, h_s))
-    d_i = ScalarKernels(assembler).coupling_weights(s)[i - 1]
-    meas = prob.wentzell.measure
-    y, w = meas.positions(s), meas.weights(s)
-    sides = np.where(y < h_s, 1, 2)
-    total = 0.0
-    theta, w_theta = singular_rule(0.0, 1.0, n_theta, right_exp=-0.5)
-    for yk, wk, side in zip(y, w, sides):
-        if side != j or wk == 0.0 or abs(yk - h_s) >= delta:
-            continue
-        for th, wth in zip(theta, w_theta):
-            g_bar = math.sqrt((1.0 - th) * (yk - h_s) ** 2 / (2.0 * b_j_s))
-            u_min = g_bar / math.sqrt(t - s)
-            parts = [singular_rule(u_min, u_min + 1.0, n_u, left_exp=-0.5),
-                     singular_rule(u_min + 1.0, u_min + 9.0, n_u)]
-            for u, wu in parts:
-                tau = s + g_bar ** 2 / u ** 2
-                b_tau = np.asarray(prob.diffusion(j, tau, prob.h(tau)), dtype=float)
-                h_tau = np.asarray(prob.h(tau), dtype=float)
-                a_val = ((1.0 - th) * (yk - h_tau) ** 2 + th * (h_s - h_tau) ** 2)
-                expo = np.exp(-a_val / (2.0 * b_tau * (tau - s)))
-                pref = -d_i / (2.0 * math.sqrt(2 * math.pi) * b_tau ** 1.5)
-                dens = densities.w(j, np.minimum(tau, densities.t - 1e-14)) \
-                    * (t - tau) ** (-0.5)
-                vals = pref * (yk - h_s) ** 2 * wk * expo * dens
-                total += (2.0 / g_bar) * float(np.sum(vals * wu)) * wth
-    return total
 
 
 def audit_correction_envelope(fs: FundamentalSolution, samples):

@@ -63,8 +63,6 @@ CASES = {
                     PHI, 1.0, SolverConfig(), None),
     "atoms": (make_problem(atoms=(atom_at(-1.0), atom_at(1.0))),
               PHI, 1.0, SolverConfig(), None),
-    "atoms-near": (make_problem(atoms=(atom_at(-1.0), atom_at(1.0))),
-                   PHI, 1.0, SolverConfig(delta=3.0), None),
     "two-scale": (make_problem(b1=1.0, b2=4.0), PHI, 1.0, SolverConfig(), None),
     "variable": (variable_problem(), InitialFunction.one(), 0.5, VAR_SOLVER,
                  VAR_CORRECTION),

@@ -1,6 +1,7 @@
 """Interface-system tests: transforms, kernels, and the density solve."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,23 +10,17 @@ from memdiff.boundary_system import (
     KernelAssembler,
     RightHandSide,
     SolverConfig,
-    default_delta,
     first_kind_residual,
     holmgren_transform,
     m_delta_witness,
     solve_densities,
-    theta_blend_integral,
 )
-from memdiff.errors import SingularIntegrandError, TimeOrderError
+from memdiff.errors import SeriesDivergenceError, SingularIntegrandError, TimeOrderError
 from memdiff.potentials import PotentialEvaluator
 from memdiff.problem import InitialFunction, MembranePath
 
 from conftest import atom_at, make_problem
-from kernel_oracle import (
-    ScalarKernels,
-    scalar_holmgren_transform,
-    singular_part_time_integral,
-)
+from kernel_oracle import ScalarKernels, scalar_holmgren_transform
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -179,60 +174,6 @@ def test_coupling_weights_reference_values(two_scale_problem):
     assert d2 == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
-def test_system_kernel_no_measure_has_null_singular_part(skew_problem):
-    asm = ScalarKernels(KernelAssembler(skew_problem))
-    reg, sing = asm.system_kernel(1, 2, 0.2, 0.7)
-    assert sing.value == 0.0
-    assert len(sing.weights) == 0
-
-
-def test_system_kernel_split_matches_direct_assembly():
-    # near-atom split (factored theta form) must reproduce the plain
-    # kernel difference: the split is algebra, not approximation
-    prob = make_problem(q1=0.3, q2=0.7,
-                        membrane=MembranePath("sinusoidal", [0.0, 0.1, 2.0]),
-                        atoms=(atom_at(0.6), atom_at(-0.8)))
-    asm = KernelAssembler(prob, config=SolverConfig(delta=2.0))
-    asm_far = KernelAssembler(prob, config=SolverConfig(delta=1e-6))
-    s = np.array([[0.1], [0.2], [0.3]])
-    tau = np.array([[0.5, 0.7], [0.4, 0.9], [1.2, 0.31]])
-    split = asm.system_kernel_matrix(s, tau)
-    plain = asm_far.system_kernel_matrix(s, tau)
-    assert np.allclose(split, plain, rtol=1e-10, atol=1e-13)
-    # the scalar reference splits the same way
-    for (i, j, sv, tv) in ((1, 1, 0.1, 0.5), (2, 1, 0.2, 0.4), (1, 2, 0.3, 1.2)):
-        reg, sing = ScalarKernels(asm).system_kernel(i, j, sv, tv)
-        reg_f, sing_f = ScalarKernels(asm_far).system_kernel(i, j, sv, tv)
-        assert sing.value != 0.0 and sing_f.value == 0.0
-        assert reg + sing.value == pytest.approx(reg_f, rel=1e-10, abs=1e-13)
-
-
-def test_system_kernel_singular_shape_as_time_gap_closes():
-    prob = make_problem(atoms=(atom_at(0.5),))
-    asm = ScalarKernels(KernelAssembler(prob, config=SolverConfig(delta=1.0)))
-    s = 0.2
-    prods = []
-    for dt in (0.2, 0.05, 0.01, 0.002):
-        _, sing = asm.system_kernel(2, 2, s, s + dt)
-        prods.append(abs(sing.value) * dt ** 1.5)
-    assert all(np.isfinite(prods))
-    assert prods[-1] <= prods[0] + 1e-12
-
-
-def test_theta_blend_integral_matches_quadrature():
-    rng = np.random.default_rng(8)
-    from memdiff._quadrature import gauss_legendre
-    xi, wi = gauss_legendre(200)
-    theta = 0.5 * (xi + 1.0)
-    for _ in range(20):
-        sq_far, sq_near = rng.uniform(0.0, 4.0, size=2)
-        denom = rng.uniform(0.05, 2.0)
-        brute = 0.5 * np.sum(wi * np.exp(-((1 - theta) * sq_far
-                                           + theta * sq_near) / denom))
-        assert theta_blend_integral(sq_far, sq_near, denom) == pytest.approx(
-            brute, rel=1e-10)
-
-
 # -- density solve -----------------------------------------------------------------
 
 def test_solve_symmetric_gives_null_densities(symmetric_problem, gaussian_phi):
@@ -268,17 +209,6 @@ def test_solve_contraction_witness(skew_moving_problem, gaussian_phi):
     assert all(b <= max(a * 0.9, 1e-30) for a, b in zip(tail, tail[1:]))
 
 
-def test_solve_delta_override_equivalence():
-    # atoms handled through the far branch (default delta) and through the
-    # factored near branch (forced large delta) give the same densities
-    prob = make_problem(q1=0.3, q2=0.7, atoms=(atom_at(1.0), atom_at(-1.0)))
-    phi = InitialFunction.gaussian(amp=1.0, center=0.3, width=0.6)
-    d_far = solve_densities(prob, phi, 1.0)
-    d_near = solve_densities(prob, phi, 1.0, config=SolverConfig(delta=3.0))
-    assert np.allclose(d_far.w1, d_near.w1, atol=1e-10)
-    assert np.allclose(d_far.w2, d_near.w2, atol=1e-10)
-
-
 def test_solve_side_swap_symmetry():
     # swapping sides together with the reflection x -> -x maps the
     # densities onto each other for even initial data
@@ -296,12 +226,22 @@ def test_solve_density_bound_witness(skew_problem, gaussian_phi):
     assert dens.diagnostics.w_sup_ratio < 5.0
 
 
-def test_default_delta_and_witness():
-    prob = make_problem(atoms=(atom_at(1.0), atom_at(-0.5)))
-    assert default_delta(prob) == pytest.approx(0.25)
-    assert m_delta_witness(prob, default_delta(prob)) == 0.0
-    # forcing both atoms inside the split makes the witness positive
-    assert m_delta_witness(prob, 2.0) > 0.0
+def test_m_delta_witness():
+    # atoms at 1.0 (weight 1) and -0.5 (weight 2) on a flat membrane at 0,
+    # q1 + q2 = 0.4, b = 1 left and 4 right: the witness is
+    # (b_max/b_min)^2 pi/(2 q0) (1 * 1.0 + 2 * 0.5)
+    prob = make_problem(b1=1.0, b2=4.0, q1=0.1, q2=0.3,
+                        atoms=(atom_at(1.0), atom_at(-0.5, 2.0)))
+    assert m_delta_witness(prob) == pytest.approx(16.0 * math.pi / 0.8 * 2.0, rel=1e-12)
+    assert m_delta_witness(make_problem(b1=1.0, b2=4.0)) == 0.0
+    # the heavy atom of acceptance criterion 11: the divergence message
+    # carries a witness above 1
+    heavy = make_problem(q1=0.05, q2=0.05, atoms=(atom_at(0.05, 80.0),))
+    phi = InitialFunction.gaussian(amp=1.0, center=0.3, width=0.6)
+    with pytest.raises(SeriesDivergenceError, match="m_delta witness") as exc:
+        solve_densities(heavy, phi, 1.0, config=SolverConfig(k_max=40))
+    witness = re.search(r"m_delta witness ([0-9.e+-]+)", str(exc.value)).group(1)
+    assert float(witness) > 1.0
 
 
 def test_first_kind_residual_symmetric(symmetric_problem, gaussian_phi):
@@ -340,36 +280,10 @@ def test_flux_equation_residual_moving_membrane(skew_moving_problem, gaussian_ph
         assert lhs == pytest.approx(total, abs=5e-3 * gaussian_phi.sup_norm)
 
 
-def test_singular_route_matches_direct_product_rule():
-    # the u-substitution route for the factored singular part agrees with
-    # pointwise product integration of the same kernel piece
-    prob = make_problem(q1=0.3, q2=0.7, atoms=(atom_at(0.6),))
-    phi = InitialFunction.gaussian(amp=1.0, center=0.3, width=0.6)
-    t = 1.0
-    config = SolverConfig(delta=1.0)
-    ev = PotentialEvaluator(prob)
-    asm = KernelAssembler(prob, ev, config)
-    dens = solve_densities(prob, phi, t, config=config, evaluator=ev)
-    from memdiff._quadrature import singular_rule
-    s = 0.3
-    via_usub = singular_part_time_integral(asm, 2, 2, s, t, dens)
-    via_usub_fine = singular_part_time_integral(asm, 2, 2, s, t, dens,
-                                                n_theta=64, n_u=48)
-    tau, wt = singular_rule(s, t, 128, left_exp=-0.5, right_exp=-0.5)
-    vals = []
-    for tq in tau:
-        _, sing = ScalarKernels(asm).system_kernel(2, 2, s, float(tq))
-        vals.append(sing.value)
-    direct = float(np.sum(np.array(vals) * dens.v(2, tau) * wt))
-    assert via_usub == pytest.approx(direct, rel=5e-3)
-    assert via_usub_fine == pytest.approx(direct, rel=5e-4)
-    assert abs(via_usub_fine - direct) < abs(via_usub - direct)
-
-
 def test_closed_form_time_integral_identity():
     # integral over (s,t) of (t-tau)^(-1/2) (tau-s)^(-3/2) exp(-beta/(tau-s))
-    # equals sqrt(pi/beta) (t-s)^(-1/2) exp(-beta/(t-s)); the u-substitution
-    # pattern used for the singular part reproduces it
+    # equals sqrt(pi/beta) (t-s)^(-1/2) exp(-beta/(t-s)); the substitution
+    # u = sqrt(beta/(tau-s)) on two singular_rule panels reproduces it
     from memdiff._quadrature import singular_rule
     s, t = 0.2, 1.1
     for beta in (0.1, 0.5, 2.0):

@@ -377,13 +377,15 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     ("check", ("problem", "wentzell", "measure", "extra"), 1),
     ("check", ("problem", "extra"), 1),
     ("check", ("extra",), 1),
+    ("check", ("solver", "delta"), None),
+    ("check", ("solver", "delta"), 1.0),
 ])
 def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     # a fractional grid size, a terminal time past the horizon (1.5), a
-    # negative near-atom radius, a start time before 0, a second start time
-    # where the command runs from one, an out-of-range or non-finite setting
-    # and an unknown key are refused before any solve, by a message that
-    # names the offending key
+    # start time before 0, a second start time where the command runs from
+    # one, an out-of-range or non-finite setting and an unknown key, such
+    # as solver.delta at any value, are refused before any solve, by a
+    # message that names the offending key
     cfg = read_json(CONFIGS / "skew.json")
     target = cfg
     for key in path[:-1]:

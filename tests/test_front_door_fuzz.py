@@ -79,8 +79,7 @@ RUN_SCHEMA = _object_schema({
     "t": _num(exclusiveMinimum=0, maximum=1.5),
     "grid": _object_schema({"min": _num(), "max": _num(), "n": _int(1)}, ("min", "max", "n")),
     "solver": _object_schema({
-        "mesh_n": _int(8), "n_kernel": _int(1), "n_holmgren": _int(1), "k_max": _int(1),
-        "delta": {"anyOf": [{"type": "null"}, _num(exclusiveMinimum=0)]}}),
+        "mesh_n": _int(8), "n_kernel": _int(1), "n_holmgren": _int(1), "k_max": _int(1)}),
     "mc": _object_schema({
         "paths": _int(1), "dt": _num(exclusiveMinimum=0), "seed": _int(0, 2 ** 64 - 1)}),
     "precision": _int(1, 17),
