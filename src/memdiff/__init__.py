@@ -25,7 +25,7 @@ from .parametrix import (
     PrincipalKernel,
     moment_residuals,
 )
-from .potentials import DensityPair, PotentialEvaluator, PotentialQuadrature, graded_mesh
+from .potentials import DensityPair, PotentialEvaluator, graded_mesh
 from .problem import (
     Atom,
     CoefficientField,
@@ -53,7 +53,6 @@ __all__ = [
     "KernelAssembler",
     "MembranePath",
     "PotentialEvaluator",
-    "PotentialQuadrature",
     "PrincipalKernel",
     "Problem",
     "RightHandSide",

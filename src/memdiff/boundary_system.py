@@ -262,11 +262,8 @@ class RightHandSide:
         self.assembler = assembler
         self.phi = phi
         self.t = t
-        prob = assembler.problem
-        paths = [prob.membrane] + [atom.position for atom in prob.wentzell.measure.atoms]
-        lows, highs = zip(*(path.bounds(s_min, t) for path in paths))
-        assembler.evaluator.reserve_poisson(phi, t, s_min, min(lows), max(highs))
-        left, right = prob.left, prob.right
+        assembler.evaluator.reserve_poisson(phi, t, s_min)
+        left, right = assembler.problem.left, assembler.problem.right
         # identical generators on both sides make the Poisson traces equal
         # for every initial function: the trace gap vanishes structurally
         self._identical_sides = (
@@ -419,15 +416,13 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
 def first_kind_residual(problem: Problem, phi: InitialFunction, t: float,
                         densities: DensityPair,
                         evaluator: PotentialEvaluator | None = None) -> np.ndarray:
-    """Residual of the first-kind continuity equation at the mesh nodes.
+    """Residual of the first-kind continuity equation at the mesh nodes: the
+    field's jump u_1 - u_2 across the membrane at (s_k, h(s_k)).
 
     The solve uses only the Holmgren-transformed system, so this is an
     independent consistency witness of the equivalence.
     """
     ev = evaluator or PotentialEvaluator(problem)
-    rhs = RightHandSide(KernelAssembler(problem, ev), phi, t, densities.s_min)
-    mesh = densities.mesh
-    h = np.broadcast_to(problem.h(mesh), mesh.shape)
-    lhs = np.array([ev.layer(1, s, x, t, densities) - ev.layer(2, s, x, t, densities)
-                    for s, x in zip(mesh.tolist(), h.tolist())])
-    return lhs - rhs.trace_gap(mesh)
+    ev.reserve_poisson(phi, t, densities.s_min)
+    mesh, h = densities.mesh, problem.h(densities.mesh)
+    return ev.field(1, mesh, h, t, phi, densities) - ev.field(2, mesh, h, t, phi, densities)

@@ -10,7 +10,9 @@ where the layer density carries a built-in inverse-square-root terminal
 singularity: V_i(s,t) = (t-s)^(-1/2) W_i(s,t) with W_i bounded.  Solving
 for W_i instead of V_i removes the singular unknown; the quadratures below
 absorb the (t-tau)^(-1/2) factor and the membrane-trace singularity of G_i
-into product-integration weights.
+into product-integration weights.  Each part has one routine on every side:
+u_i0 is FundamentalSolution.terminal_integral of phi, and u_i1 integrates
+over one fixed time rule, built on arrays of start times.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._quadrature import singular_rule
 from .errors import MeshMismatchError, TimeOrderError
-from .parametrix import CorrectionQuadrature, FundamentalSolution, slice_integral
+from .parametrix import CorrectionQuadrature, FundamentalSolution
 from .problem import InitialFunction, Problem
 
 
@@ -93,37 +95,36 @@ class DensityPair:
         return float(max(np.max(np.abs(self.w1)), np.max(np.abs(self.w2)), 0.0))
 
 
-@dataclass(frozen=True)
-class PotentialQuadrature:
-    """Node counts for the potential quadratures."""
+# the layer time rule: a micro-panel and GEO_LEVELS panels of GEO_NODES
+# points, and N_TIME terminal points (also the direct value's rule), 116 in
+# all.  Raising any one (to 20, 12, 64) moved no layer value by over 2.1e-6
+# (of up to 0.63; two-scale moving problem, points up to 2 off the membrane)
+GEO_LEVELS = 13
+GEO_NODES = 6
+N_TIME = 32
 
-    n_time: int = 32
-    n_space: int = 16
-    geo_levels: int = 13
-    geo_nodes: int = 6
 
-
-def layer_time_rule(s: float, t: float, quad: PotentialQuadrature):
-    """Composite rule for the layer-potential time integral.
+def layer_time_rule(s, t: float):
+    """Composite rule for the layer-potential time integral, one row of
+    nodes and weights per start time s (an array or a scalar).
 
     The integrand carries a (t-tau)^(-1/2) density factor at the right end
     and, near tau = s, either a (tau-s)^(-1/2) trace singularity (evaluation
     on the membrane) or a Gaussian boundary layer of width (x-h)^2/b
     (evaluation near it).  A fixed rule resolves every scale: one Jacobi
-    micro-panel at the left end, geometrically growing Gauss panels up to
-    the midpoint, and a Jacobi half for the terminal singularity.
+    micro-panel at the left end, Gauss panels between the edges
+    s + (mid - s) 4^(k - GEO_LEVELS), k = 0 .. GEO_LEVELS, up to the
+    midpoint mid, and a Jacobi half for the terminal singularity.
     """
+    s = np.asarray(s, dtype=float)
     mid = 0.5 * (s + t)
-    h0 = (mid - s) * 4.0 ** (-quad.geo_levels)
-    xs = [singular_rule(s, s + h0, quad.geo_nodes, left_exp=-0.5)]
-    lo = s + h0
-    while lo < mid - 1e-300:
-        hi = min(s + (lo - s) * 4.0, mid)
-        xs.append(singular_rule(lo, hi, quad.geo_nodes))
-        lo = hi
-    xs.append(singular_rule(mid, t, quad.n_time, right_exp=-0.5))
-    nodes, weights = zip(*xs)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = s[..., None] + (mid - s)[..., None] * 4.0 ** np.arange(-GEO_LEVELS, 1)
+    edges[..., -1] = mid
+    rules = [singular_rule(s, edges[..., 0], GEO_NODES, left_exp=-0.5),
+             singular_rule(edges[..., :-1], edges[..., 1:], GEO_NODES),
+             singular_rule(mid, t, N_TIME, right_exp=-0.5)]
+    return tuple(np.concatenate([a.reshape(s.shape + (-1,)) for a in part], axis=-1)
+                 for part in zip(*rules))
 
 
 def _poisson_key(phi: InitialFunction) -> tuple:
@@ -133,10 +134,8 @@ def _poisson_key(phi: InitialFunction) -> tuple:
 class PotentialEvaluator:
     """Field evaluation for one problem: Poisson and layer parts per side."""
 
-    def __init__(self, problem: Problem, quad: PotentialQuadrature | None = None,
-                 correction_quad: CorrectionQuadrature | None = None):
+    def __init__(self, problem: Problem, correction_quad: CorrectionQuadrature | None = None):
         self.problem = problem
-        self.quad = quad or PotentialQuadrature()
         self.fs = {i: FundamentalSolution(problem.side(i), correction_quad)
                    for i in (1, 2)}
 
@@ -144,51 +143,45 @@ class PotentialEvaluator:
 
     def poisson(self, i: int, s, x, t: float, phi: InitialFunction, p: int = 0):
         """u_i0 and its x-derivatives; s and x may be arrays that broadcast."""
-        if np.any(np.asarray(s) >= t):
-            raise TimeOrderError("poisson potential needs s < t")
-        fs = self.fs[i]
-        s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
-        if fs.is_exact:
-            b = fs.side.diffusion(t, self.problem.h(t))
-            out = slice_integral(s, x, t, b,
-                                 lambda y: fs.principal(s[..., None], x[..., None], t, y, p),
-                                 phi, self.quad.n_space)
-        else:
-            out = np.asarray(fs.terminal_integral(s, x, t, phi, _poisson_key(phi), p))
-        return out if out.ndim else float(out)
+        return self.fs[i].terminal_integral(s, x, t, phi, _poisson_key(phi), p)
 
-    def reserve_poisson(self, phi: InitialFunction, t: float, s_lo: float,
-                        x_lo: float, x_hi: float) -> None:
-        """Size the Poisson correction tables of phi once, for points (s, x)
-        with s >= s_lo and x in [x_lo, x_hi], so that later evaluations in
-        that range neither rebuild them nor depend on their order."""
+    def reserve_poisson(self, phi: InitialFunction, t: float, s_min: float) -> None:
+        """Size the Poisson correction tables of phi once, for the membrane
+        and the atoms on [s_min, t], so that later evaluations there neither
+        rebuild them nor depend on their order."""
+        prob = self.problem
+        paths = [prob.membrane] + [atom.position for atom in prob.wentzell.measure.atoms]
+        lows, highs = zip(*(path.bounds(s_min, t) for path in paths))
         for fs in self.fs.values():
             if not fs.is_exact:
-                fs.final_table(_poisson_key(phi), phi, t, s_lo, x_lo, x_hi)
+                fs.final_table(_poisson_key(phi), phi, t, s_min, min(lows), max(highs))
 
     # -- simple-layer potential ----------------------------------------------
 
-    def layer(self, i: int, s: float, x, t: float, densities: DensityPair):
-        """u_i1 at (s, x); x may be an array.
+    def layer(self, i: int, s, x, t: float, densities: DensityPair):
+        """u_i1 at one start time s and points x (a scalar or an array), or
+        at start times s and points x of one shape, one point per time.
 
         Product integration with weight (tau-s)^(-1/2) (t-tau)^(-1/2): the
         left factor covers the membrane trace of G_i, the right one the
         density singularity.
         """
-        if s >= t:
+        s, x = np.asarray(s, dtype=float), np.asarray(x, dtype=float)
+        if np.any(s >= t):
             raise TimeOrderError("layer potential needs s < t")
-        if s < densities.s_min - 1e-12:
+        if np.any(s < densities.s_min - 1e-12):
             raise MeshMismatchError("layer evaluation before the density mesh span")
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        tau, wt = layer_time_rule(s, t, self.quad)
+        # an anchor (tau, h(tau)) per start time and node, the points of that
+        # start time along it (they share its table); transposed to contiguous
+        # rows so that every side sums over tau in the same order
+        tau, wt = layer_time_rule(s.reshape(-1), t)
         h_tau = np.asarray(self.problem.h(tau), dtype=float)
-        # one membrane anchor (tau, h(tau)) per row, the points x along it;
-        # transposed to contiguous rows so that every side sums over tau in
-        # the same order
-        g = self.fs[i].on_anchors(s, x_arr[None, :], tau[:, None], h_tau[:, None])
+        g = self.fs[i].on_anchors(s.reshape(-1, 1, 1), x.reshape(tau.shape[0], 1, -1),
+                                  tau[..., None], h_tau[..., None])
         dens = densities.w(i, tau) * (t - tau) ** (-0.5)
-        out = np.sum(np.ascontiguousarray(g.T) * (dens * wt)[None, :], axis=-1)
-        return float(out[0]) if np.ndim(x) == 0 else out
+        out = np.sum(np.ascontiguousarray(np.swapaxes(g, -1, -2))
+                     * (dens * wt)[:, None, :], axis=-1).reshape(x.shape)
+        return out if out.ndim else float(out)
 
     # -- conormal derivative ----------------------------------------------------
 
@@ -200,7 +193,7 @@ class PotentialEvaluator:
         """
         if s >= t:
             raise TimeOrderError("direct value needs s < t")
-        tau, wt = singular_rule(s, t, self.quad.n_time,
+        tau, wt = singular_rule(s, t, N_TIME,
                                 left_exp=self.problem.kernel_time_exponent(),
                                 right_exp=-0.5)
         h_s = float(self.problem.h(s))

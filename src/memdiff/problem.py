@@ -611,7 +611,7 @@ class Problem:
         ss = np.linspace(0.0, self.horizon, 33)
         hs = self.membrane(ss)
         b_guess = max(self.diffusion_bounds_rough())
-        pad = 8.0 * math.sqrt(b_guess * self.horizon) + 1.0
+        pad = 8.0 * math.sqrt(max(b_guess, 0.0) * self.horizon) + 1.0
         lo = float(np.min(hs)) - pad
         hi = float(np.max(hs)) + pad
         if not self.wentzell.measure.is_null:
@@ -729,7 +729,9 @@ def validate(problem: Problem, grid_resolution: int = 65,
     ok = True
     notes = []
     for i, v in enumerate(diffusions, 1):
-        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v)):
+            raise NonparabolicCoefficientError(f"diffusion sample not finite on side {i}")
+        if np.any(v <= 0.0):
             raise NonparabolicCoefficientError(
                 f"diffusion sample <= 0 on side {i} (min {np.min(v):.3g})")
         side = problem.side(i)

@@ -15,13 +15,14 @@ from memdiff.boundary_system import (
     KernelAssembler,
     RightHandSide,
     SolverConfig,
+    first_kind_residual,
     solve_densities,
 )
 from memdiff.parametrix import CorrectionKernel, CorrectionQuadrature, FundamentalSolution
+from memdiff import potentials
 from memdiff.potentials import (
     DensityPair,
     PotentialEvaluator,
-    PotentialQuadrature,
     graded_mesh,
     layer_time_rule,
 )
@@ -34,6 +35,7 @@ from memdiff.problem import (
     TimeFunction,
     WentzellData,
 )
+from memdiff.semigroup import SemigroupOperator
 
 from conftest import atom_at, make_problem
 from kernel_oracle import ScalarKernels, ScalarRightHandSide, anchor_loop, reference_solve
@@ -73,7 +75,7 @@ def assembler(name):
     """A fresh assembler: correction tables are never shared between the
     library and the reference."""
     prob, _, _, config, correction = CASES[name]
-    return KernelAssembler(prob, PotentialEvaluator(prob, None, correction), config)
+    return KernelAssembler(prob, PotentialEvaluator(prob, correction), config)
 
 
 def assert_close(got, want):
@@ -135,7 +137,7 @@ def test_variable_side_builds_one_table_per_kernel_anchor(monkeypatch):
     monkeypatch.setattr(CorrectionKernel, "_build", counted)
     prob, phi, t, config, correction = CASES["variable"]
     solve_densities(prob, phi, t, config=config,
-                    evaluator=PotentialEvaluator(prob, None, correction))
+                    evaluator=PotentialEvaluator(prob, correction))
     assert builds.count("final") == 1
     assert builds.count("point") == config.mesh_n * config.n_kernel
     assert len(builds) == 61
@@ -164,25 +166,33 @@ def test_anchor_array_kernel_matches_per_anchor_eval():
         assert_close(masked[mask], want[mask])
 
 
-def test_variable_side_layer_and_direct_value_match_per_anchor_eval():
+def reduce_layer_rule(monkeypatch):
+    """Potential rules of 24 layer nodes instead of 116, so that a variable
+    side builds fewer point tables (one per layer anchor)."""
+    for name, value in (("N_TIME", 8), ("GEO_LEVELS", 3), ("GEO_NODES", 4)):
+        monkeypatch.setattr(potentials, name, value)
+
+
+def test_variable_side_layer_and_direct_value_match_per_anchor_eval(monkeypatch):
     # membrane anchors (tau, h(tau)) of the layer rule, all field points per
     # anchor; a moving membrane so that the anchors differ in height too
+    reduce_layer_rule(monkeypatch)
     prob = variable_problem(MembranePath("sinusoidal", [0.0, 0.1, 2.0]))
     _, _, t, config, correction = CASES["variable"]
-    quad = PotentialQuadrature(n_time=8, geo_levels=3, geo_nodes=4)
     mesh = graded_mesh(t, 0.0, config.mesh_n)
     dens = DensityPair(t, mesh, np.cos(mesh), np.sin(mesh))
     s, x = 0.1, np.array([-0.7, -0.3, -0.05])
-    got = PotentialEvaluator(prob, quad, correction).layer(1, s, x, t, dens)
-    tau, wt = layer_time_rule(s, t, quad)
+    got = PotentialEvaluator(prob, correction).layer(1, s, x, t, dens)
+    tau, wt = layer_time_rule(s, t)
+    assert len(tau) == 24
     g = anchor_loop(FundamentalSolution(prob.left, correction), s, x[None, :],
                     tau[:, None], prob.h(tau)[:, None])
     want = np.sum(g.T * (dens.w(1, tau) * (t - tau) ** (-0.5) * wt)[None, :], axis=-1)
     assert_close(got, want)
 
-    ev = PotentialEvaluator(prob, quad, correction)
+    ev = PotentialEvaluator(prob, correction)
     got = ev.direct_value(1, s, t, dens)
-    tau, wt = singular_rule(s, t, quad.n_time, left_exp=prob.kernel_time_exponent(),
+    tau, wt = singular_rule(s, t, potentials.N_TIME, left_exp=prob.kernel_time_exponent(),
                             right_exp=-0.5)
     g1 = anchor_loop(FundamentalSolution(prob.left, correction), s, prob.h(s),
                      tau[:, None], prob.h(tau)[:, None], p=1)[:, 0]
@@ -222,7 +232,7 @@ def test_moving_membrane_builds_one_poisson_table(monkeypatch):
     monkeypatch.setattr(CorrectionKernel, "_build", counted)
     _, _, _, config, correction = CASES["variable"]
     solve_densities(MOVING_VARIABLE, PHI, 0.4, config=config,
-                    evaluator=PotentialEvaluator(MOVING_VARIABLE, None, correction))
+                    evaluator=PotentialEvaluator(MOVING_VARIABLE, correction))
     assert builds.count("final") == 1
 
 
@@ -232,7 +242,7 @@ def test_moving_membrane_right_hand_side_is_order_independent():
     mesh = graded_mesh(t, 0.0, config.mesh_n)
 
     def rhs():
-        ev = PotentialEvaluator(MOVING_VARIABLE, None, correction)
+        ev = PotentialEvaluator(MOVING_VARIABLE, correction)
         return RightHandSide(KernelAssembler(MOVING_VARIABLE, ev, config), PHI, t, mesh[0])
 
     whole = rhs().combined(mesh)
@@ -244,3 +254,65 @@ def test_moving_membrane_right_hand_side_is_order_independent():
                               for k in reversed(range(len(mesh)))], axis=1)[:, ::-1]
     assert_close(nodes, whole)
     assert_close(reverse, whole)
+
+
+# -- potentials on arrays of start times -----------------------------------------
+
+def test_layer_time_rule_has_fixed_node_count():
+    # fixed panel edges: no sliver panel where roundoff leaves the last
+    # geometric edge a hair below the midpoint
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.1, 2.0, 20000)
+    s = t * rng.uniform(0.0, 0.999, t.shape)
+    tau, wt = layer_time_rule(s, t)
+    assert tau.shape == wt.shape == (20000, 116)
+    assert np.all(np.diff(tau, axis=-1) > 0.0)
+    assert np.all((tau > s[:, None]) & (tau < t[:, None]))
+    for k in range(0, 20000, 2000):
+        assert np.array_equal(layer_time_rule(s[k], t[k])[0], tau[k])
+    # at s = 0 the edges are exact powers of 4 of the midpoint
+    tau0, _ = layer_time_rule(0.0, 1.0)
+    assert tau0[0] < 0.5 * 4.0 ** -13 < tau0[6] and tau0[83] < 0.5 < tau0[84]
+
+
+@pytest.mark.parametrize("name", ["skew-moving", "variable"])
+def test_layer_on_start_times_matches_per_time_calls(monkeypatch, name):
+    if name == "variable":
+        reduce_layer_rule(monkeypatch)
+        prob, correction = MOVING_VARIABLE, CASES["variable"][4]
+    else:
+        prob, correction = CASES[name][0], None
+    t = 0.5
+    mesh = graded_mesh(t, 0.0, 10)
+    dens = DensityPair(t, mesh, np.cos(mesh), np.sin(mesh))
+    s = np.array([0.0, 0.05, 0.21, 0.33])
+    x = np.array([-0.4, 0.02, prob.h(0.21), 0.6])
+    for i in (1, 2):
+        got = PotentialEvaluator(prob, correction).layer(i, s, x, t, dens)
+        ev = PotentialEvaluator(prob, correction)
+        want = [ev.layer(i, float(sk), float(xk), t, dens) for sk, xk in zip(s, x)]
+        assert got.shape == s.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["skew-moving", "atoms", "two-scale"])
+def test_first_kind_residual_is_the_continuity_residual(name):
+    prob, phi, t, config, _ = CASES[name]
+    op = SemigroupOperator(prob, config)
+    dens = op.densities(0.0, t, phi)
+    resid = first_kind_residual(prob, phi, t, dens, op.evaluator)
+    want = [op.conjugation_residuals(float(s), t, phi)[0] for s in dens.mesh]
+    assert np.max(np.abs(resid - want)) <= 1e-13
+
+
+def test_first_kind_residual_does_not_depend_on_the_evaluator(monkeypatch):
+    # the Poisson table is sized in one place, for the membrane on
+    # [s_min, t], whichever evaluator computes the residual
+    reduce_layer_rule(monkeypatch)
+    _, _, _, config, correction = CASES["variable"]
+    t = 0.4
+    ev = PotentialEvaluator(MOVING_VARIABLE, correction)
+    dens = solve_densities(MOVING_VARIABLE, PHI, t, config=config, evaluator=ev)
+    fresh = PotentialEvaluator(MOVING_VARIABLE, correction)
+    assert np.array_equal(first_kind_residual(MOVING_VARIABLE, PHI, t, dens, fresh),
+                          first_kind_residual(MOVING_VARIABLE, PHI, t, dens, ev))

@@ -218,6 +218,28 @@ def test_check_rejects_config_failing_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "check", "solve", "compare-mc"])
+@pytest.mark.parametrize("diffusion,message", [
+    ({"kind": "constant", "params": [-1.0]}, "diffusion sample <= 0 on side 1 (min -1)"),
+    ({"kind": "sinusoidal-in-s-and-x", "params": [1e308, 1e308, 1.0, 1e308, 1.0]},
+     "diffusion sample not finite on side 1"),
+], ids=["negative", "overflow"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_nonparabolic_diffusion_on_both_sides_exits_2(tmp_path, capsys, command,
+                                                      diffusion, message):
+    # both sides nonparabolic: the sample window of validate must not fail first
+    cfg = read_json(CONFIGS / "skew.json")
+    for side in ("left", "right"):
+        cfg["problem"][side]["diffusion"] = diffusion
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run([command, "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "check", "compare-mc"])
 def test_phi_above_its_declared_sup_norm_exits_2(tmp_path, capsys, command):
     # condition III: the amplitude-1 Gaussian declares sup_norm 0.1; the
