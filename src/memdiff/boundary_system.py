@@ -2,7 +2,11 @@
 
 The two pasting conditions turn into a system for the layer densities: a
 first-kind equation from continuity of the field across the membrane and a
-second-kind equation from the flux condition.  The Holmgren transform
+second-kind equation from the flux condition q_2 u'(h+) - q_1 u'(h-) +
+sum_k w_k (u(y_k) - u(h)) = 0.  flux_condition is one side's part of it
+for any one-sided u (G_j, the Poisson potentials, and in the semigroup
+checks the field and phi); eliminate carries the transformed continuity
+equation into both equations.  The Holmgren transform
 
     Ef(s,t) = sqrt(2/pi) d/ds integral over (s,t) of (rho-s)^(-1/2) f(rho,t)
 
@@ -60,9 +64,9 @@ class SolverConfig:
     k_max: int = 200
 
     def __post_init__(self):
-        require_number(self.mesh_n, "solver mesh_n", integer=True, ge=8)
-        require_number(self.n_kernel, "solver n_kernel", integer=True, ge=1)
-        require_number(self.n_holmgren, "solver n_holmgren", integer=True, ge=1)
+        require_number(self.mesh_n, "solver mesh_n", integer=True, ge=8, le=4096)
+        require_number(self.n_kernel, "solver n_kernel", integer=True, ge=1, le=1024)
+        require_number(self.n_holmgren, "solver n_holmgren", integer=True, ge=1, le=1024)
         require_number(self.k_max, "solver k_max", integer=True, ge=1)
 
 
@@ -155,7 +159,6 @@ class KernelAssembler:
     def _side_kernel(self, j: int, s, tau, h_s, h_tau):
         """Side-j parts shared by both equations: (flux kernel, transformed
         continuity kernel)."""
-        prob = self.problem
         fs = self.evaluator.fs[j]
 
         def g(x, p=0, mask=None):
@@ -163,15 +166,9 @@ class KernelAssembler:
                                  h_tau[..., None], p, mask)[..., 0]
 
         # reflection term first: it opens every anchor of a correction side
-        k = (-1.0) ** j * prob.q(j, s) * g(h_s, p=1)
-        for atom in prob.wentzell.measure.atoms:
-            y = np.broadcast_to(atom.position(s), s.shape)
-            w = np.broadcast_to(atom.weight(s), s.shape)
-            on_side = (np.where(y < h_s, 1, 2) == j) & (w != 0.0)
-            if np.any(on_side):
-                k = k + np.where(on_side, w * (g(y, mask=on_side) - g(h_s, mask=on_side)),
-                                 0.0)
-        return k, self._holmgren_kernel(j, s, tau, h_tau)
+        return (flux_condition(self.problem, j, s, h_s, g(h_s, p=1),
+                               lambda x, on: g(x, mask=on)),
+                self._holmgren_kernel(j, s, tau, h_tau))
 
     def _holmgren_kernel(self, j: int, s, tau, h_tau):
         """Kernel produced by transforming the continuity equation.
@@ -200,9 +197,8 @@ class KernelAssembler:
     def system_kernel_matrix(self, s, tau) -> np.ndarray:
         """Full kernel values N_ij(s, tau), shape (2, 2) + broadcast shape.
 
-        s and tau broadcast together.  N_ij = d_i (K_j + (-1)^i q_other /
-        sqrt(b_other) R_j): K_j is the flux kernel of side j, the reflection
-        term plus w_k (G(y_k) - G(h)) for each atom on that side; R_j is the
+        s and tau broadcast together.  N_ij is eliminate() of the kernels
+        of side j: K_j, the flux condition on G_j, and R_j, the
         Holmgren-transformed continuity kernel.
         """
         s, tau = np.broadcast_arrays(np.asarray(s, dtype=float),
@@ -213,19 +209,34 @@ class KernelAssembler:
         h_s = np.broadcast_to(prob.h(s), s.shape)
         h_tau = np.broadcast_to(prob.h(tau), s.shape)
         sides = [self._side_kernel(j, s, tau, h_s, h_tau) for j in (1, 2)]
-        _, d = prob.membrane_weights(s)
-        out = np.empty((2, 2) + s.shape)
-        for i in (1, 2):
-            transfer = elimination_factor(prob, i, s, h_s)
-            for j, (base, r_val) in enumerate(sides):
-                out[i - 1, j] = d[i - 1] * (base + transfer * r_val)
-        return out
+        flux, continuity = (np.stack(parts) for parts in zip(*sides))
+        return eliminate(prob, s, h_s, flux, continuity)
 
 
-def elimination_factor(problem: Problem, i: int, s, h):
-    """(-1)^i q_other / sqrt(b_other(s, h(s))): the factor that carries the
-    transformed continuity equation into equation i after elimination."""
-    return (-1.0) ** i * problem.q(3 - i, s) / np.sqrt(problem.diffusion(3 - i, s, h))
+def flux_condition(problem: Problem, j: int, s, h, slope, value):
+    """Side j's part of the flux condition at the times s, for slope =
+    u_j'(h): (-1)^j q_j slope, plus w_k (value(y_k, on) - value(h, on)) at
+    the times on where atom k has w_k != 0 and lies on side j (the left
+    when y_k < h).  value(x, on) gives u_j at points x broadcast to s; it
+    is read only where on is set."""
+    out = (-1.0) ** j * problem.q(j, s) * slope
+    for atom in problem.wentzell.measure.atoms:
+        y = np.broadcast_to(atom.position(s), np.shape(s))
+        w = np.broadcast_to(atom.weight(s), np.shape(s))
+        on = (np.where(y < h, 1, 2) == j) & (w != 0.0)
+        if np.any(on):
+            out = out + np.where(on, w * (value(y, on) - value(h, on)), 0.0)
+    return out
+
+
+def eliminate(problem: Problem, s, h, flux, continuity) -> np.ndarray:
+    """Equations i = 1, 2 of the eliminated system, stacked on a new first
+    axis: d_i (flux + (-1)^i q_other / sqrt(b_other(s, h)) continuity),
+    which carries the transformed continuity equation into equation i."""
+    _, d = problem.membrane_weights(s)
+    return np.stack([d[i - 1] * (flux + (-1.0) ** i * problem.q(3 - i, s)
+                                 / np.sqrt(problem.diffusion(3 - i, s, h)) * continuity)
+                     for i in (1, 2)])
 
 
 def m_delta_witness(problem: Problem) -> float:
@@ -285,23 +296,20 @@ class RightHandSide:
                 - ev.poisson(1, s, h, self.t, self.phi))
 
     def flux_gap(self, s):
-        """Flux data: weighted Poisson-derivative gap plus measure increments."""
+        """Flux data: the flux condition of both sides on the Poisson potentials."""
         s = np.asarray(s, dtype=float)
         ev = self.assembler.evaluator
         prob = self.assembler.problem
         h = np.broadcast_to(prob.h(s), s.shape)
-        out = np.array(prob.q(2, s) * ev.poisson(2, s, h, self.t, self.phi, p=1)
-                       - prob.q(1, s) * ev.poisson(1, s, h, self.t, self.phi, p=1),
-                       dtype=float)
-        for atom in prob.wentzell.measure.atoms:
-            y = np.broadcast_to(atom.position(s), s.shape)
-            w = np.broadcast_to(atom.weight(s), s.shape)
-            for side in (1, 2):
-                on = (np.where(y < h, 1, 2) == side) & (w != 0.0)
-                if np.any(on):
-                    out[on] += w[on] * (ev.poisson(side, s[on], y[on], self.t, self.phi)
-                                        - ev.poisson(side, s[on], h[on], self.t, self.phi))
-        return out if out.shape else float(out)
+
+        def poisson_on(j, x, on):  # side j's Poisson potential on the mask, zero elsewhere
+            out = np.zeros(s.shape)
+            out[on] = ev.poisson(j, s[on], x[on], self.t, self.phi)
+            return out
+
+        out = sum(flux_condition(prob, j, s, h, ev.poisson(j, s, h, self.t, self.phi, p=1),
+                                 lambda x, on: poisson_on(j, x, on)) for j in (1, 2))
+        return out if np.shape(out) else float(out)
 
     def transformed_trace_gap(self, s, gap=None):
         """Holmgren transform of the trace gap at s; gap, when given, holds
@@ -321,12 +329,8 @@ class RightHandSide:
         system at the times s, shape (2,) + shape of s."""
         s = np.asarray(s, dtype=float)
         prob = self.assembler.problem
-        h = prob.h(s)
         phi_term = self.transformed_trace_gap(s, self.trace_gap(s))
-        flux = self.flux_gap(s)
-        _, d = prob.membrane_weights(s)
-        return np.stack([d[i - 1] * (flux + elimination_factor(prob, i, s, h) * phi_term)
-                         for i in (1, 2)])
+        return eliminate(prob, s, prob.h(s), self.flux_gap(s), phi_term)
 
 
 # ---------------------------------------------------------------------------

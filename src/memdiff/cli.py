@@ -107,7 +107,8 @@ def build_grid(cfg: dict) -> np.ndarray:
                           ("min", "max", "n"))
     lo = require_number(grid["min"], "grid min")
     hi = require_number(grid["max"], "grid max", ge=lo)
-    return np.linspace(lo, hi, require_number(grid["n"], "grid n", integer=True, ge=1))
+    return np.linspace(lo, hi, require_number(grid["n"], "grid n", integer=True,
+                                              ge=1, le=100_000))
 
 
 def build_solver(cfg: dict) -> SolverConfig:

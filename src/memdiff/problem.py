@@ -28,9 +28,7 @@ from .errors import (
     NonparabolicCoefficientError,
 )
 
-SIDE_LEFT = "left"
-SIDE_MEMBRANE = "membrane"
-SIDE_RIGHT = "right"
+SIDE_NAMES = ("membrane", "left", "right")  # indexed by Problem.side_index
 
 _REAL = (int, float, np.integer, np.floating)
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
@@ -588,8 +586,9 @@ class Problem:
         denom = q1 * r2 + q2 * r1
         return (q1 * r2 / denom, q2 * r1 / denom), (b1 * r2 / denom, b2 * r1 / denom)
 
-    def membrane_tolerance(self, s) -> float:
-        return 1e-12 * (1.0 + abs(float(self.membrane(s))))
+    def membrane_tolerance(self, s):
+        """Half-width of the band |x - h(s)| that counts as the membrane."""
+        return 1e-12 * (1.0 + np.abs(self.membrane(s)))
 
     def kernel_time_exponent(self) -> float:
         """Left endpoint exponent of the membrane-trace kernels.
@@ -626,17 +625,29 @@ class Problem:
         ss = np.linspace(0.0, self.horizon, 17)
         hs = self.membrane(ss)
         xs = (hs[:, None] + np.linspace(-5.0, 5.0, 21)[None, :]).ravel()
-        sg = np.repeat(ss, 21)
-        vals = [self.diffusion(i, sg, xs) for i in (1, 2)]
-        v = np.concatenate([np.atleast_1d(u) for u in vals])
+        v = np.concatenate([np.atleast_1d(u)
+                            for u in self.diffusion_samples(np.repeat(ss, 21), xs)])
         return float(np.min(v)), float(np.max(v))
+
+    def diffusion_samples(self, s, x) -> list:
+        """Both sides' diffusion at (s, x); a non-finite sample raises."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = [np.asarray(self.diffusion(i, s, x), dtype=float) for i in (1, 2)]
+        for i, v in enumerate(vals, 1):
+            if not np.all(np.isfinite(v)):
+                raise NonparabolicCoefficientError(f"diffusion sample not finite on side {i}")
+        return vals
+
+    def side_index(self, s, x):
+        """Where x lies at the times s, elementwise: 0 on the membrane
+        (|x - h(s)| <= membrane_tolerance(s)), 1 left of it, 2 right."""
+        h = self.membrane(s)
+        return np.where(np.abs(x - h) <= self.membrane_tolerance(s), 0,
+                        np.where(x < h, 1, 2))
 
     def side_of(self, s: float, x: float) -> str:
         """Classify x relative to the membrane at time s."""
-        h = float(self.membrane(s))
-        if abs(x - h) <= self.membrane_tolerance(s):
-            return SIDE_MEMBRANE
-        return SIDE_LEFT if x < h else SIDE_RIGHT
+        return SIDE_NAMES[int(self.side_index(s, x))]
 
     def to_dict(self) -> dict:
         d = {
@@ -716,7 +727,7 @@ def validate(problem: Problem, grid_resolution: int = 65,
     on the membrane) raise immediately; soft failures (a declared bound
     violated by a sample) are reported in the per-condition entries.
     """
-    n = require_number(grid_resolution, "grid_resolution", integer=True, ge=3)
+    n = require_number(grid_resolution, "grid_resolution", integer=True, ge=3, le=2049)
     lo, hi = problem.sample_window()
     ss = np.linspace(0.0, problem.horizon, n)
     xs = np.linspace(lo, hi, n)
@@ -725,12 +736,10 @@ def validate(problem: Problem, grid_resolution: int = 65,
 
     # condition I: uniform parabolicity (the diffusion samples serve
     # condition II too)
-    diffusions = [np.asarray(problem.diffusion(i, S, X), dtype=float) for i in (1, 2)]
+    diffusions = problem.diffusion_samples(S, X)
     ok = True
     notes = []
     for i, v in enumerate(diffusions, 1):
-        if not np.all(np.isfinite(v)):
-            raise NonparabolicCoefficientError(f"diffusion sample not finite on side {i}")
         if np.any(v <= 0.0):
             raise NonparabolicCoefficientError(
                 f"diffusion sample <= 0 on side {i} (min {np.min(v):.3g})")
@@ -785,8 +794,7 @@ def validate(problem: Problem, grid_resolution: int = 65,
         ws = np.asarray(atom.weight(ss), dtype=float)
         if np.any(ws < 0):
             raise DegenerateWentzellError("negative atom weight sample")
-        tol = 1e-12 * (1.0 + np.abs(hs))
-        if np.any(np.abs(ys - hs) <= tol):
+        if np.any(problem.side_index(ss, ys) == 0):
             raise AtomOnMembraneError("atom position equals the membrane at a sample time")
         moment = max(moment, float(np.max(np.abs(ys - hs) * ws)))
     checks.append(ConditionCheck("IV", True, {"q0": q0, "atom_moment_max": moment}))

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 
 from ._quadrature import panel_rule
-from .boundary_system import SolverConfig, solve_densities
+from .boundary_system import SolverConfig, flux_condition, solve_densities
 from .errors import MeasureNotNullError, TimeOrderError
 from .parametrix import CorrectionQuadrature
 from .potentials import DensityPair, PotentialEvaluator
@@ -40,20 +40,15 @@ class SemigroupField:
         if self.densities is None:  # s == t: identity operator
             return self.phi(x)
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        prob = self.op.problem
         ev = self.op.evaluator
-        h = float(prob.h(self.s))
-        tol = prob.membrane_tolerance(self.s)
+        side = self.op.problem.side_index(self.s, x_arr)
         out = np.empty_like(x_arr)
-        masks = {
-            1: x_arr < h - tol,
-            2: x_arr > h + tol,
-        }
-        for i, mask in masks.items():
+        for i in (1, 2):
+            mask = side == i
             if np.any(mask):
                 out[mask] = ev.field(i, self.s, x_arr[mask], self.t, self.phi,
                                      self.densities)
-        mem = ~(masks[1] | masks[2])
+        mem = side == 0
         if np.any(mem):
             vals = [ev.field(i, self.s, x_arr[mem], self.t, self.phi,
                              self.densities) for i in (1, 2)]
@@ -95,8 +90,8 @@ class EffectiveCoefficients:
         if not self.problem.wentzell.measure.is_null:
             raise MeasureNotNullError(
                 "effective coefficients require an empty jump measure")
-        side = self.problem.side_of(s, x)
-        if side == "membrane":
+        i = int(self.problem.side_index(s, x))
+        if i == 0:
             (l1, l2), _ = self.problem.membrane_weights(s)
             h = float(self.problem.h(s))
             b = l1 * float(self.problem.diffusion(1, s, h)) \
@@ -104,7 +99,6 @@ class EffectiveCoefficients:
             a = l1 * float(self.problem.drift(1, s, h)) \
                 + l2 * float(self.problem.drift(2, s, h))
             return (b, a, self.dirac_drift(s))
-        i = 1 if side == "left" else 2
         return (float(self.problem.diffusion(i, s, x)),
                 float(self.problem.drift(i, s, x)), 0.0)
 
@@ -180,35 +174,25 @@ class SemigroupOperator:
         """
         if s >= t:
             raise TimeOrderError("conjugation residuals need s < t")
-        prob = self.problem
         ev = self.evaluator
         dens = self.densities(s, t, phi)
-        h = float(prob.h(s))
+        h = float(self.problem.h(s))
         traces = [ev.field(i, s, h, t, phi, dens) for i in (1, 2)]
-        b1_res = traces[0] - traces[1]
-
-        field = SemigroupField(self, s, t, phi, dens)
-        dleft, dright = field.derivative_limits()
-        b2_res = float(prob.q(1, s)) * dleft - float(prob.q(2, s)) * dright
-        meas = prob.wentzell.measure
-        if not meas.is_null:
-            y = meas.positions(s)
-            w = meas.weights(s)
-            for yk, wk in zip(y, w):
-                i = 1 if yk < h else 2
-                b2_res += wk * (traces[i - 1] - ev.field(i, s, yk, t, phi, dens))
-        return (float(b1_res), float(b2_res))
+        slopes = SemigroupField(self, s, t, phi, dens).derivative_limits()
+        # the flux condition on the field, with its traces at h reused
+        b2_res = -sum(flux_condition(self.problem, j, s, h, slopes[j - 1], lambda x, on: (
+            traces[j - 1] if x == h else ev.field(j, s, x, t, phi, dens))) for j in (1, 2))
+        return (float(traces[0] - traces[1]), float(b2_res))
 
     # -- generator-level checks -----------------------------------------------------
 
     def _generator_apply(self, s: float, phi: InitialFunction, x):
         """L_s phi pointwise, with membrane weights on the interface."""
         x = np.asarray(x, dtype=float)
-        h = float(self.problem.h(s))
-        tol = self.problem.membrane_tolerance(s)
+        side = self.problem.side_index(s, x)
         (l1, l2), _ = self.problem.membrane_weights(s)
         gen1, gen2 = (self._side_generator(i, s, phi, x) for i in (1, 2))
-        out = np.where(x < h - tol, gen1, np.where(x > h + tol, gen2, l1 * gen1 + l2 * gen2))
+        out = np.where(side == 1, gen1, np.where(side == 2, gen2, l1 * gen1 + l2 * gen2))
         return out if out.shape else float(out)
 
     def _side_generator(self, i: int, s: float, phi: InitialFunction, x):
@@ -218,13 +202,10 @@ class SemigroupOperator:
 
     def _interface_term(self, s: float, phi: InitialFunction) -> float:
         """(q_2 - q_1) phi'(h) + sum of w_k (phi(y_k) - phi(h)) at time s."""
-        prob = self.problem
-        h = float(prob.h(s))
-        term = (float(prob.q(2, s)) - float(prob.q(1, s))) * phi.derivative(h, 1)
-        meas = prob.wentzell.measure
-        if not meas.is_null:
-            term += float(np.sum(meas.weights(s) * (phi(meas.positions(s)) - phi(h))))
-        return term
+        h = float(self.problem.h(s))
+        slope = phi.derivative(h, 1)
+        return float(sum(flux_condition(self.problem, j, s, h, slope, lambda x, on: phi(x))
+                         for j in (1, 2)))
 
     def weak_generator_pairing(self, s: float, phi: InitialFunction,
                                f: InitialFunction, dt_values):

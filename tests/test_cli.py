@@ -81,6 +81,31 @@ def test_solve_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_solve_labels_a_point_with_the_side_its_value_comes_from(tmp_path):
+    # the point lies 1.05e-12 left of the membrane at 0.05, just outside the
+    # membrane band (half-width 1.05e-12): its label and its value must come
+    # from one classifier, here both from the left side, not the left label
+    # with the two-side average
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["problem"]["membrane"] = {"kind": "constant", "params": [0.05]}
+    cfg["problem"]["right"]["diffusion"] = {"kind": "constant", "params": [4.0]}
+    x = 0.04999999999895
+    cfg["grid"] = {"min": x, "max": x, "n": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "field.csv"
+    assert run(["solve", "--config", cfg_path, "--out", out]) == 0
+    _, u, side = out.read_text().strip().split("\n")[1].split(",")[1:]
+    assert side == "left"
+    problem = Problem.from_dict(cfg["problem"])
+    phi = InitialFunction.from_dict(cfg["phi"])
+    op = SemigroupOperator(problem)
+    dens = op.densities(0.0, cfg["t"], phi)
+    left, right = (op.evaluator.field(i, 0.0, x, cfg["t"], phi, dens) for i in (1, 2))
+    assert fmt_sig(left) != fmt_sig(0.5 * (left + right))
+    assert u == fmt_sig(left)
+
+
 def test_malformed_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -224,7 +249,7 @@ def test_check_rejects_config_failing_validation(tmp_path, capsys):
     ({"kind": "sinusoidal-in-s-and-x", "params": [1e308, 1e308, 1.0, 1e308, 1.0]},
      "diffusion sample not finite on side 1"),
 ], ids=["negative", "overflow"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_nonparabolic_diffusion_on_both_sides_exits_2(tmp_path, capsys, command,
                                                       diffusion, message):
     # both sides nonparabolic: the sample window of validate must not fail first
@@ -401,13 +426,19 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     ("check", ("extra",), 1),
     ("check", ("solver", "delta"), None),
     ("check", ("solver", "delta"), 1.0),
+    ("solve", ("grid", "n"), 10 ** 15),
+    ("validate", ("grid_resolution",), 10 ** 15),
+    ("solve", ("solver", "mesh_n"), 10 ** 15),
+    ("solve", ("solver", "n_kernel"), 10 ** 15),
+    ("solve", ("solver", "n_holmgren"), 10 ** 15),
 ])
 def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     # a fractional grid size, a terminal time past the horizon (1.5), a
     # start time before 0, a second start time where the command runs from
     # one, an out-of-range or non-finite setting and an unknown key, such
     # as solver.delta at any value, are refused before any solve, by a
-    # message that names the offending key
+    # message that names the offending key; so is a size past its upper
+    # bound (10^15 points would need 8 PB, and fail in any address space)
     cfg = read_json(CONFIGS / "skew.json")
     target = cfg
     for key in path[:-1]:

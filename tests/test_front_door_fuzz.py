@@ -77,13 +77,14 @@ RUN_SCHEMA = _object_schema({
     "problem": {}, "phi": {}, "suite": {},
     "s": _num(minimum=0),
     "t": _num(exclusiveMinimum=0, maximum=1.5),
-    "grid": _object_schema({"min": _num(), "max": _num(), "n": _int(1)}, ("min", "max", "n")),
-    "solver": _object_schema({
-        "mesh_n": _int(8), "n_kernel": _int(1), "n_holmgren": _int(1), "k_max": _int(1)}),
+    "grid": _object_schema({"min": _num(), "max": _num(), "n": _int(1, 100_000)},
+                           ("min", "max", "n")),
+    "solver": _object_schema({"mesh_n": _int(8, 4096), "n_kernel": _int(1, 1024),
+                              "n_holmgren": _int(1, 1024), "k_max": _int(1)}),
     "mc": _object_schema({
         "paths": _int(1), "dt": _num(exclusiveMinimum=0), "seed": _int(0, 2 ** 64 - 1)}),
     "precision": _int(1, 17),
-    "grid_resolution": _int(3),
+    "grid_resolution": _int(3, 2049),
 }, ("t",))
 
 VALUES = st.one_of(

@@ -89,6 +89,28 @@ def test_side_of_partitions_the_line():
             assert labels[0] == "membrane"
 
 
+def test_side_index_matches_side_of_at_the_band_edges():
+    # a few ulps either side of h - tol and h + tol, one time at a time and
+    # on arrays of times: the array classifier and side_of give one label
+    prob = make_problem(membrane=MembranePath("sinusoidal", [0.0, 0.1, 2.0]))
+    names = ("membrane", "left", "right")
+    ss, xs = [], []
+    for s in (0.0, 0.4, 1.1):
+        h, tol = float(prob.h(s)), float(prob.membrane_tolerance(s))
+        for edge in (h - tol, h + tol):
+            x = np.array([edge])
+            for _ in range(4):
+                x = np.concatenate([[np.nextafter(x[0], -np.inf)], x,
+                                    [np.nextafter(x[-1], np.inf)]])
+            idx = prob.side_index(s, x)
+            assert [names[i] for i in idx] == [prob.side_of(s, v) for v in x]
+            assert len(set(idx.tolist())) == 2
+            ss.extend([s] * len(x))
+            xs.extend(x)
+    idx = prob.side_index(np.array(ss), np.array(xs))
+    assert [names[i] for i in idx] == [prob.side_of(s, x) for s, x in zip(ss, xs)]
+
+
 def test_membrane_band_width():
     prob = make_problem()
     tol = prob.membrane_tolerance(0.1)

@@ -10,7 +10,7 @@ from memdiff.mc_oracle import SkewParams, skew_action
 from memdiff.problem import InitialFunction
 from memdiff.semigroup import EffectiveCoefficients, SemigroupOperator
 
-from conftest import make_problem
+from conftest import atom_at, make_problem
 
 X_GRID = np.linspace(-2.0, 2.0, 41)
 
@@ -130,6 +130,25 @@ def test_conjugation_residuals_with_atoms(atom_problem, gaussian_phi):
     b1, b2 = op.conjugation_residuals(0.3, 1.0, gaussian_phi)
     assert abs(b1) <= 1e-3 * gaussian_phi.sup_norm
     assert abs(b2) <= 5e-3 * gaussian_phi.sup_norm
+
+
+def test_flux_residual_with_one_atom_per_side_is_the_written_out_condition(gaussian_phi):
+    # q2 u'(h+) - q1 u'(h-) + w_l (u(y_l) - u(h)) + w_r (u(y_r) - u(h)) = 0,
+    # with each u on its atom's side; the residual is its negative
+    prob = make_problem(b1=1.0, b2=2.0, q1=0.4, q2=0.6,
+                        atoms=(atom_at(-0.8, 0.7), atom_at(1.1, 0.5)))
+    op = SemigroupOperator(prob)
+    s, t = 0.3, 1.0
+    _, flux = op.conjugation_residuals(s, t, gaussian_phi)
+    dens = op.densities(s, t, gaussian_phi)
+
+    def u(i, x):
+        return op.evaluator.field(i, s, x, t, gaussian_phi, dens)
+
+    dleft, dright = op.apply(s, t, gaussian_phi).derivative_limits()
+    condition = (0.6 * dright - 0.4 * dleft + 0.7 * (u(1, -0.8) - u(1, 0.0))
+                 + 0.5 * (u(2, 1.1) - u(2, 0.0)))
+    assert flux == pytest.approx(-condition, rel=1e-12, abs=1e-15)
 
 
 def test_weak_generator_symmetric_case(symmetric_problem, gaussian_phi):
