@@ -43,6 +43,7 @@ import numpy as np
 
 from ._quadrature import singular_rule
 from .errors import (
+    ConfigError,
     SeriesDivergenceError,
     SingularIntegrandError,
     TimeOrderError,
@@ -363,6 +364,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
         raise TimeOrderError("solve needs s_min < t")
     assembler = KernelAssembler(problem, evaluator, config)
     mesh = graded_mesh(t, s_min, config.mesh_n)
+    require_interior_nodes(problem, config, float(mesh[-1]), t)
     rhs = RightHandSide(assembler, phi, t, float(mesh[0]))
     n = len(mesh)
     sqrt_rem = np.sqrt(t - mesh)
@@ -415,6 +417,28 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     diag.w_sup_ratio = densities.max_w() / scale
     densities.diagnostics = diag
     return densities
+
+
+def require_interior_nodes(problem: Problem, config: SolverConfig, s: float, t: float):
+    """ConfigError unless the kernel nodes of the last mesh node s, and the
+    Holmgren nodes of its first kernel interval (s, tau), the narrowest
+    pair, lie strictly inside their intervals: where roundoff puts a node on
+    an end, the kernels are singular or undefined there."""
+    exponent = problem.kernel_time_exponent()
+    taus = (singular_rule(s, t, config.n_kernel, left_exp=exponent, right_exp=-0.5)[0]
+            if s < t else np.array([s]))
+    tau = float(taus[0])
+    mid = 0.5 * (s + tau)
+    inside = bool(np.all((s < taus) & (taus < t))) and s < mid < tau
+    if inside:
+        rho = np.concatenate([singular_rule(s, mid, config.n_holmgren, left_exp=exponent)[0],
+                              singular_rule(mid, tau, config.n_holmgren)[0]])
+        inside = bool(np.all((s < rho) & (rho < tau)))
+    if not inside:
+        raise ConfigError(
+            f"solver mesh_n {config.mesh_n}, n_kernel {config.n_kernel} and n_holmgren "
+            f"{config.n_holmgren} put quadrature nodes on an end of the narrowest kernel "
+            f"interval, {tau - s:.2g} wide; lower one of them or start further from t")
 
 
 def first_kind_residual(problem: Problem, phi: InitialFunction, t: float,

@@ -186,6 +186,7 @@ def cmd_solve(cfg: dict, args) -> int:
     precision = require_number(cfg.get("precision", 12), "precision",
                                integer=True, ge=1, le=17)
     op = SemigroupOperator(problem, build_solver(cfg))
+    op.densities(min(s_values), t, phi)  # one solve serves every start time
     lines = ["s,x,u,side"]
     for s_val in s_values:
         field = op.apply(s_val, t, phi)
@@ -197,7 +198,7 @@ def cmd_solve(cfg: dict, args) -> int:
                                    fmt_sig(float(u_val), precision), side]))
     write_text(args.out, "\n".join(lines) + "\n")
     if args.dump_kernels:
-        _dump_kernels(op, phi, t, s_values[0], args.dump_kernels)
+        _dump_kernels(op, phi, t, min(s_values), args.dump_kernels)
     return 0
 
 
@@ -278,6 +279,7 @@ def cmd_compare_mc(cfg: dict, args) -> int:
     s, t = start_time(cfg, problem)
     grid = build_grid(cfg)
     config = build_sim(cfg, args)
+    config.steps(s, t)  # a dt too fine for (s, t) is refused before the solve
     field = SemigroupOperator(problem, build_solver(cfg)).apply(s, t, phi)
     solver_values = [float(field(float(x_val))) for x_val in grid]
     # the points' simulations are independent, each on its own seeded streams

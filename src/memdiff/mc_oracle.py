@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import panel_rule
-from .errors import StepTooLargeError, TimeOrderError
+from .errors import ConfigError, StepTooLargeError, TimeOrderError
 from .problem import CoefficientField, InitialFunction, Problem, require_number
 
 
@@ -120,6 +120,14 @@ def skew_action(params: SkewParams, dt: float, x: float, phi) -> float:
     return float(np.sum(phi(y) * skew_density(params, dt, x, y) * w))
 
 
+# bounds on a simulation's size, 100 times the default paths and the default
+# dt's steps over a unit interval: the run time grows with paths x steps (10^7
+# paths of 1000 steps take about 15 min), the step times with steps (about
+# 100 bytes a step)
+MAX_PATHS = 10 ** 7
+MAX_STEPS = 10 ** 5
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Particle-simulation controls; streams are keyed by (seed, block)."""
@@ -129,9 +137,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_number(self.paths, "mc paths", integer=True, ge=1)
+        require_number(self.paths, "mc paths", integer=True, ge=1, le=MAX_PATHS)
         require_number(self.dt, "mc dt", gt=0)
         require_number(self.seed, "mc seed", integer=True, ge=0, lt=2 ** 64)
+
+    def steps(self, s: float, t: float) -> int:
+        """Euler steps over (s, t), ceil((t - s)/dt); a ConfigError past MAX_STEPS."""
+        ratio = (t - s) / self.dt
+        if not ratio <= MAX_STEPS:
+            raise ConfigError(f"bad mc dt: {self.dt!r} takes {ratio:.3g} steps over "
+                              f"({s:g}, {t:g}), more than {MAX_STEPS}")
+        return max(1, math.ceil(ratio))
 
 
 # paths simulated together, each block from its own counter-based stream;
@@ -185,7 +201,8 @@ def simulate(problem: Problem, s: float, x: float, t: float,
     rescaling the overshoot by the destination/landing diffusion ratio;
     for flat membranes and constant scales this resolve reproduces the
     exact one-step law.  Raises StepTooLargeError when the average
-    second-interaction indicator of resolved steps exceeds CROSSING_RISK_CAP.
+    second-interaction indicator of resolved steps exceeds CROSSING_RISK_CAP,
+    and ConfigError when dt takes more than MAX_STEPS steps over (s, t).
 
     The time-only data (membrane, q, membrane diffusions) is evaluated once
     per call on the arrays of step times, and the resolve runs on the
@@ -195,7 +212,7 @@ def simulate(problem: Problem, s: float, x: float, t: float,
     config = config or SimConfig()
     if s >= t:
         raise TimeOrderError("simulation needs s < t")
-    n_steps = max(1, int(math.ceil((t - s) / config.dt)))
+    n_steps = config.steps(s, t)
     dt = (t - s) / n_steps
     meas = problem.wentzell.measure
     has_atoms = not meas.is_null

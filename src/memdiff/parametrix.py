@@ -202,10 +202,6 @@ class _Table:
         return (self.s_lo <= s_lo + 1e-12 and self.w[0] <= w_lo + 1e-9
                 and self.w[-1] >= w_hi - 1e-9)
 
-    def merged(self, s_lo, w_lo, w_hi) -> tuple:
-        """Extent of a rebuild that covers this table and the request."""
-        return min(s_lo, self.s_lo), min(w_lo, self.w[0]), max(w_hi, self.w[-1])
-
     def nodes(self, k: int) -> np.ndarray:
         return self.w
 
@@ -252,10 +248,6 @@ class _ScaledTable(_Table):
 
     def covers(self, s_lo, w_lo, w_hi) -> bool:
         return self.s_lo <= s_lo + 1e-12
-
-    def merged(self, s_lo, w_lo, w_hi) -> tuple:
-        # the self-similar grid has no window to widen; the request's sets b_max
-        return min(s_lo, self.s_lo), w_lo, w_hi
 
     @classmethod
     def stacked(cls, tables, anchor):
@@ -350,15 +342,15 @@ class CorrectionKernel:
 
     def table(self, kind: str, key, t_anchor: float, s_lo: float,
               w_lo: float, w_hi: float, **ctx) -> _Table:
+        """The stored table when it covers the extent, else one built for it;
+        a build is stored only under a new key, so no table is ever replaced."""
         cache_key = (kind, key, t_anchor)
         with self._lock:
             tab = self._tables.get(cache_key)
             if tab is not None and tab.covers(s_lo, w_lo, w_hi):
                 return tab
-            if tab is not None:
-                s_lo, w_lo, w_hi = tab.merged(s_lo, w_lo, w_hi)
             tab = self._build(kind, t_anchor, s_lo, w_lo, w_hi, ctx)
-            self._tables[cache_key] = tab
+            self._tables.setdefault(cache_key, tab)
             return tab
 
     def _build(self, kind, t_anchor, s_lo, w_lo, w_hi, ctx) -> _Table:
@@ -485,7 +477,7 @@ class FundamentalSolution:
 
         On a side with a correction term only anchors where mask (over the
         leading axes) is set are evaluated, the others read zero, and each
-        anchor's cached table is sized by its own points in this call.
+        anchor's table is CorrectionKernel.table of its points in this call.
         """
         if self.is_exact:
             return self.principal(s, x, t, y, p)

@@ -146,9 +146,10 @@ class PotentialEvaluator:
         return self.fs[i].terminal_integral(s, x, t, phi, _poisson_key(phi), p)
 
     def reserve_poisson(self, phi: InitialFunction, t: float, s_min: float) -> None:
-        """Size the Poisson correction tables of phi once, for the membrane
-        and the atoms on [s_min, t], so that later evaluations there neither
-        rebuild them nor depend on their order."""
+        """Store the Poisson correction tables of phi, sized once for the
+        membrane and the atoms on [s_min, t], so that every evaluation there
+        reads them: a table sized by a first request alone would not cover
+        the rest, and the rest would get unstored tables of their own."""
         prob = self.problem
         paths = [prob.membrane] + [atom.position for atom in prob.wentzell.measure.atoms]
         lows, highs = zip(*(path.bounds(s_min, t) for path in paths))

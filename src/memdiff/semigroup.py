@@ -3,11 +3,13 @@
 apply(s, t, phi) evaluates the solution field of the pasting problem as a
 function of the space variable: the Poisson potential of the side the point
 lies on plus that side's simple-layer potential, with the layer densities
-solved once per (t, phi) and memoized.  The remaining operations audit the
-semigroup laws (identity, two-parameter composition, positivity,
-contraction), the interface conditions, and the generator-level quantities
-(weak generator pairing, effective coefficients of the generalized
-diffusion, the ordinary generator on its domain, transition moments).
+solved once per (t, phi) and memoized: the first solve serves every later
+start, and an earlier start gets a solve of its own that replaces nothing.
+The remaining operations audit the semigroup laws (identity, two-parameter
+composition, positivity, contraction), the interface conditions, and the
+generator-level quantities (weak generator pairing, effective coefficients
+of the generalized diffusion, the ordinary generator on its domain,
+transition moments).
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ class SemigroupOperator:
     # -- core ------------------------------------------------------------------
 
     def densities(self, s: float, t: float, phi: InitialFunction) -> DensityPair:
-        # keyed by value: equal initial functions share one solve
+        # keyed by value: equal initial functions share one solve, stored
+        # only under a new key
         key = (t,) + phi.key
         with self._lock:
             hit = self._memo.get(key)
@@ -127,7 +130,7 @@ class SemigroupOperator:
         dens = solve_densities(self.problem, phi, t, s_min=s, config=self.solver,
                                evaluator=self.evaluator)
         with self._lock:
-            self._memo[key] = dens
+            self._memo.setdefault(key, dens)
         return dens
 
     def apply(self, s: float, t: float, phi: InitialFunction) -> SemigroupField:

@@ -6,6 +6,7 @@ to 1e-12 relative, with the same number of successive approximations.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,6 +304,34 @@ def test_first_kind_residual_is_the_continuity_residual(name):
     resid = first_kind_residual(prob, phi, t, dens, op.evaluator)
     want = [op.conjugation_residuals(float(s), t, phi)[0] for s in dens.mesh]
     assert np.max(np.abs(resid - want)) <= 1e-13
+
+
+def test_first_kind_residual_does_not_depend_on_earlier_field_calls(monkeypatch):
+    # b = 1 + 0.2 sin x on the left of h = 0.1 sin 2s: a field call off the
+    # membrane reads a Poisson table sized by its own points and stores none
+    # over the one the residual reads (which it once widened, moving the
+    # residual from 4.0e-5 to 3.3e-4 at the full layer rule)
+    reduce_layer_rule(monkeypatch)
+    _, _, _, config, correction = CASES["variable"]
+    left = SideSpec(CoefficientField.constant(0.0),
+                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.2, 1.0, 0.0, 0.0]))
+    prob = replace(MOVING_VARIABLE, left=left)
+    t = 0.4
+    op = SemigroupOperator(prob, config, correction)
+    dens = op.densities(0.0, t, PHI)
+    before = first_kind_residual(prob, PHI, t, dens, op.evaluator)
+    op.apply(0.0, t, PHI)(np.array([-0.6, -0.2, 0.3, 0.7]))
+    assert np.array_equal(first_kind_residual(prob, PHI, t, dens, op.evaluator), before)
+
+
+def test_variable_side_field_does_not_depend_on_earlier_calls(monkeypatch):
+    # a wider call between two evaluations at one point leaves its bits
+    reduce_layer_rule(monkeypatch)
+    _, _, _, config, correction = CASES["variable"]
+    field = SemigroupOperator(MOVING_VARIABLE, config, correction).apply(0.0, 0.4, PHI)
+    first = field(-0.3)
+    field(np.linspace(-2.0, 2.0, 9))
+    assert field(-0.3) == first
 
 
 def test_first_kind_residual_does_not_depend_on_the_evaluator(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -60,6 +61,20 @@ def test_solve_command_conserves_unit_datum(tmp_path):
         s, x, u, side = line.split(",")
         assert abs(float(u) - 1.0) < 1e-3
         assert side in ("left", "membrane", "right")
+
+
+def test_solve_rows_do_not_depend_on_the_order_of_start_times(tmp_path):
+    # one solve from the earliest start serves every s, in any order
+    cfg = read_json(CONFIGS / "moving_membrane.json")
+    rows = []
+    for s in ([0.5, 0.1], [0.1, 0.5]):
+        cfg["s"] = s
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "field.csv"
+        assert run(["solve", "--config", cfg_path, "--out", out]) == 0
+        rows.append(sorted(out.read_text().splitlines()[1:]))
+    assert len(rows[0]) == 26 and rows[0] == rows[1]
 
 
 def test_solve_command_heat_oracle(tmp_path):
@@ -431,14 +446,23 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     ("solve", ("solver", "mesh_n"), 10 ** 15),
     ("solve", ("solver", "n_kernel"), 10 ** 15),
     ("solve", ("solver", "n_holmgren"), 10 ** 15),
+    ("compare-mc", ("mc", "paths"), 10 ** 15),
+    ("compare-mc", ("mc", "dt"), 1e-300),
+    ("compare-mc", ("mc", "dt"), 1e-12),
+    ("validate", ("problem_file",), 5),
+    ("check", ("suite",), "nonsense"),
+    ("check", ("s",), [0.0, 0.5]),
 ])
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     # a fractional grid size, a terminal time past the horizon (1.5), a
     # start time before 0, a second start time where the command runs from
     # one, an out-of-range or non-finite setting and an unknown key, such
     # as solver.delta at any value, are refused before any solve, by a
     # message that names the offending key; so is a size past its upper
-    # bound (10^15 points would need 8 PB, and fail in any address space)
+    # bound (10^15 points would need 8 PB, and fail in any address space),
+    # and a Monte Carlo dt that takes more steps over (s, t) than its bound
+    # (1e-300 overflowed NumPy's size limit, 1e-12 asked for 7.3 TiB)
     cfg = read_json(CONFIGS / "skew.json")
     target = cfg
     for key in path[:-1]:
@@ -452,6 +476,53 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert path[-1] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("settings,width", [
+    ({"mesh_n": 4096, "n_kernel": 1024}, "3.5e-14"),
+    ({"mesh_n": 64, "n_kernel": 1024, "n_holmgren": 1024}, "1.4e-10"),
+])
+@pytest.mark.filterwarnings("error")
+def test_solver_settings_with_nodes_on_an_interval_end_exit_2(tmp_path, capsys, settings,
+                                                              width):
+    # each size is within its bound, but together they leave the narrowest
+    # kernel interval so narrow that roundoff puts quadrature nodes on its
+    # ends; refused before the right-hand side, where the first case ran
+    # 63 s and ended in RuntimeWarnings and a kernel error
+    cfg = read_json(CONFIGS / "moving_membrane.json")
+    cfg["solver"] = settings
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "field.csv"
+    start = time.perf_counter()
+    assert run(["solve", "--config", cfg_path, "--out", out]) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert all(name in err for name in ("mesh_n", "n_kernel", "n_holmgren", width))
+    assert not out.exists()
+
+
+def test_output_into_a_missing_directory_exits_4(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(["validate", "--config", CONFIGS / "skew.json", "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and err.count("\n") == 1
+
+
+def test_problem_file_is_read_relative_to_the_config(tmp_path):
+    cfg = read_json(CONFIGS / "skew.json")
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(cfg))
+    (tmp_path / "problems").mkdir()
+    (tmp_path / "problems" / "skew.json").write_text(json.dumps(cfg.pop("problem")))
+    cfg["problem_file"] = "problems/skew.json"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    reports = [tmp_path / "inline-report.json", tmp_path / "report.json"]
+    assert run(["validate", "--config", inline, "--out", reports[0]]) == 0
+    assert run(["validate", "--config", cfg_path, "--out", reports[1]]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 @pytest.mark.parametrize("command,mutate", [

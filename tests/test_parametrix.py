@@ -228,13 +228,16 @@ def test_correction_point_matches_per_point_loop(quad):
 
 
 def test_point_table_rebuild_for_an_earlier_start():
-    # a later call that reaches further back in time rebuilds the point
-    # table; it must get the value a fresh evaluator gives, not a crash
+    # a later call that reaches further back in time than the stored point
+    # table gets a table of its own, with the value a fresh evaluator gives;
+    # the stored table is kept as it was
     fs = FundamentalSolution(sine_b_side(), QUADS["bench"])
     fs.eval(0.3, 0.1, 1.0, 0.0)
+    (key, stored), = fs.correction._tables.items()
     got = fs.eval(0.1, 0.1, 1.0, 0.0)
     want = FundamentalSolution(sine_b_side(), QUADS["bench"]).eval(0.1, 0.1, 1.0, 0.0)
     assert abs(got - want) <= 1e-12 * abs(want)
+    assert list(fs.correction._tables) == [key] and fs.correction._tables[key] is stored
 
 
 def test_point_build_memory_peak():

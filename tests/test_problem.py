@@ -186,6 +186,28 @@ def test_initial_function_values_and_derivatives():
     assert one.sup_norm == 1.0
 
 
+TABLE_X = np.linspace(-1.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("phi,xs", [
+    (InitialFunction.one(), [-0.7, 0.0, 2.5]),
+    (InitialFunction("indicator-smoothed", [-0.5, 0.8, 0.2]), [-0.9, -0.5, 0.1, 0.8, 1.3]),
+    # ramp, inside, ramp and outside of the taper, off its edges |x - 0.2| = 0.5, 1.5
+    (InitialFunction("polynomial-clamped", [0.2, 0.5, 1.5, 0.3, -1.0, 0.5, 2.0]),
+     [-1.0, 0.0, 0.4, 1.1, 2.0]),
+    # between the knots, and past them, where the datum is constant
+    (InitialFunction.from_samples(TABLE_X, np.cos(3.0 * TABLE_X)), [-0.93, -0.4, 0.05, 0.6]),
+    (InitialFunction.from_samples(TABLE_X, np.cos(3.0 * TABLE_X)), [-1.5, 1.2, 3.0]),
+], ids=["constant-one", "indicator-smoothed", "polynomial-clamped", "tabulated-inside",
+        "tabulated-outside"])
+def test_initial_function_derivative_matches_central_differences(phi, xs):
+    for x in xs:
+        fd1 = (phi(x + 1e-5) - phi(x - 1e-5)) / 2e-5
+        fd2 = (phi(x + 1e-4) - 2.0 * phi(x) + phi(x - 1e-4)) / 1e-8
+        assert phi.derivative(x, 1) == pytest.approx(fd1, rel=1e-6, abs=1e-8)
+        assert phi.derivative(x, 2) == pytest.approx(fd2, rel=1e-4, abs=1e-5)
+
+
 def test_polynomial_clamped_taper():
     # (x-0)^2 inside |x| <= 1, tapered to zero at |x| = 2
     phi = InitialFunction("polynomial-clamped", [0.0, 1.0, 2.0, 0.0, 0.0, 1.0])

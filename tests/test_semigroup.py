@@ -1,13 +1,15 @@
 """Transition-operator checks: semigroup laws, interface conditions, generators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from memdiff.boundary_system import first_kind_residual
 from memdiff.errors import MeasureNotNullError
 from memdiff.mc_oracle import SkewParams, skew_action
-from memdiff.problem import InitialFunction
+from memdiff.problem import InitialFunction, MembranePath
 from memdiff.semigroup import EffectiveCoefficients, SemigroupOperator
 
 from conftest import atom_at, make_problem
@@ -149,6 +151,35 @@ def test_flux_residual_with_one_atom_per_side_is_the_written_out_condition(gauss
     condition = (0.6 * dright - 0.4 * dleft + 0.7 * (u(1, -0.8) - u(1, 0.0))
                  + 0.5 * (u(2, 1.1) - u(2, 0.0)))
     assert flux == pytest.approx(-condition, rel=1e-12, abs=1e-15)
+
+
+def test_derivative_limits_at_equal_times_are_the_slope_of_phi(skew_problem, gaussian_phi):
+    # the identity operator: both limits are the central difference of the field at h
+    field = SemigroupOperator(skew_problem).apply(0.4, 0.4, gaussian_phi)
+    h = float(skew_problem.h(0.4))
+    fd = (field(h + 1e-5) - field(h - 1e-5)) / 2e-5
+    left, right = field.derivative_limits()
+    assert left == right == pytest.approx(fd, rel=1e-6)
+
+
+def test_tabulated_membrane_solve():
+    # a piecewise-linear membrane through 31 samples of 0.1 sin 2s, so its
+    # kernels take the left-end exponent alpha/2 - 1 of a Holder membrane
+    knots = np.linspace(0.0, 1.5, 31)
+    tab = MembranePath("tabulated", [31] + knots.tolist() + (0.1 * np.sin(2.0 * knots)).tolist())
+    prob = make_problem(b2=2.0, q1=0.25, q2=0.75, membrane=tab)
+    assert prob.kernel_time_exponent() == 0.5 * 0.75 - 1.0
+    op = SemigroupOperator(prob)
+    xs = np.linspace(-1.5, 1.5, 13)
+    assert np.max(np.abs(op.apply(0.0, 1.0, InitialFunction.one())(xs) - 1.0)) <= 1e-10
+    phi = InitialFunction.gaussian(1.0, 0.3, 0.6)
+    dens = op.densities(0.0, 1.0, phi)
+    assert np.max(np.abs(first_kind_residual(prob, phi, 1.0, dens, op.evaluator))) <= 1e-3
+    # against the sinusoidal membrane it samples (interpolated to 1.2e-4):
+    # 3.9e-5 measured, so 1e-4 leaves a margin of 2.5
+    sine = replace(prob, membrane=MembranePath("sinusoidal", [0.0, 0.1, 2.0]))
+    want = SemigroupOperator(sine).apply(0.0, 1.0, phi)(xs)
+    assert np.max(np.abs(op.apply(0.0, 1.0, phi)(xs) - want)) <= 1e-4
 
 
 def test_weak_generator_symmetric_case(symmetric_problem, gaussian_phi):
@@ -328,11 +359,18 @@ def test_density_memo_reuse(skew_problem, gaussian_phi):
     assert d3.s_min <= 0.1 + 1e-12
 
 
+def test_density_memo_keeps_its_first_solve(skew_problem, gaussian_phi):
+    # an earlier start gets a solve of its own, which replaces nothing
+    op = SemigroupOperator(skew_problem)
+    late = op.densities(0.5, 1.0, gaussian_phi)
+    early = op.densities(0.1, 1.0, gaussian_phi)
+    assert early is not late and early.s_min <= 0.1 + 1e-12
+    assert op.densities(0.5, 1.0, gaussian_phi) is late
+
+
 def test_caches_are_keyed_by_initial_function_value():
     # two equal-valued initial functions share one density solve and one
     # Poisson correction table; a different parameter gets its own
-    from dataclasses import replace
-
     from memdiff.boundary_system import SolverConfig
     from memdiff.parametrix import CorrectionQuadrature
     from memdiff.problem import CoefficientField, SideSpec
