@@ -245,15 +245,14 @@ def m_delta_witness(problem: Problem) -> float:
     infinity since no atom is split off: (b_max/b_min)^2 pi/(2 q0) times
     the largest sum over the atoms of w_k |y_k - h|, at 65 times over the
     horizon."""
-    atoms = problem.wentzell.measure.atoms
-    if not atoms:
+    measure = problem.wentzell.measure
+    if measure.is_null:
         return 0.0
     b_min, b_max = problem.diffusion_bounds_rough()
     ss = np.linspace(0.0, problem.horizon, 65)
-    gaps = np.abs(np.array([a.position(ss) for a in atoms]) - problem.membrane(ss))
-    weights = np.array([a.weight(ss) for a in atoms])
+    gaps = np.abs(measure.positions(ss) - problem.membrane(ss))
     q0 = float(np.min(problem.wentzell.q1(ss) + problem.wentzell.q2(ss)))
-    worst = float(np.max(np.sum(gaps * weights, axis=0)))
+    worst = float(np.max(np.sum(gaps * measure.weights(ss), axis=0)))
     return (b_max / b_min) ** 2 * math.pi / (2.0 * q0) * worst
 
 
@@ -289,8 +288,6 @@ class RightHandSide:
         s = np.asarray(s, dtype=float)
         if np.any(s >= self.t):
             raise TimeOrderError("trace gap needs s < t")
-        if self._identical_sides:
-            return np.zeros(s.shape) if s.shape else 0.0
         ev = self.assembler.evaluator
         h = self.assembler.problem.h(s)
         return (ev.poisson(2, s, h, self.t, self.phi)
@@ -312,25 +309,17 @@ class RightHandSide:
                                  lambda x, on: poisson_on(j, x, on)) for j in (1, 2))
         return out if np.shape(out) else float(out)
 
-    def transformed_trace_gap(self, s, gap=None):
-        """Holmgren transform of the trace gap at s; gap, when given, holds
-        the trace gap at s itself."""
-        if self._identical_sides:
-            return np.zeros(np.shape(s)) if np.shape(s) else 0.0
-
-        def f(rho):
-            return self.trace_gap(np.minimum(rho, self.t - 1e-14))
-
-        return holmgren_transform(f, s, self.t, f_s=gap,
-                                  n=self.assembler.config.n_holmgren,
-                                  left_exp=self.assembler.problem.kernel_time_exponent())
-
     def combined(self, s) -> np.ndarray:
         """Right-hand sides (Psi_1, Psi_2) of the eliminated second-kind
         system at the times s, shape (2,) + shape of s."""
         s = np.asarray(s, dtype=float)
         prob = self.assembler.problem
-        phi_term = self.transformed_trace_gap(s, self.trace_gap(s))
+        phi_term = 0.0
+        if not self._identical_sides:
+            phi_term = holmgren_transform(
+                lambda rho: self.trace_gap(np.minimum(rho, self.t - 1e-14)), s, self.t,
+                f_s=self.trace_gap(s), n=self.assembler.config.n_holmgren,
+                left_exp=prob.kernel_time_exponent())
         return eliminate(prob, s, prob.h(s), self.flux_gap(s), phi_term)
 
 
@@ -390,17 +379,18 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     sup = float(np.max(np.abs(current)))
     diag.iterate_sups.append(sup)
     rise_count = 0
-    for k in range(1, config.k_max + 1):
-        if sup <= TOL_V * scale:
-            diag.converged = True
-            break
+    while sup > TOL_V * scale:
+        if diag.iterations == config.k_max:
+            raise SeriesDivergenceError(
+                f"no convergence within k_max={config.k_max} iterations "
+                f"(m_delta witness {diag.m_delta:.3g})")
         current = sqrt_rem * np.einsum("ijnq,nqj->in", kern,
                                        interpolate_w(tau_nodes, mesh, current))
         total += current
         sup = float(np.max(np.abs(current)))
         diag.iterate_sups.append(sup)
-        diag.iterations = k
-        if k > CONTRACTION_ONSET and sup > diag.iterate_sups[-2]:
+        diag.iterations += 1
+        if diag.iterations > CONTRACTION_ONSET and sup > diag.iterate_sups[-2]:
             rise_count += 1
             if rise_count >= 3:
                 raise SeriesDivergenceError(
@@ -408,11 +398,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
                     f"{diag.m_delta:.3g})")
         else:
             rise_count = 0
-    else:
-        if sup > TOL_V * scale:
-            raise SeriesDivergenceError(
-                f"no convergence within k_max={config.k_max} iterations "
-                f"(m_delta witness {diag.m_delta:.3g})")
+    diag.converged = True
     densities = DensityPair(t, mesh, total[0], total[1])
     diag.w_sup_ratio = densities.max_w() / scale
     densities.diagnostics = diag

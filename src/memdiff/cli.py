@@ -280,8 +280,8 @@ def cmd_compare_mc(cfg: dict, args) -> int:
     grid = build_grid(cfg)
     config = build_sim(cfg, args)
     config.steps(s, t)  # a dt too fine for (s, t) is refused before the solve
-    field = SemigroupOperator(problem, build_solver(cfg)).apply(s, t, phi)
-    solver_values = [float(field(float(x_val))) for x_val in grid]
+    # one array call, as in solve, so that both report the same values
+    solver_values = SemigroupOperator(problem, build_solver(cfg)).apply(s, t, phi)(grid)
     # the points' simulations are independent, each on its own seeded streams
     with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
         sims = list(pool.map(lambda x_val: simulate(problem, s, float(x_val), t, phi, config),

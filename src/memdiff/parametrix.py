@@ -495,15 +495,14 @@ class FundamentalSolution:
         """Z1^(p) at points (s, x) of shape (anchors, points); row a belongs
         to the terminal anchor (t[a], y[a]).
 
-        Each anchor's point table serves the smallest s and the x-range of
-        its row, and the table's b_max sets the row's windows.  The first
+        Each anchor's point table serves the smallest s of its row, is sized
+        by the anchor alone, and its b_max sets the row's windows.  The first
         series term (closed form) and the tabulated remainder are convolved
         with Z0 for all (anchor, point) pairs, POINT_BLOCK pairs per array
         pass.
         """
         corr, n_time = self.correction, 2 * self.quad.n_time
-        s_lo, w_lo, w_hi = self._extent(t, np.min(s, axis=1), np.minimum(np.min(x, axis=1), y),
-                                        np.maximum(np.max(x, axis=1), y))
+        s_lo, w_lo, w_hi = self._extent(t, np.min(s, axis=1), y, y)
         extents = zip(*(v.tolist() for v in (t, y, s_lo, w_lo, w_hi)))
         tables = [corr.table("point", (ya,), ta, lo_s, lo, hi, y=ya)
                   for ta, ya, lo_s, lo, hi in extents]
@@ -521,11 +520,17 @@ class FundamentalSolution:
             rho, wr = singular_rule(s_a, t_a, n_time, right_exp=0.5 * corr.alpha - 1.0)
             out = corr.convolution(z0, lambda rho, v, b: corr.source(rho, v, t_k, y_k, b_sx=b),
                                    s_a, x_a, rho, wr, b_a, t=t_a, spread_at=y_a)
-            rho, wr = singular_rule(s_a, t_a, n_time, right_exp=-tab.reg_pow)
-            return out + corr.convolution(z0, lambda rho, v, b: tab.eval(rho, v),
-                                          s_a, x_a, rho, wr, b_a,
-                                          t=t_a, spread_at=y_a, spread=2.0)
+            return out + self._table_convolution(tab, s_a, x_a, t_a, p, b_a,
+                                                 spread_at=y_a, spread=2.0)
         return _in_blocks(s.size, block).reshape(-1, n_points)
+
+    def _table_convolution(self, tab, s, x, t, p, b_max, **where):
+        """integral over (s, t) x R of Z0^(p)(s, x; rho, v) u(rho, v) for the
+        functional u that tab holds, at points (s, x) of any shape, on the
+        windows of CorrectionKernel.convolution_nodes(..., **where)."""
+        rho, wr = singular_rule(s, t, 2 * self.quad.n_time, right_exp=-tab.reg_pow)
+        return self.correction.convolution(_z0_left(p), lambda rho, v, b: tab.eval(rho, v),
+                                           s, x, rho, wr, b_max, t=t, **where)
 
     def _extent(self, t, s, x_lo, x_hi):
         """Extent (s_lo, w_lo, w_hi) of the table at terminal time t that serves
@@ -557,14 +562,8 @@ class FundamentalSolution:
             weight, SLICE_NODES)
         if tab is not None:
             s_flat, x_flat = s.ravel(), x.ravel()
-
-            def block(pts):
-                rho, wr = singular_rule(s_flat[pts], t, 2 * self.quad.n_time,
-                                        right_exp=-tab.reg_pow)
-                return self.correction.convolution(
-                    _z0_left(p), lambda rho, v, b: tab.eval(rho, v),
-                    s_flat[pts], x_flat[pts], rho, wr, b_max)
-            out = out + _in_blocks(s.size, block).reshape(s.shape)
+            out = out + _in_blocks(s.size, lambda pts: self._table_convolution(
+                tab, s_flat[pts], x_flat[pts], t, p, b_max)).reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
     def spacetime_integral(self, s, x, t, coeff, key):
@@ -580,8 +579,7 @@ class FundamentalSolution:
                                      s, x, rho, wr, b_max))
         if tab is None:
             return out
-        return out + float(corr.convolution(z0, lambda rho, v, b: tab.eval(rho, v),
-                                            s, x, rho, wr, b_max))
+        return out + float(self._table_convolution(tab, s, x, t, 0, b_max))
 
 
 def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):

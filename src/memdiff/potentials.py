@@ -179,9 +179,8 @@ class PotentialEvaluator:
         h_tau = np.asarray(self.problem.h(tau), dtype=float)
         g = self.fs[i].on_anchors(s.reshape(-1, 1, 1), x.reshape(tau.shape[0], 1, -1),
                                   tau[..., None], h_tau[..., None])
-        dens = densities.w(i, tau) * (t - tau) ** (-0.5)
         out = np.sum(np.ascontiguousarray(np.swapaxes(g, -1, -2))
-                     * (dens * wt)[:, None, :], axis=-1).reshape(x.shape)
+                     * (densities.v(i, tau) * wt)[:, None, :], axis=-1).reshape(x.shape)
         return out if out.ndim else float(out)
 
     # -- conormal derivative ----------------------------------------------------
@@ -200,8 +199,7 @@ class PotentialEvaluator:
         h_s = float(self.problem.h(s))
         h_tau = np.asarray(self.problem.h(tau), dtype=float)
         g1 = self.fs[i].on_anchors(s, h_s, tau[:, None], h_tau[:, None], p=1)[:, 0]
-        dens = densities.w(i, tau) * (t - tau) ** (-0.5)
-        return float(np.sum(g1 * dens * wt))
+        return float(np.sum(g1 * densities.v(i, tau) * wt))
 
     def conormal_jump(self, i: int, s: float, t: float, densities: DensityPair):
         """One-sided x-derivative limits of u_i1 at x = h(s).

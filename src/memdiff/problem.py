@@ -112,11 +112,28 @@ class _Catalog:
         return cls(**require_object(d, cls.what, cls.REQUIRED, cls.OPTIONAL))
 
 
+class _Form(_Catalog):
+    """A catalog whose kind is the constant params[0] where the parameters
+    CONSTANT_IF_ZERO lists for it vanish; an unlisted kind never is."""
+
+    CONSTANT_IF_ZERO: dict = {}
+
+    @property
+    def is_constant(self) -> bool:
+        zeros = self.CONSTANT_IF_ZERO.get(self.kind)
+        return zeros is not None and all(self.params[k] == 0.0 for k in zeros)
+
+    def constant_value(self) -> float:
+        if not self.is_constant:
+            raise ValueError(f"{self.what} is not constant")
+        return self.params[0]
+
+
 # ---------------------------------------------------------------------------
 # space-time coefficient fields
 # ---------------------------------------------------------------------------
 
-class CoefficientField(_Catalog):
+class CoefficientField(_Form):
     """Scalar field (s, x) -> value from the parameterized catalog.
 
     kinds and parameter layouts:
@@ -129,6 +146,7 @@ class CoefficientField(_Catalog):
     what = "coefficient"
     KINDS = {"constant": (1, 1), "affine-in-x": (2, 2), "sinusoidal-in-s-and-x": (5, 5),
              "tabulated": (0, None)}
+    CONSTANT_IF_ZERO = {"constant": (), "affine-in-x": (1,), "sinusoidal-in-s-and-x": (1, 3)}
 
     def __init__(self, kind: str, params: Sequence[float]):
         super().__init__(kind, params)
@@ -150,21 +168,6 @@ class CoefficientField(_Catalog):
         v = np.asarray(values, float)
         params = [len(s), len(x)] + list(s) + list(x) + list(v.ravel())
         return cls("tabulated", params)
-
-    @property
-    def is_constant(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "affine-in-x":
-            return self.params[1] == 0.0
-        if self.kind == "sinusoidal-in-s-and-x":
-            return self.params[1] == 0.0 and self.params[3] == 0.0
-        return False
-
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError("field is not constant")
-        return self.params[0]
 
     def __call__(self, s, x):
         s = np.asarray(s, dtype=float)
@@ -190,7 +193,7 @@ class CoefficientField(_Catalog):
 # time-only rules: membrane path, reflection weights, atom data
 # ---------------------------------------------------------------------------
 
-class TimeFunction(_Catalog):
+class TimeFunction(_Form):
     """Scalar function of time from the catalog.
 
     kinds and parameter layouts:
@@ -203,6 +206,7 @@ class TimeFunction(_Catalog):
     what = "time-function"
     KINDS = {"constant": (1, 1), "linear": (2, 2), "sinusoidal": (3, 4),
              "tabulated": (0, None)}
+    CONSTANT_IF_ZERO = {"constant": (), "linear": (1,), "sinusoidal": (1,)}
 
     def __init__(self, kind: str, params: Sequence[float]):
         super().__init__(kind, params)
@@ -213,16 +217,6 @@ class TimeFunction(_Catalog):
     def constant(cls, c: float) -> "TimeFunction":
         return cls("constant", [c])
 
-    @property
-    def is_constant(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "linear":
-            return self.params[1] == 0.0
-        if self.kind == "sinusoidal":
-            return self.params[1] == 0.0
-        return False
-
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         if self.kind == "constant":
@@ -231,8 +225,7 @@ class TimeFunction(_Catalog):
             c0, c1 = self.params
             return c0 + c1 * s
         if self.kind == "sinusoidal":
-            c0, amp, freq = self.params[:3]
-            phase = self.params[3] if len(self.params) == 4 else 0.0
+            c0, amp, freq, phase = self._sinusoid()
             return c0 + amp * np.sin(freq * s + phase)
         out = np.interp(s, self._knots, self._vals)
         return out if np.shape(out) else float(out)
@@ -242,8 +235,7 @@ class TimeFunction(_Catalog):
         trough of a sinusoid, or at an inner knot of a table."""
         values = [float(self(a)), float(self(b))]
         if self.kind == "sinusoidal":
-            c0, amp, freq = self.params[:3]
-            phase = self.params[3] if len(self.params) == 4 else 0.0
+            c0, amp, freq, phase = self._sinusoid()
             u_lo, u_hi = sorted((freq * a + phase, freq * b + phase))
             # extremes at u = pi/2 + k pi: a crest for even k, a trough for odd k
             first = math.ceil((u_lo - 0.5 * math.pi) / math.pi)
@@ -252,6 +244,10 @@ class TimeFunction(_Catalog):
         elif self.kind == "tabulated":
             values += self._vals[(self._knots > a) & (self._knots < b)].tolist()
         return min(values), max(values)
+
+    def _sinusoid(self) -> tuple:
+        """(c0, amp, freq, phase) of a sinusoid, phase 0 when not given."""
+        return (self.params + (0.0,))[:4]
 
 
 class MembranePath(TimeFunction):
@@ -441,7 +437,7 @@ class InitialFunction(_Catalog):
 
     def _infer_sup(self) -> float:
         if self.kind == "constant-one":
-            return abs(self.params[0]) if self.params else 1.0
+            return abs(self(0.0))
         if self.kind == "gaussian-bump":
             return abs(self.params[0])
         if self.kind == "indicator-smoothed":
@@ -454,51 +450,47 @@ class InitialFunction(_Catalog):
         return float(np.max(np.abs(self._spline(xs))))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if self.kind == "constant-one":
-            out = np.full_like(x, self.params[0] if self.params else 1.0)
-        elif self.kind == "gaussian-bump":
-            amp, c, w = self.params
-            out = amp * np.exp(-((x - c) ** 2) / (2.0 * w * w))
-        elif self.kind == "indicator-smoothed":
-            a, b, eps = self.params
-            out = 0.5 * (np.tanh((x - a) / eps) - np.tanh((x - b) / eps))
-        elif self.kind == "polynomial-clamped":
-            out = self._poly_clamped(x, 0)
-        else:
-            out = self._spline(np.clip(x, *self._x_range))
-            out = np.where(x < self._x_range[0], self._edge_vals[0], out)
-            out = np.where(x > self._x_range[1], self._edge_vals[1], out)
-        return float(out[0]) if scalar else out
+        return self._values(x, 0)
 
     def derivative(self, x, order: int = 1):
         """Analytic derivative where the catalog form has one (order <= 2)."""
         if order not in (1, 2):
             raise ValueError("only first and second derivatives are supported")
+        return self._values(x, order)
+
+    def _values(self, x, order):
+        """The datum (order 0) or its derivative of order 1 or 2 at x; a
+        float for scalar x."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         if self.kind == "constant-one":
-            out = np.zeros_like(x)
+            c = self.params[0] if self.params else 1.0
+            out = np.full_like(x, c if order == 0 else 0.0)
         elif self.kind == "gaussian-bump":
             amp, c, w = self.params
-            u = (x - c) / w
-            g = amp * np.exp(-0.5 * u * u)
-            out = -g * u / w if order == 1 else g * (u * u - 1.0) / (w * w)
+            if order == 0:
+                out = amp * np.exp(-((x - c) ** 2) / (2.0 * w * w))
+            else:
+                u = (x - c) / w
+                g = amp * np.exp(-0.5 * u * u)
+                out = -g * u / w if order == 1 else g * (u * u - 1.0) / (w * w)
         elif self.kind == "indicator-smoothed":
             a, b, eps = self.params
             ta, tb = np.tanh((x - a) / eps), np.tanh((x - b) / eps)
-            if order == 1:
+            if order == 0:
+                out = 0.5 * (ta - tb)
+            elif order == 1:
                 out = 0.5 * ((1 - ta ** 2) - (1 - tb ** 2)) / eps
             else:
                 out = 0.5 * (-2 * ta * (1 - ta ** 2) + 2 * tb * (1 - tb ** 2)) / eps ** 2
         elif self.kind == "polynomial-clamped":
             out = self._poly_clamped(x, order)
-        else:
+        else:  # tabulated: constant outside the knots, so flat there
+            lo, hi = self._edge_vals if order == 0 else (0.0, 0.0)
             out = self._spline(np.clip(x, *self._x_range), nu=order)
-            out = np.where((x < self._x_range[0]) | (x > self._x_range[1]), 0.0, out)
+            out = np.where(x < self._x_range[0], lo, out)
+            out = np.where(x > self._x_range[1], hi, out)
         return float(out[0]) if scalar else out
 
     def _poly_clamped(self, x, order):
@@ -614,10 +606,9 @@ class Problem:
         lo = float(np.min(hs)) - pad
         hi = float(np.max(hs)) + pad
         if not self.wentzell.measure.is_null:
-            for a in self.wentzell.measure.atoms:
-                ys = a.position(ss)
-                lo = min(lo, float(np.min(ys)) - 1.0)
-                hi = max(hi, float(np.max(ys)) + 1.0)
+            ys = self.wentzell.measure.positions(ss)
+            lo = min(lo, float(np.min(ys)) - 1.0)
+            hi = max(hi, float(np.max(ys)) + 1.0)
         return (lo, hi)
 
     def diffusion_bounds_rough(self) -> tuple:

@@ -210,6 +210,10 @@ class SemigroupOperator:
         return float(sum(flux_condition(self.problem, j, s, h, slope, lambda x, on: phi(x))
                          for j in (1, 2)))
 
+    def _transition_quotients(self, s: float, phi: InitialFunction, dt_values, x):
+        """(T_{s,s+dt} phi - phi)/dt at the points x, one array per dt."""
+        return [(self.apply(s, s + dt, phi)(x) - phi(x)) / dt for dt in dt_values]
+
     def weak_generator_pairing(self, s: float, phi: InitialFunction,
                                f: InitialFunction, dt_values):
         """Pairing of the transition quotient against a test function.
@@ -232,13 +236,8 @@ class SemigroupOperator:
             edges = np.unique(np.concatenate([edges, [h]]))
         x, w = panel_rule(edges, 12)
         f_vals = f(x)
-
-        lhs = []
-        for dt in dt_values:
-            field = self.apply(s, s + dt, phi)
-            quot = (field(x) - phi(x)) / dt
-            lhs.append(float(np.sum(f_vals * quot * w)))
-
+        lhs = [float(np.sum(f_vals * quot * w))
+               for quot in self._transition_quotients(s, phi, dt_values, x)]
         rhs = float(np.sum(f_vals * self._generator_apply(s, phi, x) * w))
         _, (d1, d2) = prob.membrane_weights(s)
         rhs += 0.5 * (d1 + d2) * self._interface_term(s, phi) * float(f(h))
@@ -264,12 +263,8 @@ class SemigroupOperator:
             return result
         x_grid = np.asarray(x_grid, dtype=float)
         gen = self._generator_apply(s, phi, x_grid)
-        deviations = []
-        for dt in dt_values:
-            field = self.apply(s, s + dt, phi)
-            quot = (field(x_grid) - phi(x_grid)) / dt
-            deviations.append(float(np.max(np.abs(quot - gen))))
-        result["limit_deviations"] = deviations
+        result["limit_deviations"] = [float(np.max(np.abs(quot - gen))) for quot
+                                      in self._transition_quotients(s, phi, dt_values, x_grid)]
         return result
 
     def transition_moments(self, s: float, x: float, t: float):

@@ -387,12 +387,12 @@ def point_correction_loop(fs: FundamentalSolution, s, x, t: float, y: float, p: 
     """Z1 = G - Z0 at (s, x; t, y), one (s, x) point at a time.
 
     The point table is looked up in the cache, so the library's vectorized
-    call must have built it first over the same points.
+    call must have built it first from the same smallest s; like the
+    library's, it is sized by the anchor alone.
     """
     s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float),
                                        np.asarray(x, dtype=float))
-    s_lo, w_lo, w_hi = fs._extent(t, float(np.min(s_arr)), min(float(np.min(x_arr)), y),
-                                  max(float(np.max(x_arr)), y))
+    s_lo, w_lo, w_hi = fs._extent(t, float(np.min(s_arr)), y, y)
     tab = fs.correction.table("point", (y,), t, s_lo, w_lo, w_hi, y=y)
     b_max = tab.b_max
     alpha = fs.correction.alpha

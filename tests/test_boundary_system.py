@@ -209,6 +209,18 @@ def test_solve_contraction_witness(skew_moving_problem, gaussian_phi):
     assert all(b <= max(a * 0.9, 1e-30) for a, b in zip(tail, tail[1:]))
 
 
+def test_solve_at_exactly_k_max_iterations_is_converged(skew_moving_problem, gaussian_phi):
+    # this solve meets the tolerance on its 5th iteration: k_max = 5 gives
+    # the same densities, flagged converged, and k_max = 4 is exhausted
+    full = solve_densities(skew_moving_problem, gaussian_phi, 1.0)
+    assert full.diagnostics.iterations == 5
+    edge = solve_densities(skew_moving_problem, gaussian_phi, 1.0, config=SolverConfig(k_max=5))
+    assert edge.diagnostics.converged and edge.diagnostics.iterations == 5
+    assert np.array_equal(edge.w1, full.w1) and np.array_equal(edge.w2, full.w2)
+    with pytest.raises(SeriesDivergenceError, match="no convergence within k_max=4"):
+        solve_densities(skew_moving_problem, gaussian_phi, 1.0, config=SolverConfig(k_max=4))
+
+
 def test_solve_side_swap_symmetry():
     # swapping sides together with the reflection x -> -x maps the
     # densities onto each other for even initial data

@@ -199,6 +199,38 @@ def test_compare_mc_command_skew(tmp_path):
     assert read_json(out)["passed"]
 
 
+def test_compare_mc_reports_the_values_solve_writes(tmp_path, monkeypatch):
+    # on a variable side a value depends on the other points of its call, so
+    # compare-mc evaluates its grid in one call, as solve does (point by
+    # point, the two differed by 6.6e-4 at x = -0.75)
+    import memdiff.cli as cli
+    from memdiff.parametrix import CorrectionQuadrature
+    bench = CorrectionQuadrature(n_sigma=10, n_w=24, n_time=6, n_space=6, depth=4)
+    monkeypatch.setattr(cli, "SemigroupOperator",
+                        lambda problem, solver: SemigroupOperator(problem, solver, bench))
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["problem"]["left"]["diffusion"] = {"kind": "sinusoidal-in-s-and-x",
+                                           "params": [1.0, 0.25, 1.0, 0.0, 0.0]}
+    cfg.update(t=0.5, precision=17, solver={"mesh_n": 10, "n_kernel": 6, "n_holmgren": 10},
+               mc={"paths": 200, "dt": 0.002, "seed": 3})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    csv, report = tmp_path / "field.csv", tmp_path / "mc.json"
+    assert run(["solve", "--config", cfg_path, "--out", csv]) == 0
+    assert run(["compare-mc", "--config", cfg_path, "--out", report]) in (0, 1)
+    written = [float(line.split(",")[2]) for line in csv.read_text().splitlines()[1:]]
+    reported = [r["solver_value"] for r in read_json(report)["results"]]
+    assert len(written) == 13 and reported == written
+
+
+@pytest.mark.parametrize("name", ["symmetric_heat", "skew", "moving_membrane"])
+def test_solve_matches_golden_output(tmp_path, name):
+    # the shipped configs' CSVs, to 12 digits, as committed in tests/golden
+    out = tmp_path / "field.csv"
+    assert run(["solve", "--config", CONFIGS / f"{name}.json", "--out", out]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "golden" / f"{name}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("case", ["constant-one", "unreached-gaussian", "one-path"])
 def test_compare_mc_zero_variance_exits_3(tmp_path, capsys, case):
     # every path returns the same phi value: the estimate has no standard

@@ -240,6 +240,19 @@ def test_point_table_rebuild_for_an_earlier_start():
     assert list(fs.correction._tables) == [key] and fs.correction._tables[key] is stored
 
 
+def test_point_value_does_not_depend_on_the_points_evaluated_before_it():
+    # a point table is sized by its anchor alone, so a point read after a
+    # call at another x gets the bits of a fresh evaluator (sizing by the
+    # first call's x-range moved G by 2e-8 and dG/dx by 1e-6, relative)
+    sine_3x = SideSpec(CoefficientField.constant(0.0),
+                       CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 3.0, 0.0, 0.0]))
+    fresh = FundamentalSolution(sine_3x, QUADS["bench"])
+    warm = FundamentalSolution(sine_3x, QUADS["bench"])
+    for p in (0, 1):
+        warm.eval(0.0, 0.0, 0.4, 0.1, p)
+        assert warm.eval(0.0, -0.6, 0.4, 0.1, p) == fresh.eval(0.0, -0.6, 0.4, 0.1, p)
+
+
 def test_point_build_memory_peak():
     # the sweep operator is built one sigma row at a time and dropped with
     # the build; a default-quadrature point table peaks near 10 MB

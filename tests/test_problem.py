@@ -170,6 +170,41 @@ def test_constant_and_sinusoidal_values_keep_shape_and_bits():
     assert np.all(tf(np.zeros(3)) == -0.5)
 
 
+@pytest.mark.parametrize("form,constant", [
+    (CoefficientField.constant(2.0), True),
+    (CoefficientField("affine-in-x", [2.0, 0.0]), True),
+    (CoefficientField("affine-in-x", [2.0, 0.1]), False),
+    (CoefficientField("sinusoidal-in-s-and-x", [2.0, 0.0, 3.0, 0.0, 1.0]), True),
+    (CoefficientField("sinusoidal-in-s-and-x", [2.0, 0.0, 3.0, 0.1, 1.0]), False),
+    (CoefficientField.tabulated([0.0, 1.0], [0.0, 1.0], [[2.0, 2.0], [2.0, 2.0]]), False),
+    (TimeFunction("linear", [2.0, 0.0]), True),
+    (TimeFunction("sinusoidal", [2.0, 0.0, 3.0, 0.5]), True),
+    (TimeFunction("sinusoidal", [2.0, 0.1, 3.0]), False),
+    (TimeFunction("tabulated", [2, 0.0, 1.0, 2.0, 2.0]), False),
+])
+def test_constant_forms_read_their_first_parameter(form, constant):
+    assert form.is_constant == constant
+    if constant:
+        assert form.constant_value() == 2.0
+    else:
+        with pytest.raises(ValueError):
+            form.constant_value()
+
+
+def test_initial_function_values_keep_their_formulas_bits():
+    # the catalog forms as written: the Gaussian in (x - c)^2 / (2 w^2),
+    # a tabulated datum at its edge values outside the knots
+    x = np.linspace(-3.0, 3.0, 61)
+    gauss = InitialFunction.gaussian(1.5, 0.3, 0.6)
+    assert np.array_equal(gauss(x), 1.5 * np.exp(-((x - 0.3) ** 2) / (2.0 * 0.6 * 0.6)))
+    ind = InitialFunction("indicator-smoothed", [-0.5, 0.8, 0.2])
+    assert np.array_equal(ind(x), 0.5 * (np.tanh((x + 0.5) / 0.2) - np.tanh((x - 0.8) / 0.2)))
+    tab = InitialFunction.from_samples(TABLE_X, np.cos(3.0 * TABLE_X))
+    assert tab(-2.0) == np.cos(-3.0) and tab(2.0) == np.cos(3.0)
+    assert isinstance(InitialFunction("constant-one").derivative(0.4, 2), float)
+    assert not hasattr(InitialFunction("constant-one"), "is_constant")
+
+
 def test_initial_function_values_and_derivatives():
     phi = InitialFunction.gaussian(amp=2.0, center=0.5, width=0.7)
     assert phi(0.5) == pytest.approx(2.0)
