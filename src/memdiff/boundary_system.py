@@ -332,7 +332,6 @@ class SolveDiagnostics:
     iterate_sups: list = field(default_factory=list)
     iterations: int = 0
     m_delta: float = 0.0
-    converged: bool = False
     # numerical witness that the regularized densities stay bounded by a
     # multiple of the initial-function norm
     w_sup_ratio: float = 0.0
@@ -398,7 +397,6 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
                     f"{diag.m_delta:.3g})")
         else:
             rise_count = 0
-    diag.converged = True
     densities = DensityPair(t, mesh, total[0], total[1])
     diag.w_sup_ratio = densities.max_w() / scale
     densities.diagnostics = diag

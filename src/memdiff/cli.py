@@ -8,8 +8,9 @@ Commands
 
 Exit codes: 0 success / all checks passed, 1 some check failed, 2 config or
 validation error, 3 solver failure (a divergent density iteration or
-correction series, a non-decaying Holmgren integrand), an unreliable
-simulation step or a zero-variance Monte Carlo estimate, 4 I/O error.
+correction series, a non-decaying Holmgren integrand, a field value or
+check statistic that is not finite), an unreliable simulation step or a
+zero-variance Monte Carlo estimate, 4 I/O error.
 Reports carry no timestamps, so reruns with identical inputs are
 byte-identical.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -164,8 +166,18 @@ def report_json(command: str, entries: list, extra: dict | None = None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def require_finite(value, what: str) -> float:
+    """value as a float when it is finite; else a solver error, so that no
+    NaN or inf reaches a CSV or a report."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise SingularIntegrandError(f"{what} is {value}, not a finite number")
+    return value
+
+
 def entry(check: str, case: str, statistic: float, tolerance: float) -> dict:
-    return {"check": check, "case": case, "statistic": float(statistic),
+    statistic = require_finite(statistic, f"{check} statistic ({case})")
+    return {"check": check, "case": case, "statistic": statistic,
             "tolerance": float(tolerance), "pass": bool(statistic <= tolerance)}
 
 
@@ -193,9 +205,11 @@ def cmd_solve(cfg: dict, args) -> int:
         values = field(grid)
         for x_val, u_val in zip(grid, np.atleast_1d(values)):
             side = problem.side_of(s_val, float(x_val))
+            u_val = require_finite(u_val, f"u at s={fmt_sig(s_val, 6)}, "
+                                          f"x={fmt_sig(float(x_val), 6)}")
             lines.append(",".join([fmt_sig(s_val, precision),
                                    fmt_sig(float(x_val), precision),
-                                   fmt_sig(float(u_val), precision), side]))
+                                   fmt_sig(u_val, precision), side]))
     write_text(args.out, "\n".join(lines) + "\n")
     if args.dump_kernels:
         _dump_kernels(op, phi, t, min(s_values), args.dump_kernels)

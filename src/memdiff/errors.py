@@ -34,7 +34,8 @@ class MeshMismatchError(MemdiffError):
 
 
 class SingularIntegrandError(MemdiffError):
-    """The Holmgren integrand does not decay at the left endpoint."""
+    """The Holmgren integrand does not decay at the left endpoint, or a
+    field value or check statistic came out NaN or infinite."""
 
 
 class MeasureNotNullError(MemdiffError):

@@ -158,6 +158,12 @@ class _CorrectionSource:
         return out
 
 
+def _span_class(span: float) -> float:
+    """span rounded up to a power of two."""
+    mantissa, exponent = math.frexp(span)
+    return math.ldexp(1.0, exponent - (mantissa == 0.5))
+
+
 def _bracket(p, n: int):
     """Lower node i and fraction f of fractional indices p on a grid of n
     nodes, clipped to the grid: a linear lookup weighs node i by 1 - f and
@@ -240,6 +246,10 @@ class _ScaledTable(_Table):
     series term is an O(1)-width smooth profile, which a plain product grid
     can interpolate.  Outside the w-range the kernels have decayed: values
     are zero there.
+
+    Lookups go through stacked, which takes each point's terminal time from
+    the caller: a table that CorrectionKernel.table shares between anchors
+    keeps the canonical anchor it was built at.
     """
 
     def __init__(self, t_anchor, s_lo, y, b_max, reg_pow, quad):
@@ -250,15 +260,17 @@ class _ScaledTable(_Table):
         return self.s_lo <= s_lo + 1e-12
 
     @classmethod
-    def stacked(cls, tables, anchor):
+    def stacked(cls, tables, anchor, t):
         """The point tables of one kernel as a single lookup whose leading
-        axis holds points: point k reads tables[anchor[k]]."""
+        axis holds points: point k reads tables[anchor[k]] with terminal
+        time t[k], so rows and columns measure t[k] - rho."""
         tab = copy.copy(tables[0])
-        for name in ("t_anchor", "span", "y", "b_max"):
-            per_table = np.array([getattr(t, name) for t in tables])
+        for name in ("span", "y", "b_max"):
+            per_table = np.array([getattr(table, name) for table in tables])
             setattr(tab, name, per_table[anchor][:, None, None])
+        tab.t_anchor = np.asarray(t)[:, None, None]
         tab.row0 = (len(tab.zeta) * anchor)[:, None, None]
-        tab.g = np.concatenate([t.g for t in tables])
+        tab.g = np.concatenate([table.g for table in tables])
         return tab
 
     def nodes(self, k: int) -> np.ndarray:
@@ -273,13 +285,17 @@ class _ScaledTable(_Table):
 
 
 class CorrectionKernel:
-    """Neumann-series correction of one side, cached per terminal anchor.
+    """Neumann-series correction of one side, cached per terminal anchor, or
+    per span class for the point tables of a time-homogeneous side.
 
     Supports three anchor families: 'point' tables hold the remainder
     Q - K^(1) at a fixed terminal point (the first series term is handled in
     closed form by the callers), 'final' tables hold the terminal-slice
     integral of Q against a weight, and 'spacetime' tables the space-time
-    integral of Q against a coefficient.
+    integral of Q against a coefficient.  When drift and diffusion do not
+    depend on s, the series at a terminal point (t, y) depends on t only
+    through t - sigma, so the anchors (t, y) whose spans round up to the same
+    power of two share one point table (see table).
     """
 
     def __init__(self, side: SideSpec, quad: CorrectionQuadrature | None = None):
@@ -287,6 +303,7 @@ class CorrectionKernel:
         self.quad = quad or CorrectionQuadrature()
         self.source = _CorrectionSource(side)
         self.alpha = side.holder_exponent
+        self._shares_points = side.is_time_homogeneous
         self._tables: dict = {}
         self._lock = threading.Lock()
 
@@ -302,6 +319,13 @@ class CorrectionKernel:
         ss = np.linspace(0.0, t_anchor, 9, axis=-1)[..., :, None]
         xs = np.linspace(w_lo, w_hi, 17, axis=-1)[..., None, :]
         return np.max(self.side.diffusion(ss, xs), axis=(-2, -1))
+
+    def extent(self, t, s, x_lo, x_hi):
+        """Extent (s_lo, w_lo, w_hi) of the table at terminal time t that serves
+        points (s', x) with s' >= s and x in [x_lo, x_hi], through t - s only, so
+        time-shifted data get shifted tables; arrays give one extent per anchor."""
+        pad = R_CUT * np.sqrt(self._b_max(t, x_lo, x_hi) * (t - s)) + 0.5
+        return s, x_lo - pad, x_hi + pad
 
     def _window(self, centers, scales):
         return window_nodes(centers, scales, self.quad.n_space)
@@ -343,12 +367,23 @@ class CorrectionKernel:
     def table(self, kind: str, key, t_anchor: float, s_lo: float,
               w_lo: float, w_hi: float, **ctx) -> _Table:
         """The stored table when it covers the extent, else one built for it;
-        a build is stored only under a new key, so no table is ever replaced."""
+        a build is stored only under a new key, so no table is ever replaced.
+
+        A point table of a time-homogeneous side serves its span class: the
+        span t_anchor - s_lo rounded up to a power of two.  It is built at
+        the canonical anchor t = that span, s_lo = 0, with the extent of that
+        span, and every anchor whose span falls in the class reads it.
+        """
+        shared = kind == "point" and self._shares_points
+        if shared:
+            t_anchor, s_lo = _span_class(t_anchor - s_lo), 0.0
         cache_key = (kind, key, t_anchor)
         with self._lock:
             tab = self._tables.get(cache_key)
             if tab is not None and tab.covers(s_lo, w_lo, w_hi):
                 return tab
+            if shared:
+                _, w_lo, w_hi = self.extent(t_anchor, s_lo, ctx["y"], ctx["y"])
             tab = self._build(kind, t_anchor, s_lo, w_lo, w_hi, ctx)
             self._tables.setdefault(cache_key, tab)
             return tab
@@ -495,14 +530,15 @@ class FundamentalSolution:
         """Z1^(p) at points (s, x) of shape (anchors, points); row a belongs
         to the terminal anchor (t[a], y[a]).
 
-        Each anchor's point table serves the smallest s of its row, is sized
-        by the anchor alone, and its b_max sets the row's windows.  The first
-        series term (closed form) and the tabulated remainder are convolved
-        with Z0 for all (anchor, point) pairs, POINT_BLOCK pairs per array
-        pass.
+        Each anchor's point table serves the smallest s of its row and is
+        sized by the anchor alone, or by its span class on a time-homogeneous
+        side (CorrectionKernel.table); its b_max sets the row's windows, and
+        each pair reads it at the pair's own terminal time.  The first series
+        term (closed form) and the tabulated remainder are convolved with Z0
+        for all (anchor, point) pairs, POINT_BLOCK pairs per array pass.
         """
         corr, n_time = self.correction, 2 * self.quad.n_time
-        s_lo, w_lo, w_hi = self._extent(t, np.min(s, axis=1), y, y)
+        s_lo, w_lo, w_hi = corr.extent(t, np.min(s, axis=1), y, y)
         extents = zip(*(v.tolist() for v in (t, y, s_lo, w_lo, w_hi)))
         tables = [corr.table("point", (ya,), ta, lo_s, lo, hi, y=ya)
                   for ta, ya, lo_s, lo, hi in extents]
@@ -515,7 +551,7 @@ class FundamentalSolution:
         def block(pairs):
             a = anchor[pairs]
             s_a, x_a, t_a, y_a, b_a = s[pairs], x[pairs], t[a], y[a], b_max[a]
-            tab = _ScaledTable.stacked(tables[a[0]:a[-1] + 1], a - a[0])
+            tab = _ScaledTable.stacked(tables[a[0]:a[-1] + 1], a - a[0], t_a)
             t_k, y_k = t_a[:, None, None], y_a[:, None, None]
             rho, wr = singular_rule(s_a, t_a, n_time, right_exp=0.5 * corr.alpha - 1.0)
             out = corr.convolution(z0, lambda rho, v, b: corr.source(rho, v, t_k, y_k, b_sx=b),
@@ -532,20 +568,13 @@ class FundamentalSolution:
         return self.correction.convolution(_z0_left(p), lambda rho, v, b: tab.eval(rho, v),
                                            s, x, rho, wr, b_max, t=t, **where)
 
-    def _extent(self, t, s, x_lo, x_hi):
-        """Extent (s_lo, w_lo, w_hi) of the table at terminal time t that serves
-        points (s', x) with s' >= s and x in [x_lo, x_hi], through t - s only, so
-        time-shifted data get shifted tables; arrays give one extent per anchor."""
-        pad = R_CUT * np.sqrt(self.correction._b_max(t, x_lo, x_hi) * (t - s)) + 0.5
-        return s, x_lo - pad, x_hi + pad
-
     # -- weighted terminal functionals ---------------------------------------
 
     def final_table(self, key, weight, t, s_lo, x_lo, x_hi) -> _Table:
         """The cached terminal-slice table of weight that serves evaluation
         points (s, x) with s >= s_lo and x in [x_lo, x_hi]."""
-        return self.correction.table("final", key, t, *self._extent(t, s_lo, x_lo, x_hi),
-                                     weight=weight)
+        corr = self.correction
+        return corr.table("final", key, t, *corr.extent(t, s_lo, x_lo, x_hi), weight=weight)
 
     def terminal_integral(self, s, x, t, weight, key, p: int = 0):
         """integral of G(s,x,t,y)^{(p)} weight(y) dy for a fixed terminal time,
@@ -572,7 +601,7 @@ class FundamentalSolution:
             raise TimeOrderError("space-time integral needs s < t")
         corr, z0 = self.correction, _z0_left(0)
         tab = None if self.is_exact else corr.table(
-            "spacetime", key, t, *self._extent(t, s, x, x), coeff=coeff)
+            "spacetime", key, t, *corr.extent(t, s, x, x), coeff=coeff)
         b_max = self.side.diffusion.constant_value() if tab is None else tab.b_max
         rho, wr = singular_rule(s, t, 2 * self.quad.n_time)
         out = float(corr.convolution(z0, lambda rho, v, b: coeff(rho, v),

@@ -118,10 +118,15 @@ class _Form(_Catalog):
 
     CONSTANT_IF_ZERO: dict = {}
 
+    def _zero_where(self, rule: dict) -> bool:
+        """Whether every parameter rule lists for this kind is zero; False
+        for a kind rule does not list."""
+        zeros = rule.get(self.kind)
+        return zeros is not None and all(self.params[k] == 0.0 for k in zeros)
+
     @property
     def is_constant(self) -> bool:
-        zeros = self.CONSTANT_IF_ZERO.get(self.kind)
-        return zeros is not None and all(self.params[k] == 0.0 for k in zeros)
+        return self._zero_where(self.CONSTANT_IF_ZERO)
 
     def constant_value(self) -> float:
         if not self.is_constant:
@@ -147,6 +152,8 @@ class CoefficientField(_Form):
     KINDS = {"constant": (1, 1), "affine-in-x": (2, 2), "sinusoidal-in-s-and-x": (5, 5),
              "tabulated": (0, None)}
     CONSTANT_IF_ZERO = {"constant": (), "affine-in-x": (1,), "sinusoidal-in-s-and-x": (1, 3)}
+    # the parameters whose zero makes a kind independent of s
+    TIME_HOMOGENEOUS_IF_ZERO = {"constant": (), "affine-in-x": (), "sinusoidal-in-s-and-x": (3,)}
 
     def __init__(self, kind: str, params: Sequence[float]):
         super().__init__(kind, params)
@@ -156,6 +163,10 @@ class CoefficientField(_Form):
             self._x_range = (x[0], x[-1])
             self._interp = RegularGridInterpolator((s, x), v, method="linear",
                                                    bounds_error=False, fill_value=None)
+
+    @property
+    def is_time_homogeneous(self) -> bool:
+        return self._zero_where(self.TIME_HOMOGENEOUS_IF_ZERO)
 
     @classmethod
     def constant(cls, c: float) -> "CoefficientField":
@@ -343,6 +354,11 @@ class SideSpec:
             require_number(self.diffusion_min, "diffusion_min", gt=0)
         if self.diffusion_max is not None:
             require_number(self.diffusion_max, "diffusion_max", gt=0, ge=self.diffusion_min)
+
+    @property
+    def is_time_homogeneous(self) -> bool:
+        """Whether drift and diffusion are both independent of s."""
+        return self.drift.is_time_homogeneous and self.diffusion.is_time_homogeneous
 
     def to_dict(self) -> dict:
         d = {"drift": self.drift.to_dict(), "diffusion": self.diffusion.to_dict(),

@@ -13,7 +13,9 @@ The parametrix correction has its row-by-row reference too: the Neumann
 series of a correction table summed by Volterra sweeps that rebuild the
 quadrature, the windows, K^(1) and the bilinear lookups for every sigma row
 of every term, and the point correction evaluated one (s, x) at a time.
-Kernels on arrays of terminal anchors have a per-anchor loop.
+Kernels on arrays of terminal anchors have a per-anchor loop, and a point
+table shared by the anchors of one span class has a table built at the
+anchor itself.
 """
 
 from __future__ import annotations
@@ -388,12 +390,28 @@ def point_correction_loop(fs: FundamentalSolution, s, x, t: float, y: float, p: 
 
     The point table is looked up in the cache, so the library's vectorized
     call must have built it first from the same smallest s; like the
-    library's, it is sized by the anchor alone.
+    library's, it is sized by the anchor alone (or by its span class).
     """
+    s_lo = float(np.min(s))
+    tab = fs.correction.table("point", (y,), t, *fs.correction.extent(t, s_lo, y, y), y=y)
+    return _point_corrections(fs, tab, s, x, t, y, p)
+
+
+def point_correction_at_anchor(fs: FundamentalSolution, s, x, t: float, y: float,
+                               p: int, span: float):
+    """Z1 at (s, x; t, y) as point_correction_loop, from a point table built
+    at the anchor (t, y) itself over (t - span, t), never shared or cached."""
+    extent = fs.correction.extent(t, t - span, y, y)
+    tab = fs.correction._build("point", t, *extent, {"y": y})
+    return _point_corrections(fs, tab, s, x, t, y, p)
+
+
+def _point_corrections(fs: FundamentalSolution, tab, s, x, t: float, y: float, p: int):
+    """Z1 at (s, x; t, y), one (s, x) point at a time, from the point table
+    tab read at the terminal time t."""
     s_arr, x_arr = np.broadcast_arrays(np.asarray(s, dtype=float),
                                        np.asarray(x, dtype=float))
-    s_lo, w_lo, w_hi = fs._extent(t, float(np.min(s_arr)), y, y)
-    tab = fs.correction.table("point", (y,), t, s_lo, w_lo, w_hi, y=y)
+    at_t = _ScaledTable.stacked([tab], np.zeros(1, dtype=int), [t])
     b_max = tab.b_max
     alpha = fs.correction.alpha
     out = np.empty(s_arr.shape)
@@ -402,7 +420,7 @@ def point_correction_loop(fs: FundamentalSolution, s, x, t: float, y: float, p: 
         term_one = _z0_convolution(
             fs, si, xi, t, p, b_max, 0.5 * alpha - 1.0,
             lambda rho, v: fs.correction.source(rho, v, t, y), spread_at=y)
-        outer = _z0_convolution(fs, si, xi, t, p, b_max, -tab.reg_pow, tab.eval,
+        outer = _z0_convolution(fs, si, xi, t, p, b_max, -tab.reg_pow, at_t.eval,
                                 spread_at=y, spread=2.0)
         out[idx] = term_one + outer
     return out

@@ -48,9 +48,9 @@ VAR_SOLVER = SolverConfig(mesh_n=10, n_kernel=6, n_holmgren=10)
 VAR_CORRECTION = CorrectionQuadrature(n_sigma=10, n_w=24, n_time=6, n_space=6, depth=4)
 
 
-def variable_problem(membrane=None):
+def variable_problem(membrane=None, s_amp=0.0):
     left = SideSpec(CoefficientField.constant(0.0),
-                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, 0.0, 0.0]))
+                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, s_amp, 1.0]))
     right = SideSpec(CoefficientField.constant(0.0), CoefficientField.constant(1.0))
     return Problem(left=left, right=right,
                    membrane=membrane or MembranePath.constant(0.0),
@@ -125,9 +125,9 @@ def test_criterion_11_iterate_counts():
         assert len(sups) == count, name
 
 
-def test_variable_side_builds_one_table_per_kernel_anchor(monkeypatch):
-    # the Poisson table of the right-hand side plus one point table per
-    # (mesh node, kernel node) anchor, each built once
+def _table_builds(monkeypatch, prob):
+    """The kinds of the correction tables one solve of the variable case on
+    prob builds, in order."""
     builds = []
     build = CorrectionKernel._build
 
@@ -136,12 +136,46 @@ def test_variable_side_builds_one_table_per_kernel_anchor(monkeypatch):
         return build(self, kind, *args)
 
     monkeypatch.setattr(CorrectionKernel, "_build", counted)
-    prob, phi, t, config, correction = CASES["variable"]
+    _, phi, t, config, correction = CASES["variable"]
     solve_densities(prob, phi, t, config=config,
                     evaluator=PotentialEvaluator(prob, correction))
+    return builds
+
+
+def test_time_homogeneous_side_builds_one_point_table_per_span_class(monkeypatch):
+    # the Poisson table of the right-hand side plus one point table per
+    # power-of-two class of the spans tau - s of the 60 (mesh node, kernel
+    # node) anchors: the 60 anchors fall in 14 classes, each built once
+    builds = _table_builds(monkeypatch, CASES["variable"][0])
+    assert builds.count("final") == 1
+    assert builds.count("point") == 14
+    assert len(builds) == 15
+
+
+def test_time_dependent_side_builds_one_point_table_per_kernel_anchor(monkeypatch):
+    # with b depending on s the anchors share no table: one point table per
+    # (mesh node, kernel node) anchor, each built once
+    builds = _table_builds(monkeypatch, variable_problem(s_amp=0.1))
+    config = CASES["variable"][3]
     assert builds.count("final") == 1
     assert builds.count("point") == config.mesh_n * config.n_kernel
     assert len(builds) == 61
+
+
+def test_shared_point_tables_move_the_variable_field_by_at_most_1e_8(monkeypatch):
+    # the same field with one point table per anchor, each sized by its own
+    # span, as on a time-dependent side: the span-class tables move it by
+    # 5.0e-9 relative at most (x = -2), on either side and on the membrane
+    prob, points = variable_problem(), np.array([-2.0, -0.6, -0.2, 0.0, 0.2, 0.6])
+
+    def field():
+        op = SemigroupOperator(prob, solver=VAR_SOLVER, correction_quad=VAR_CORRECTION)
+        return op.apply(0.0, 0.4, PHI)(points)
+
+    shared = field()
+    monkeypatch.setattr(SideSpec, "is_time_homogeneous", property(lambda side: False))
+    per_anchor = field()
+    assert np.all(np.abs(shared - per_anchor) <= 1e-8 * np.abs(per_anchor))
 
 
 # -- a variable side on arrays of terminal anchors ------------------------------

@@ -396,6 +396,46 @@ def test_solver_failures_exit_3(tmp_path, capsys, monkeypatch, error):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_a_non_finite_value_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                       command):
+    # NaN is neither a CSV value nor JSON: solve and check refuse it with one
+    # solver-error line instead of writing it
+    monkeypatch.setattr(SemigroupOperator, "apply",
+                        lambda self, s, t, phi: lambda x: np.full(np.shape(x), np.nan))
+    out = tmp_path / "out"
+    assert run([command, "--config", CONFIGS / "skew.json", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and "nan" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_variable_side_solve_near_t_is_finite(tmp_path, capsys):
+    # a start time 1e-3 before t on a variable side: the membrane value once
+    # came out NaN; it now lies within 1e-3 of the heat value 0.8816, and the
+    # rows off the membrane keep their digits
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["problem"]["left"]["diffusion"] = {"kind": "sinusoidal-in-s-and-x",
+                                           "params": [1.0, 0.25, 1.0, 0.0, 0.0]}
+    for q in ("q1", "q2"):
+        cfg["problem"]["wentzell"][q]["params"] = [0.5]
+    cfg.update(s=0.399, t=0.4, solver={"mesh_n": 8},
+               grid={"min": -0.5, "max": 0.5, "n": 5})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "field.csv"
+    assert run(["solve", "--config", cfg_path, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()
+    assert rows[:3] == ["s,x,u,side", "0.399,-0.5,0.411501034506,left",
+                        "0.399,-0.25,0.656817161574,left"]
+    assert rows[4:] == ["0.399,0.25,0.995162172846,right", "0.399,0.5,0.944793753577,right"]
+    s, x, u, side = rows[3].split(",")
+    assert (s, x, side) == ("0.399", "0", "membrane")
+    assert math.isfinite(float(u)) and abs(float(u) - 0.8816) <= 1e-3
+
+
 @pytest.mark.parametrize("key,value", [("s", "zero"), ("t", "one")])
 def test_non_numeric_times_exit_2(tmp_path, capsys, key, value):
     cfg = read_json(CONFIGS / "skew.json")

@@ -16,7 +16,12 @@ from memdiff.parametrix import (
 )
 from memdiff.problem import CoefficientField, SideSpec
 
-from kernel_oracle import audit_correction_envelope, point_correction_loop, reference_table
+from kernel_oracle import (
+    audit_correction_envelope,
+    point_correction_at_anchor,
+    point_correction_loop,
+    reference_table,
+)
 
 
 def side(a=0.0, b=1.0, alpha=0.75):
@@ -225,6 +230,49 @@ def test_correction_point_matches_per_point_loop(quad):
     got -= fs.principal(s[1, 2], x[1, 2], 0.5, 0.2, 0)
     want = float(point_correction_loop(fs, s[1, 2], x[1, 2], 0.5, 0.2, 0))
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# anchors (t, smallest s, y): the spans t - s round up to 0.5, 0.5, 1 and 2,
+# and the first two share y, so they share one table
+SPAN_ANCHORS = ((0.4, 0.1, 0.0), (0.5, 0.05, 0.0), (0.9, 0.2, -0.1), (1.6, 0.3, 0.1))
+HOMOGENEOUS_SIDES = {
+    "sine-b": sine_b_side,
+    "affine-drift": lambda: SideSpec(CoefficientField("affine-in-x", [0.3, -0.4]),
+                                     CoefficientField.constant(1.0)),
+}
+
+
+@pytest.mark.parametrize("side_name", sorted(HOMOGENEOUS_SIDES))
+def test_shared_point_table_matches_a_table_built_at_the_anchor(side_name):
+    # a time-homogeneous side builds one point table per (y, span class) at
+    # the canonical anchor t = class span; a table built at the anchor
+    # itself over the class span holds the same series shifted in time
+    fs = FundamentalSolution(HOMOGENEOUS_SIDES[side_name](), QUADS["bench"])
+    rng = np.random.default_rng(11)
+    for t, s_lo, y in SPAN_ANCHORS:
+        span = 2.0 ** math.ceil(math.log2(t - s_lo))
+        s = s_lo + np.array([0.0, 0.3, 0.6]) * (t - s_lo)
+        x = y + rng.uniform(-0.5, 0.5, 3)
+        for p in (0, 1, 2):
+            got = fs.eval(s, x, t, y, p) - fs.principal(s, x, t, y, p)
+            want = point_correction_at_anchor(fs, s, x, t, y, p, span)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert sorted(key[2] for key in fs.correction._tables) == [0.5, 1.0, 2.0]
+
+
+def test_time_dependent_side_reads_the_table_of_its_anchor():
+    # b depends on s: each anchor builds its own point table over its own span
+    side = SideSpec(CoefficientField.constant(0.0),
+                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, 0.1, 1.0]))
+    fs = FundamentalSolution(side, QUADS["bench"])
+    rng = np.random.default_rng(11)
+    for t, s_lo, y in SPAN_ANCHORS:
+        s = s_lo + np.array([0.0, 0.3, 0.6]) * (t - s_lo)
+        x = y + rng.uniform(-0.5, 0.5, 3)
+        got = fs.eval(s, x, t, y, 1) - fs.principal(s, x, t, y, 1)
+        want = point_correction_at_anchor(fs, s, x, t, y, 1, t - s_lo)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert sorted(key[2] for key in fs.correction._tables) == [0.4, 0.5, 0.9, 1.6]
 
 
 def test_point_table_rebuild_for_an_earlier_start():

@@ -191,6 +191,26 @@ def test_constant_forms_read_their_first_parameter(form, constant):
             form.constant_value()
 
 
+@pytest.mark.parametrize("field,homogeneous", [
+    (CoefficientField.constant(2.0), True),
+    (CoefficientField("affine-in-x", [2.0, 0.5]), True),
+    (CoefficientField("sinusoidal-in-s-and-x", [2.0, 0.3, 3.0, 0.0, 1.0]), True),
+    (CoefficientField("sinusoidal-in-s-and-x", [2.0, 0.3, 3.0, 0.1, 1.0]), False),
+    (CoefficientField.tabulated([0.0, 1.0], [0.0, 1.0], [[2.0, 2.0], [2.0, 2.0]]), False),
+])
+def test_time_homogeneous_fields_do_not_depend_on_s(field, homogeneous):
+    # a catalog property: tabulated fields never count, even when their
+    # values happen not to depend on s
+    assert field.is_time_homogeneous == homogeneous
+    x = np.linspace(-1.0, 1.0, 5)
+    if homogeneous:
+        assert np.array_equal(field(0.1, x), field(0.7, x))
+    side = SideSpec(CoefficientField.constant(0.0), field)
+    assert side.is_time_homogeneous == homogeneous
+    swapped = SideSpec(field, CoefficientField.constant(1.0))
+    assert swapped.is_time_homogeneous == homogeneous
+
+
 def test_initial_function_values_keep_their_formulas_bits():
     # the catalog forms as written: the Gaussian in (x - c)^2 / (2 w^2),
     # a tabulated datum at its edge values outside the knots
