@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quadrature import R_CUT, singular_rule, window_nodes
-from .errors import ConvergenceFailureError, TimeOrderError
+from ._quadrature import R_CUT, singular_rule, unit_window, window_nodes
+from .errors import ConvergenceFailureError, SingularIntegrandError, TimeOrderError
 from .problem import SideSpec
 
 # points per array pass of a Z0 convolution: a pass holds a few (point, time
@@ -50,9 +50,9 @@ POINT_BLOCK = 16
 TABLE_GAMMA = 2.0
 # a Neumann series stops once a term falls below this fraction of its first
 SERIES_TOL = 1e-8
-# Gauss points per window panel of terminal_integral's Z0 slice (every
-# Poisson potential): 20 and 32 moved no Poisson value by more than 1.2e-15,
-# 12 by 1.7e-12 (two-scale moving problem, Gaussian phi, p = 0 and 1)
+# Gauss points per window panel of a Poisson potential's Z0 slice, or of the
+# exact side's _UNIT_PROFILE: 20 and 32 moved no Poisson value by more than
+# 1.2e-15, 12 by 1.7e-12 (two-scale moving problem, Gaussian phi, p = 0 and 1)
 SLICE_NODES = 16
 
 
@@ -114,6 +114,12 @@ def _z0(var, z, p):
     return g * (z * z / var - 1.0) / var
 
 
+# omega Z0^(p)(var 1, u) on the unit window (u, omega), p = 0, 1, 2: on the
+# window y = x + u sigma, Z0^(p)(sigma^2, y - x) sigma omega is sigma^-p times it
+_UNIT_PROFILE = tuple(w * _z0(1.0, u, p) for u, w in [unit_window(SLICE_NODES)]
+                      for p in range(3))
+
+
 def _z0_left(p):
     """Z0^(p)(s, x; rho, v) as the left factor of a space-time convolution,
     with b = b(rho, v)."""
@@ -166,8 +172,10 @@ def _span_class(span: float) -> float:
 
 def _bracket(p, n: int):
     """Lower node i and fraction f of fractional indices p on a grid of n
-    nodes, clipped to the grid: a linear lookup weighs node i by 1 - f and
-    node i + 1 by f."""
+    nodes, clipped to the grid (a NaN, 0/0 at a table's anchor, raises): a
+    linear lookup weighs node i by 1 - f and node i + 1 by f."""
+    if np.isnan(p).any():
+        raise SingularIntegrandError("NaN table index: a time rounded onto its anchor")
     p = np.clip(p, 0.0, n - 1.0)
     i = np.minimum(p.astype(int), n - 2)
     return i, p - i
@@ -279,7 +287,8 @@ class _ScaledTable(_Table):
 
     def columns(self, rho, v):
         scale = np.sqrt(self.b_max * (self.t_anchor - rho))
-        pw = ((v - self.y) / scale - self.w[0]) / (self.w[1] - self.w[0])
+        with np.errstate(invalid="ignore"):  # 0/0 at scale 0: _bracket raises
+            pw = ((v - self.y) / scale - self.w[0]) / (self.w[1] - self.w[0])
         iw, fw = _bracket(pw, len(self.w))
         return iw, fw, (pw >= 0.0) & (pw <= len(self.w) - 1.0)
 
@@ -578,21 +587,24 @@ class FundamentalSolution:
 
     def terminal_integral(self, s, x, t, weight, key, p: int = 0):
         """integral of G(s,x,t,y)^{(p)} weight(y) dy for a fixed terminal time,
-        at points (s, x) that broadcast."""
+        at points (s, x) that broadcast.  On an exact side G = Z0: weight on the
+        window y = x + u sigma, sigma = sqrt(b (t - s)), against _UNIT_PROFILE."""
         s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
         if np.any(s >= t):
             raise TimeOrderError("terminal integral needs s < t")
-        tab = None if self.is_exact else self.final_table(
-            key, weight, t, float(np.min(s)), float(np.min(x)), float(np.max(x)))
-        # Z0 windows on the table's b_max, or an exact side's one diffusion
-        b_max = self.side.diffusion.constant_value() if tab is None else tab.b_max
-        out = slice_integral(s, x, t, b_max, lambda y: _z0(
+        if self.is_exact:
+            sigma = np.sqrt(self.side.diffusion.constant_value() * (t - s))
+            y, _ = window_nodes(x, sigma, SLICE_NODES)
+            out = np.sum(weight(y) * _UNIT_PROFILE[p], axis=-1) * sigma ** -p
+            return float(out) if out.ndim == 0 else out
+        tab = self.final_table(key, weight, t, float(np.min(s)), float(np.min(x)),
+                               float(np.max(x)))
+        out = slice_integral(s, x, t, tab.b_max, lambda y: _z0(
             self.side.diffusion(t, y) * (t - s)[..., None], y - x[..., None], p),
             weight, SLICE_NODES)
-        if tab is not None:
-            s_flat, x_flat = s.ravel(), x.ravel()
-            out = out + _in_blocks(s.size, lambda pts: self._table_convolution(
-                tab, s_flat[pts], x_flat[pts], t, p, b_max)).reshape(s.shape)
+        s_flat, x_flat = s.ravel(), x.ravel()
+        out = out + _in_blocks(s.size, lambda pts: self._table_convolution(
+            tab, s_flat[pts], x_flat[pts], t, p, tab.b_max)).reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
     def spacetime_integral(self, s, x, t, coeff, key):

@@ -11,8 +11,9 @@ singularity: V_i(s,t) = (t-s)^(-1/2) W_i(s,t) with W_i bounded.  Solving
 for W_i instead of V_i removes the singular unknown; the quadratures below
 absorb the (t-tau)^(-1/2) factor and the membrane-trace singularity of G_i
 into product-integration weights.  Each part has one routine on every side:
-u_i0 is FundamentalSolution.terminal_integral of phi, and u_i1 integrates
-over one fixed time rule, built on arrays of start times.
+u_i0 is FundamentalSolution.terminal_integral of phi (on an exact side phi
+on the window against a cached Gaussian profile), and u_i1 integrates over
+one fixed time rule, built on arrays of start times.
 """
 
 from __future__ import annotations

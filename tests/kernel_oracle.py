@@ -15,7 +15,8 @@ quadrature, the windows, K^(1) and the bilinear lookups for every sigma row
 of every term, and the point correction evaluated one (s, x) at a time.
 Kernels on arrays of terminal anchors have a per-anchor loop, and a point
 table shared by the anchors of one span class has a table built at the
-anchor itself.
+anchor itself.  The exact-side Poisson potential has its Z0-slice form: z,
+the variance and the Gaussian evaluated on every window node.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from memdiff.boundary_system import TOL_V, KernelAssembler
 from memdiff.errors import ConvergenceFailureError, SingularIntegrandError, TimeOrderError
 from memdiff.parametrix import (
     SERIES_TOL,
+    SLICE_NODES,
     TABLE_GAMMA,
     CorrectionKernel,
     FundamentalSolution,
     _ScaledTable,
     _z0,
+    slice_integral,
 )
 from memdiff.potentials import graded_mesh
 
@@ -436,3 +439,14 @@ def anchor_loop(fs: FundamentalSolution, s, x, t, y, p: int = 0):
     for idx in np.ndindex(s.shape[:-1]):
         out[idx] = fs.eval(s[idx], x[idx], float(t[idx][0]), float(y[idx][0]), p)
     return out
+
+
+def z0_slice_poisson(fs: FundamentalSolution, s, x, t: float, phi, p: int = 0):
+    """integral of Z0^(p)(s, x; t, y) phi(y) dy on an exact side, at points
+    (s, x) that broadcast: Z0^(p) evaluated from z = y - x and the variance
+    b (t - s) on every window node y of slice_integral, the reference for
+    terminal_integral's unit profile."""
+    s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
+    b = fs.side.diffusion.constant_value()
+    return slice_integral(s, x, t, b, lambda y: _z0(
+        fs.side.diffusion(t, y) * (t - s)[..., None], y - x[..., None], p), phi, SLICE_NODES)

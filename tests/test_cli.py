@@ -410,20 +410,27 @@ def test_a_non_finite_value_exits_3_and_writes_nothing(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
-def test_variable_side_solve_near_t_is_finite(tmp_path, capsys):
-    # a start time 1e-3 before t on a variable side: the membrane value once
-    # came out NaN; it now lies within 1e-3 of the heat value 0.8816, and the
-    # rows off the membrane keep their digits
+def near_t_config(tmp_path, s, mesh_n):
+    """configs/skew.json with a left diffusion 1 + 0.25 sin x, q1 = q2 = 1/2,
+    t = 0.4 and a grid of 5 points on [-0.5, 0.5], written to tmp_path."""
     cfg = read_json(CONFIGS / "skew.json")
     cfg["problem"]["left"]["diffusion"] = {"kind": "sinusoidal-in-s-and-x",
                                            "params": [1.0, 0.25, 1.0, 0.0, 0.0]}
     for q in ("q1", "q2"):
         cfg["problem"]["wentzell"][q]["params"] = [0.5]
-    cfg.update(s=0.399, t=0.4, solver={"mesh_n": 8},
+    cfg.update(s=s, t=0.4, solver={"mesh_n": mesh_n},
                grid={"min": -0.5, "max": 0.5, "n": 5})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+@pytest.mark.filterwarnings("error")
+def test_variable_side_solve_near_t_is_finite(tmp_path, capsys):
+    # a start time 1e-3 before t on a variable side: the membrane value once
+    # came out NaN; it now lies within 1e-3 of the heat value 0.8816, and the
+    # rows off the membrane keep their digits
+    cfg_path = near_t_config(tmp_path, s=0.399, mesh_n=8)
     out = tmp_path / "field.csv"
     assert run(["solve", "--config", cfg_path, "--out", out]) == 0
     assert capsys.readouterr().err == ""
@@ -434,6 +441,21 @@ def test_variable_side_solve_near_t_is_finite(tmp_path, capsys):
     s, x, u, side = rows[3].split(",")
     assert (s, x, side) == ("0.399", "0", "membrane")
     assert math.isfinite(float(u)) and abs(float(u) - 0.8816) <= 1e-3
+
+
+@pytest.mark.filterwarnings("error")
+def test_variable_side_check_near_t_is_a_solver_error(tmp_path, capsys):
+    # the conjugation suite at mesh_n 32 evaluates the layer potential on the
+    # membrane up to 3.9e-4 before t, where a point-table lookup meets a time
+    # that rounded onto its anchor: one solver-error line and exit 3, where
+    # an IndexError traceback once ended the run with exit 1
+    cfg_path = near_t_config(tmp_path, s=0.0, mesh_n=32)
+    out = tmp_path / "report.json"
+    assert run(["check", "--config", cfg_path, "--suite", "conjugation",
+                "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [("s", "zero"), ("t", "one")])

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from memdiff.errors import MeshMismatchError, TimeOrderError
+from dataclasses import replace
+
+from memdiff.errors import MeshMismatchError, SingularIntegrandError, TimeOrderError
 from memdiff import potentials
 from memdiff.potentials import DensityPair, PotentialEvaluator, graded_mesh
-from memdiff.problem import InitialFunction, MembranePath
+from memdiff.problem import CoefficientField, InitialFunction, MembranePath, SideSpec
 
 from conftest import make_problem
+from kernel_oracle import z0_slice_poisson
 
 
 def evaluator(problem):
@@ -66,6 +69,69 @@ def test_poisson_vectorized_matches_scalar(symmetric_problem):
     vec = ev.poisson(1, 0.1, xs, 0.9, phi)
     for xi, vi in zip(xs, vec):
         assert vi == pytest.approx(ev.poisson(1, 0.1, float(xi), 0.9, phi), rel=1e-12)
+
+
+# amp, center and width of the Gaussian datum of the closed-form tests
+GAUSS = (1.3, 0.3, 0.6)
+
+
+def gaussian_poisson(s, x, t, b, p):
+    """integral of Z0^(p) against the Gaussian GAUSS on a side of constant
+    diffusion b: amp w / sqrt(V) exp(-(x - c)^2 / (2 V)), V = w^2 + b (t - s),
+    for p = 0, and its x-derivatives."""
+    amp, c, w = GAUSS
+    v = w * w + b * (t - s)
+    u = amp * w / np.sqrt(v) * np.exp(-(x - c) ** 2 / (2.0 * v))
+    return (u, -u * (x - c) / v, u * ((x - c) ** 2 / v - 1.0) / v)[p]
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_exact_side_poisson_matches_gaussian_convolution(two_scale_problem, p):
+    # sides b = 1 and b = 4, t - s >= 0.3, arrays and a scalar point: the
+    # worst relative error measured is 3.3e-15 (p = 2, where the value is
+    # 0.05 of its Gaussian factor); the tolerance 1e-13 leaves a margin of 30
+    ev = evaluator(two_scale_problem)
+    phi = InitialFunction.gaussian(*GAUSS)
+    t = 0.9
+    s, x = np.meshgrid([0.0, 0.3, 0.6], [-1.5, -0.4, 0.05, 0.9, 2.0])
+    for i, b in ((1, 1.0), (2, 4.0)):
+        got = ev.poisson(i, s, x, t, phi, p)
+        assert got.shape == s.shape
+        assert np.max(np.abs(got / gaussian_poisson(s, x, t, b, p) - 1.0)) <= 1e-13
+        one = ev.poisson(i, 0.3, 0.05, t, phi, p)
+        assert isinstance(one, float)
+        assert abs(one / gaussian_poisson(0.3, 0.05, t, b, p) - 1.0) <= 1e-13
+
+
+ORACLE_PHIS = {
+    "constant-one": InitialFunction.one(),
+    "indicator-smoothed": InitialFunction("indicator-smoothed", [-0.5, 0.7, 0.1]),
+    "polynomial-clamped": InitialFunction("polynomial-clamped",
+                                          [0.2, 0.5, 1.5, 1.0, -0.5, 0.3]),
+    "tabulated": InitialFunction.from_samples([-1.0, -0.2, 0.4, 1.1], [0.1, 0.8, 0.5, 0.2]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_PHIS))
+def test_exact_side_poisson_matches_z0_slice(two_scale_problem, kind):
+    # the unit profile against the Z0 slice on the same nodes, up to 1e-3
+    # before t.  Errors are measured on sup|phi| sigma^-p, the size of the
+    # integral of |Z0^(p) phi| (a derivative of constant-one is 0 up to
+    # rounding): worst 1.1e-15, tolerance 1e-13, a margin of 90
+    ev = evaluator(two_scale_problem)
+    phi = ORACLE_PHIS[kind]
+    t = 0.9
+    s, x = np.meshgrid([0.0, 0.3, 0.6, 0.85, 0.899], [-1.5, -0.4, 0.05, 0.9, 2.0])
+    for i, b in ((1, 1.0), (2, 4.0)):
+        for p in (0, 1, 2):
+            scale = phi.sup_norm * np.sqrt(b * (t - s)) ** -p
+            got = ev.poisson(i, s, x, t, phi, p)
+            want = z0_slice_poisson(ev.fs[i], s, x, t, phi, p)
+            assert np.max(np.abs(got - want) / scale) <= 1e-13
+            one = ev.poisson(i, 0.85, 0.05, t, phi, p)
+            want = z0_slice_poisson(ev.fs[i], 0.85, 0.05, t, phi, p)
+            assert isinstance(one, float)
+            assert abs(one - want) <= 1e-13 * phi.sup_norm * math.sqrt(b * 0.05) ** -p
 
 
 # -- simple-layer potential -----------------------------------------------------
@@ -204,3 +270,29 @@ def test_field_satisfies_equation_away_from_membrane(symmetric_problem):
     d2u_dx2 = (u(s, x + dx) - 2 * u(s, x) + u(s, x - dx)) / dx ** 2
     resid = du_ds + 0.5 * d2u_dx2
     assert abs(resid) < 5e-3 * max(1.0, abs(du_ds))
+
+
+# the layer value at the last node of graded_mesh(0.4, 0, n), W = 1, on a
+# left side with b = 1 + 0.25 sin x, at the default correction quadrature
+NEAR_T_LAYER = {8: 1.25329092, 16: 1.25330815, 24: 1.25331134,
+                32: None, 48: None, 64: None}
+
+
+@pytest.mark.parametrize("n", sorted(NEAR_T_LAYER))
+def test_variable_side_layer_at_last_mesh_node(n):
+    # the last node lies 0.4/n^2 before t.  For n >= 32 a time node of a
+    # point-table lookup rounds onto its anchor, and the column index is 0/0:
+    # a SingularIntegrandError, not an IndexError from the lookup.  Below
+    # that the value is finite, pinned to 1e-8
+    left = SideSpec(CoefficientField.constant(0.0),
+                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, 0.0, 0.0]),
+                    holder_exponent=0.75, diffusion_min=0.5, diffusion_max=2.0)
+    ev = evaluator(replace(make_problem(), left=left))
+    mesh = graded_mesh(0.4, 0.0, n)
+    densities = DensityPair(0.4, mesh, np.ones(n), np.ones(n))
+    if NEAR_T_LAYER[n] is None:
+        with pytest.raises(SingularIntegrandError):
+            ev.layer(1, mesh[-1], 0.0, 0.4, densities)
+    else:
+        got = ev.layer(1, mesh[-1], 0.0, 0.4, densities)
+        assert got == pytest.approx(NEAR_T_LAYER[n], abs=1e-8)
