@@ -29,9 +29,10 @@ difference w_k (G(y_k) - G(h)), a regular kernel.
 Everything is evaluated on arrays (product-integration Nystrom): the
 kernels on the (mesh node, tau node) array with the Holmgren rho nodes as a
 trailing axis, the right-hand side on the mesh nodes with the same trailing
-axis, a block of mesh nodes at a time; each successive approximation is one
-interpolation of the iterates at the tau nodes (interpolate_w, as in the
-potentials) and one contraction.
+axis, each in one array pass over the mesh (more only where the (node,
+tau, rho) array would exceed PASS_POINTS nodes); each successive
+approximation is one interpolation of the iterates at the tau nodes
+(interpolate_w, as in the potentials) and one contraction.
 """
 
 from __future__ import annotations
@@ -78,12 +79,9 @@ TOL_V = 1e-8
 CONTRACTION_ONSET = 10
 
 
-# mesh nodes evaluated together: the kernel holds (node, tau, rho) arrays and
-# the right-hand side (node, rho, Poisson window) arrays.  The whole default
-# 64-node mesh at once measured 15 MB more peak memory than these blocks
-# (2-core x86 machine, constant-coefficient solves at t = 1.25).
-KERNEL_BLOCK = 8
-RHS_BLOCK = 4
+# quadrature nodes per array pass of the solve: the kernels' (node, tau, rho)
+# arrays over the whole default mesh, 64 x 16 x 48 nodes, take one pass
+PASS_POINTS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +352,10 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     mesh = graded_mesh(t, s_min, config.mesh_n)
     require_interior_nodes(problem, config, float(mesh[-1]), t)
     rhs = RightHandSide(assembler, phi, t, float(mesh[0]))
-    n = len(mesh)
+    step = max(1, PASS_POINTS // (config.n_kernel * 2 * config.n_holmgren))
+    passes = [slice(lo, lo + step) for lo in range(0, len(mesh), step)]
     sqrt_rem = np.sqrt(t - mesh)
-    w = np.concatenate([rhs.combined(mesh[lo:lo + RHS_BLOCK])
-                        for lo in range(0, n, RHS_BLOCK)], axis=1) * sqrt_rem
+    w = np.concatenate([rhs.combined(mesh[nodes]) for nodes in passes], axis=1) * sqrt_rem
 
     # kernel tables: per node, quadrature times and weighted kernel values
     tau_nodes, wt = singular_rule(mesh, t, config.n_kernel,
@@ -365,10 +363,9 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
                                   right_exp=-0.5)
     kern = np.zeros((2, 2) + tau_nodes.shape)
     if not assembler.kernels_vanish:
-        for lo in range(0, n, KERNEL_BLOCK):
-            block = slice(lo, lo + KERNEL_BLOCK)
-            kern[:, :, block] = assembler.system_kernel_matrix(
-                mesh[block, None], tau_nodes[block])
+        for nodes in passes:
+            kern[:, :, nodes] = assembler.system_kernel_matrix(mesh[nodes, None],
+                                                               tau_nodes[nodes])
         kern *= wt * (t - tau_nodes) ** (-0.5)
 
     diag = SolveDiagnostics(m_delta=m_delta_witness(problem))

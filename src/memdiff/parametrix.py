@@ -44,6 +44,9 @@ from .problem import SideSpec
 # 8 anchors x 24 points in one pass peaked at 30 MB under tracemalloc, in
 # blocks of 16 at 2.6 MB
 POINT_BLOCK = 16
+# points per array pass of a terminal integral's window (x 8 SLICE_NODES nodes): at 512,
+# fresh pages for the 512 KB temporaries cost a two-scale const-solve 18 ms, not 10 ms
+WINDOW_BLOCK = 128
 
 # table rows sigma = t - span * zeta^TABLE_GAMMA, zeta uniform, cluster at
 # the terminal anchor like the mesh of the density solve
@@ -56,11 +59,11 @@ SERIES_TOL = 1e-8
 SLICE_NODES = 16
 
 
-def _in_blocks(size: int, evaluate) -> np.ndarray:
-    """evaluate(points) over consecutive slices of POINT_BLOCK points."""
+def _in_blocks(size: int, evaluate, block: int = POINT_BLOCK) -> np.ndarray:
+    """evaluate(points) over consecutive slices of block points."""
     out = np.empty(size)
-    for lo in range(0, size, POINT_BLOCK):
-        out[lo:lo + POINT_BLOCK] = evaluate(slice(lo, lo + POINT_BLOCK))
+    for lo in range(0, size, block):
+        out[lo:lo + block] = evaluate(slice(lo, lo + block))
     return out
 
 
@@ -546,14 +549,17 @@ class FundamentalSolution:
         term (closed form) and the tabulated remainder are convolved with Z0
         for all (anchor, point) pairs, POINT_BLOCK pairs per array pass.
         """
-        corr, n_time = self.correction, 2 * self.quad.n_time
+        corr, (n_anchors, n_points) = self.correction, s.shape
+        anchor = np.repeat(np.arange(n_anchors), n_points)
+        rho, wr = singular_rule(s.ravel(), t[anchor], 2 * self.quad.n_time,
+                                right_exp=0.5 * corr.alpha - 1.0)
+        if not np.all((s.reshape(-1, 1) < rho) & (rho < t[anchor, None])):
+            raise SingularIntegrandError("a time node rounded onto an end of its interval")
         s_lo, w_lo, w_hi = corr.extent(t, np.min(s, axis=1), y, y)
         extents = zip(*(v.tolist() for v in (t, y, s_lo, w_lo, w_hi)))
         tables = [corr.table("point", (ya,), ta, lo_s, lo, hi, y=ya)
                   for ta, ya, lo_s, lo, hi in extents]
         b_max = np.array([tab.b_max for tab in tables])
-        n_points = s.shape[1]
-        anchor = np.repeat(np.arange(len(t)), n_points)
         s, x = s.ravel(), x.ravel()
         z0 = _z0_left(p)
 
@@ -562,9 +568,8 @@ class FundamentalSolution:
             s_a, x_a, t_a, y_a, b_a = s[pairs], x[pairs], t[a], y[a], b_max[a]
             tab = _ScaledTable.stacked(tables[a[0]:a[-1] + 1], a - a[0], t_a)
             t_k, y_k = t_a[:, None, None], y_a[:, None, None]
-            rho, wr = singular_rule(s_a, t_a, n_time, right_exp=0.5 * corr.alpha - 1.0)
             out = corr.convolution(z0, lambda rho, v, b: corr.source(rho, v, t_k, y_k, b_sx=b),
-                                   s_a, x_a, rho, wr, b_a, t=t_a, spread_at=y_a)
+                                   s_a, x_a, rho[pairs], wr[pairs], b_a, t=t_a, spread_at=y_a)
             return out + self._table_convolution(tab, s_a, x_a, t_a, p, b_a,
                                                  spread_at=y_a, spread=2.0)
         return _in_blocks(s.size, block).reshape(-1, n_points)
@@ -592,19 +597,27 @@ class FundamentalSolution:
         s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
         if np.any(s >= t):
             raise TimeOrderError("terminal integral needs s < t")
+        shape, s, x = s.shape, s.ravel(), x.ravel()
         if self.is_exact:
-            sigma = np.sqrt(self.side.diffusion.constant_value() * (t - s))
-            y, _ = window_nodes(x, sigma, SLICE_NODES)
-            out = np.sum(weight(y) * _UNIT_PROFILE[p], axis=-1) * sigma ** -p
-            return float(out) if out.ndim == 0 else out
-        tab = self.final_table(key, weight, t, float(np.min(s)), float(np.min(x)),
-                               float(np.max(x)))
-        out = slice_integral(s, x, t, tab.b_max, lambda y: _z0(
-            self.side.diffusion(t, y) * (t - s)[..., None], y - x[..., None], p),
-            weight, SLICE_NODES)
-        s_flat, x_flat = s.ravel(), x.ravel()
-        out = out + _in_blocks(s.size, lambda pts: self._table_convolution(
-            tab, s_flat[pts], x_flat[pts], t, p, tab.b_max)).reshape(s.shape)
+            b = self.side.diffusion.constant_value()
+
+            def window(pts):
+                sigma = np.sqrt(b * (t - s[pts]))
+                y, _ = window_nodes(x[pts], sigma, SLICE_NODES)
+                return np.sum(weight(y) * _UNIT_PROFILE[p], axis=-1) * sigma ** -p
+        else:
+            tab = self.final_table(key, weight, t, float(np.min(s)), float(np.min(x)),
+                                   float(np.max(x)))
+
+            def window(pts):
+                return slice_integral(s[pts], x[pts], t, tab.b_max, lambda y: _z0(
+                    self.side.diffusion(t, y) * (t - s[pts, None]), y - x[pts, None], p),
+                    weight, SLICE_NODES)
+        out = _in_blocks(s.size, window, WINDOW_BLOCK)
+        if not self.is_exact:
+            out += _in_blocks(s.size, lambda pts: self._table_convolution(
+                tab, s[pts], x[pts], t, p, tab.b_max))
+        out = out.reshape(shape)
         return float(out) if out.ndim == 0 else out
 
     def spacetime_integral(self, s, x, t, coeff, key):

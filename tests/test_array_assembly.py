@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from memdiff._quadrature import singular_rule
+from memdiff import boundary_system, parametrix
 from memdiff.boundary_system import (
     KernelAssembler,
     RightHandSide,
@@ -251,6 +252,59 @@ def test_anchor_array_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+def record_calls(monkeypatch, cls, name) -> list:
+    """The argument tuples of every later call of cls.name."""
+    calls, method = [], getattr(cls, name)
+
+    def recorded(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return calls
+
+
+def test_solve_runs_one_pass_per_stage(monkeypatch):
+    # the default 64-node mesh fits one array pass: one right-hand side and
+    # one kernel call per solve
+    rhs = record_calls(monkeypatch, RightHandSide, "combined")
+    kernels = record_calls(monkeypatch, KernelAssembler, "system_kernel_matrix")
+    prob, phi, t, config, _ = CASES["skew-moving"]
+    solve_densities(prob, phi, t, config=config)
+    assert len(rhs) == 1 and len(kernels) == 1
+
+
+def test_pass_boundaries_do_not_change_the_densities(monkeypatch):
+    # passes of 16 mesh nodes in the solve and of 40 points in the Poisson
+    # windows give the bits of the one-pass solve
+    prob, phi, t, config, _ = CASES["skew-moving"]
+    whole = solve_densities(prob, phi, t, config=config)
+    monkeypatch.setattr(boundary_system, "PASS_POINTS",
+                        16 * config.n_kernel * 2 * config.n_holmgren)
+    monkeypatch.setattr(parametrix, "WINDOW_BLOCK", 40)
+    rhs = record_calls(monkeypatch, RightHandSide, "combined")
+    split = solve_densities(prob, phi, t, config=config)
+    assert [len(s) for s, in rhs] == [16] * 4
+    assert np.array_equal(split.w1, whole.w1) and np.array_equal(split.w2, whole.w2)
+
+
+def test_whole_mesh_variable_right_hand_side_memory_peak():
+    # the Poisson windows of a whole-mesh right-hand side go through in
+    # passes of WINDOW_BLOCK points: default settings peaked at 2.7 MB, at
+    # 3.8 MB in passes of 512 points and at 11.1 MB in one pass
+    t = 0.4
+    mesh = graded_mesh(t, 0.0, SolverConfig().mesh_n)
+    prob = variable_problem()
+    rhs = RightHandSide(KernelAssembler(prob), PHI, t, mesh[0])  # builds the table
+    tracemalloc.start()
+    try:
+        rhs.combined(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 MOVING_VARIABLE = variable_problem(MembranePath("sinusoidal", [0.0, 0.1, 2.0]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from memdiff.errors import TimeOrderError
+from memdiff import parametrix
 from memdiff.parametrix import (
     CorrectionKernel,
     CorrectionQuadrature,
@@ -312,3 +313,24 @@ def test_point_build_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("side_name", ["exact", "sine-b"])
+def test_terminal_integral_pass_boundaries_do_not_change_bits(side_name, p):
+    # one call on points spanning four window passes against one call per
+    # point: each point's window sum and table convolution are its own
+    fs = FundamentalSolution(side() if side_name == "exact" else sine_b_side(),
+                             QUADS["bench"])
+    n = 3 * parametrix.WINDOW_BLOCK + 7
+    s, x, t = np.linspace(0.0, 0.39, n), np.linspace(-1.5, 1.5, n), 0.4
+
+    def weight(y):
+        return np.exp(-(y - 0.3) ** 2 / 0.72)
+
+    if not fs.is_exact:  # one stored table serves the array and every point
+        fs.final_table(("w",), weight, t, 0.0, -1.5, 1.5)
+    got = fs.terminal_integral(s, x, t, weight, ("w",), p)
+    want = [fs.terminal_integral(si, xi, t, weight, ("w",), p) for si, xi in zip(s, x)]
+    assert got.shape == (n,)
+    assert np.array_equal(got, want)
