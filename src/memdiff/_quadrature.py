@@ -14,6 +14,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .errors import SingularIntegrandError
+
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
@@ -35,22 +37,22 @@ def singular_rule(a, b, n: int, left_exp: float = 0.0, right_exp: float = 0.0):
     integrand.  With both exponents zero this is plain Gauss-Legendre.  The
     ends a and b may be arrays that broadcast together: nodes and weights
     then carry one trailing axis of n points per interval, each the affine
-    image of the cached reference rule.
+    image of the cached reference rule.  Raises SingularIntegrandError when
+    an interval is empty or so narrow that a node rounds onto an end, where
+    the integrand is singular or undefined.
     """
-    if isinstance(a, float) and isinstance(b, float):
-        empty = b <= a
-    else:
+    if not (isinstance(a, float) and isinstance(b, float)):
         a = np.asarray(a, dtype=float)[..., None]
         b = np.asarray(b, dtype=float)[..., None]
-        empty = np.any(b <= a)
-    if empty:
-        raise ValueError(f"empty interval ({a}, {b})")
+    plain = left_exp == 0.0 and right_exp == 0.0
+    xi, wi = gauss_legendre(n) if plain else _jacobi(n, right_exp, left_exp)
     half = 0.5 * (b - a)
-    if left_exp == 0.0 and right_exp == 0.0:
-        xi, wi = gauss_legendre(n)
-        return a + half * (xi + 1.0), wi * half
-    xi, wi = _jacobi(n, right_exp, left_exp)
     x = a + half * (xi + 1.0)
+    # the reference nodes increase, so the end nodes decide
+    if not ((x[..., :1] > a).all() and (x[..., -1:] < b).all()):
+        raise SingularIntegrandError("a quadrature node rounded onto an end of its interval")
+    if plain:
+        return x, wi * half
     w = wi * half ** (1.0 + left_exp + right_exp)
     w = w * (x - a) ** (-left_exp) * (b - x) ** (-right_exp)
     return x, w

@@ -406,20 +406,17 @@ def require_interior_nodes(problem: Problem, config: SolverConfig, s: float, t: 
     pair, lie strictly inside their intervals: where roundoff puts a node on
     an end, the kernels are singular or undefined there."""
     exponent = problem.kernel_time_exponent()
-    taus = (singular_rule(s, t, config.n_kernel, left_exp=exponent, right_exp=-0.5)[0]
-            if s < t else np.array([s]))
-    tau = float(taus[0])
-    mid = 0.5 * (s + tau)
-    inside = bool(np.all((s < taus) & (taus < t))) and s < mid < tau
-    if inside:
-        rho = np.concatenate([singular_rule(s, mid, config.n_holmgren, left_exp=exponent)[0],
-                              singular_rule(mid, tau, config.n_holmgren)[0]])
-        inside = bool(np.all((s < rho) & (rho < tau)))
-    if not inside:
+    tau = t
+    try:
+        tau = float(singular_rule(s, t, config.n_kernel, left_exp=exponent, right_exp=-0.5)[0][0])
+        mid = 0.5 * (s + tau)
+        singular_rule(s, mid, config.n_holmgren, left_exp=exponent)
+        singular_rule(mid, tau, config.n_holmgren)
+    except SingularIntegrandError:
         raise ConfigError(
             f"solver mesh_n {config.mesh_n}, n_kernel {config.n_kernel} and n_holmgren "
             f"{config.n_holmgren} put quadrature nodes on an end of the narrowest kernel "
-            f"interval, {tau - s:.2g} wide; lower one of them or start further from t")
+            f"interval, {tau - s:.2g} wide; lower one of them or start further from t") from None
 
 
 def first_kind_residual(problem: Problem, phi: InitialFunction, t: float,

@@ -34,12 +34,9 @@ class MeshMismatchError(MemdiffError):
 
 
 class SingularIntegrandError(MemdiffError):
-    """The Holmgren integrand does not decay at the left endpoint, or a
-    field value or check statistic came out NaN or infinite."""
-
-
-class MeasureNotNullError(MemdiffError):
-    """An operation defined only for empty jump measures got a nonempty one."""
+    """The Holmgren integrand does not decay at the left endpoint, a
+    quadrature node rounded onto an end of its interval, or a field value
+    or check statistic came out NaN or infinite."""
 
 
 class StepTooLargeError(MemdiffError):

@@ -553,8 +553,6 @@ class FundamentalSolution:
         anchor = np.repeat(np.arange(n_anchors), n_points)
         rho, wr = singular_rule(s.ravel(), t[anchor], 2 * self.quad.n_time,
                                 right_exp=0.5 * corr.alpha - 1.0)
-        if not np.all((s.reshape(-1, 1) < rho) & (rho < t[anchor, None])):
-            raise SingularIntegrandError("a time node rounded onto an end of its interval")
         s_lo, w_lo, w_hi = corr.extent(t, np.min(s, axis=1), y, y)
         extents = zip(*(v.tolist() for v in (t, y, s_lo, w_lo, w_hi)))
         tables = [corr.table("point", (ya,), ta, lo_s, lo, hi, y=ya)
@@ -599,11 +597,11 @@ class FundamentalSolution:
             raise TimeOrderError("terminal integral needs s < t")
         shape, s, x = s.shape, s.ravel(), x.ravel()
         if self.is_exact:
-            b = self.side.diffusion.constant_value()
+            b, u = self.side.diffusion.constant_value(), unit_window(SLICE_NODES)[0]
 
             def window(pts):
                 sigma = np.sqrt(b * (t - s[pts]))
-                y, _ = window_nodes(x[pts], sigma, SLICE_NODES)
+                y = x[pts, None] + u * sigma[:, None]
                 return np.sum(weight(y) * _UNIT_PROFILE[p], axis=-1) * sigma ** -p
         else:
             tab = self.final_table(key, weight, t, float(np.min(s)), float(np.min(x)),

@@ -72,11 +72,6 @@ class DensityPair:
         if self.mesh[-1] >= self.t:
             raise MeshMismatchError("mesh nodes must stay below the terminal time")
 
-    @classmethod
-    def zero(cls, t: float, mesh: np.ndarray) -> "DensityPair":
-        z = np.zeros(len(mesh))
-        return cls(t, mesh, z, z.copy())
-
     @property
     def s_min(self) -> float:
         return float(self.mesh[0])

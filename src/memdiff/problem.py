@@ -172,14 +172,6 @@ class CoefficientField(_Form):
     def constant(cls, c: float) -> "CoefficientField":
         return cls("constant", [c])
 
-    @classmethod
-    def tabulated(cls, s_knots, x_knots, values) -> "CoefficientField":
-        s = np.asarray(s_knots, float)
-        x = np.asarray(x_knots, float)
-        v = np.asarray(values, float)
-        params = [len(s), len(x)] + list(s) + list(x) + list(v.ravel())
-        return cls("tabulated", params)
-
     def __call__(self, s, x):
         s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=float)

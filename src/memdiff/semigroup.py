@@ -5,11 +5,10 @@ function of the space variable: the Poisson potential of the side the point
 lies on plus that side's simple-layer potential, with the layer densities
 solved once per (t, phi) and memoized: the first solve serves every later
 start, and an earlier start gets a solve of its own that replaces nothing.
-The remaining operations audit the semigroup laws (identity, two-parameter
-composition, positivity, contraction), the interface conditions, and the
-generator-level quantities (weak generator pairing, effective coefficients
-of the generalized diffusion, the ordinary generator on its domain,
-transition moments).
+The remaining operations are the audits that `memdiff check` runs: the
+semigroup laws (two-parameter composition, positivity, contraction), the
+interface conditions, and the weak generator pairing, whose membrane term
+carries the Dirac drift weight of EffectiveCoefficients.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from ._quadrature import panel_rule
 from .boundary_system import SolverConfig, flux_condition, solve_densities
-from .errors import MeasureNotNullError, TimeOrderError
+from .errors import TimeOrderError
 from .parametrix import CorrectionQuadrature
 from .potentials import DensityPair, PotentialEvaluator
 from .problem import InitialFunction, Problem
@@ -74,10 +73,8 @@ class SemigroupField:
 
 
 class EffectiveCoefficients:
-    """Generator coefficients of the pasted process when the measure is null.
-
-    Off the membrane these are the side coefficients; on it, the convex
-    combination with the membrane weights, plus the Dirac drift weight."""
+    """Generator coefficients of the pasted process when the measure is null:
+    dirac_drift is the weight of the drift's point mass on the membrane."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
@@ -86,23 +83,6 @@ class EffectiveCoefficients:
         _, (d1, d2) = self.problem.membrane_weights(s)
         return 0.5 * (d1 + d2) * (float(self.problem.q(2, s))
                                   - float(self.problem.q(1, s)))
-
-    def at(self, s: float, x: float):
-        """(diffusion, drift, dirac drift weight) at one space-time point."""
-        if not self.problem.wentzell.measure.is_null:
-            raise MeasureNotNullError(
-                "effective coefficients require an empty jump measure")
-        i = int(self.problem.side_index(s, x))
-        if i == 0:
-            (l1, l2), _ = self.problem.membrane_weights(s)
-            h = float(self.problem.h(s))
-            b = l1 * float(self.problem.diffusion(1, s, h)) \
-                + l2 * float(self.problem.diffusion(2, s, h))
-            a = l1 * float(self.problem.drift(1, s, h)) \
-                + l2 * float(self.problem.drift(2, s, h))
-            return (b, a, self.dirac_drift(s))
-        return (float(self.problem.diffusion(i, s, x)),
-                float(self.problem.drift(i, s, x)), 0.0)
 
 
 class SemigroupOperator:
@@ -113,7 +93,6 @@ class SemigroupOperator:
         self.problem = problem
         self.solver = solver or SolverConfig()
         self.evaluator = PotentialEvaluator(problem, correction_quad=correction_quad)
-        self.coefficients = EffectiveCoefficients(problem)
         self._memo: dict = {}
         self._lock = threading.Lock()
 
@@ -242,48 +221,3 @@ class SemigroupOperator:
         _, (d1, d2) = prob.membrane_weights(s)
         rhs += 0.5 * (d1 + d2) * self._interface_term(s, phi) * float(f(h))
         return lhs, rhs
-
-    def generator_domain_check(self, s: float, phi: InitialFunction,
-                               dt_values, x_grid):
-        """Domain residuals of the ordinary generator and the pointwise limit.
-
-        residual 1: mismatch of the two side generators at the membrane;
-        residual 2: the interface term that must vanish on the domain.  The
-        pointwise limit check runs only when both residuals are at most 1e-8.
-        """
-        h = float(self.problem.h(s))
-        res1 = float(abs(self._side_generator(1, s, phi, h)
-                         - self._side_generator(2, s, phi, h)))
-        res2 = abs(self._interface_term(s, phi))
-        result = {"residual_generator_match": res1,
-                  "residual_interface_term": res2,
-                  "in_domain": bool(res1 <= 1e-8 and res2 <= 1e-8),
-                  "limit_deviations": None}
-        if not result["in_domain"]:
-            return result
-        x_grid = np.asarray(x_grid, dtype=float)
-        gen = self._generator_apply(s, phi, x_grid)
-        result["limit_deviations"] = [float(np.max(np.abs(quot - gen))) for quot
-                                      in self._transition_quotients(s, phi, dt_values, x_grid)]
-        return result
-
-    def transition_moments(self, s: float, x: float, t: float):
-        """Displacement moments of order 1, 2 and 4 of the transition law.
-
-        Computed by applying the operator to clamped monomials supported in
-        a 6-standard-deviation window; requires an empty jump measure (the
-        moments feed the continuous-path characterization).
-        """
-        if not self.problem.wentzell.measure.is_null:
-            raise MeasureNotNullError("transition moments require an empty measure")
-        if s >= t:
-            raise TimeOrderError("transition moments need s < t")
-        b_max = self.problem.diffusion_bounds_rough()[1]
-        r_out = 6.0 * math.sqrt(b_max * (t - s))
-        out = []
-        for k in (1, 2, 4):
-            coeffs = [0.0] * k + [1.0]
-            phi_k = InitialFunction("polynomial-clamped",
-                                    [x, 0.5 * r_out, r_out] + coeffs)
-            out.append(float(self.apply(s, t, phi_k)(x)))
-        return tuple(out)

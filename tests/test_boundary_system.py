@@ -310,3 +310,17 @@ def test_closed_form_time_integral_identity():
         want = math.sqrt(math.pi / beta) * math.exp(-beta / (t - s)) \
             / math.sqrt(t - s)
         assert total == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,b", [(0.4 - 1e-16, 0.4), (0.4, 0.4), (0.5, 0.4),
+                                 (np.array([0.0, 0.4 - 1e-16]), np.array([0.4, 0.4]))],
+                         ids=["two-ulps", "empty", "reversed", "one-of-an-array"])
+@pytest.mark.parametrize("exps", [(0.0, 0.0), (-0.5, -0.5)], ids=["legendre", "jacobi"])
+def test_singular_rule_refuses_nodes_on_an_end(a, b, exps):
+    # an interval two ulps wide puts nodes on its ends, where the integrand
+    # is singular; an empty one has no interior at all.  Both are a
+    # SingularIntegrandError, raised before any weight is formed (no warning)
+    from memdiff._quadrature import singular_rule
+    with pytest.raises(SingularIntegrandError):
+        singular_rule(a, b, 24, *exps)

@@ -20,6 +20,12 @@ def evaluator(problem):
     return PotentialEvaluator(problem)
 
 
+def zero_density(t, n=64):
+    """Densities with W_i == 0."""
+    mesh = graded_mesh(t, 0.0, n)
+    return DensityPair(t, mesh, np.zeros(n), np.zeros(n))
+
+
 def unit_density(t, s_min=0.0, n=64):
     """Densities with V_i == 1, i.e. W_i(tau) = (t - tau)^(1/2)."""
     mesh = graded_mesh(t, s_min, n)
@@ -138,7 +144,7 @@ def test_exact_side_poisson_matches_z0_slice(two_scale_problem, kind):
 
 def test_layer_zero_density(symmetric_problem):
     ev = evaluator(symmetric_problem)
-    dens = DensityPair.zero(1.0, graded_mesh(1.0, 0.0))
+    dens = zero_density(1.0)
     assert ev.layer(1, 0.2, 0.5, 1.0, dens) == 0.0
 
 
@@ -185,7 +191,7 @@ def test_layer_bounded_by_density_sup(moving_membrane_problem):
 
 def test_jump_zero_density(symmetric_problem):
     ev = evaluator(symmetric_problem)
-    dens = DensityPair.zero(1.0, graded_mesh(1.0, 0.0))
+    dens = zero_density(1.0)
     assert ev.conormal_jump(1, 0.3, 1.0, dens) == (0.0, 0.0)
 
 
@@ -233,7 +239,7 @@ def test_jump_difference_moving_membrane(moving_membrane_problem):
 
 def test_direct_value_zero_cases(symmetric_problem):
     ev = evaluator(symmetric_problem)
-    dens0 = DensityPair.zero(1.0, graded_mesh(1.0, 0.0))
+    dens0 = zero_density(1.0)
     assert ev.direct_value(1, 0.3, 1.0, dens0) == 0.0
     # centered Gaussian derivative vanishes on a flat membrane
     dens1 = unit_density(1.0)
@@ -279,20 +285,23 @@ NEAR_T_LAYER = {8: 1.25329092, 16: 1.25330815, 24: 1.25331134,
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", sorted(NEAR_T_LAYER))
-def test_variable_side_layer_at_last_mesh_node(n):
+@pytest.mark.parametrize("n,b_s", [pytest.param(n, 0.0, id=str(n)) for n in sorted(NEAR_T_LAYER)]
+                         + [pytest.param(16, 0.1, id="16-time-dependent")])
+def test_variable_side_layer_at_last_mesh_node(n, b_s):
     # the last node lies 0.4/n^2 before t.  For n >= 32 a time node of a
     # point correction rounds onto its anchor: a SingularIntegrandError,
     # raised before a kernel divides by the zero variance (no warning) and
     # not an IndexError from the lookup.  Below that the value is finite,
-    # pinned to 1e-8
+    # pinned to 1e-8.  With b_s sin s added the side is time-dependent: its
+    # point tables are built at the anchor itself, and at n = 16 a node of
+    # a table's own time rule rounds onto t, which gave NaN after 116 builds
     left = SideSpec(CoefficientField.constant(0.0),
-                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, 0.0, 0.0]),
+                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, b_s, 1.0]),
                     holder_exponent=0.75, diffusion_min=0.5, diffusion_max=2.0)
     ev = evaluator(replace(make_problem(), left=left))
     mesh = graded_mesh(0.4, 0.0, n)
     densities = DensityPair(0.4, mesh, np.ones(n), np.ones(n))
-    if NEAR_T_LAYER[n] is None:
+    if b_s or NEAR_T_LAYER[n] is None:
         with pytest.raises(SingularIntegrandError):
             ev.layer(1, mesh[-1], 0.0, 0.4, densities)
     else:

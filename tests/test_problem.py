@@ -122,8 +122,7 @@ def test_membrane_band_width():
 def test_coefficient_catalog_evaluation():
     aff = CoefficientField("affine-in-x", [1.0, 2.0])
     assert aff(0.0, 3.0) == pytest.approx(7.0)
-    tab = CoefficientField.tabulated([0.0, 1.0], [-1.0, 1.0],
-                                     [[1.0, 2.0], [3.0, 4.0]])
+    tab = CoefficientField("tabulated", [2, 2, 0.0, 1.0, -1.0, 1.0, 1.0, 2.0, 3.0, 4.0])
     assert tab(0.0, -1.0) == pytest.approx(1.0)
     assert tab(1.0, 1.0) == pytest.approx(4.0)
     assert tab(0.5, 0.0) == pytest.approx(2.5)
@@ -176,7 +175,7 @@ def test_constant_and_sinusoidal_values_keep_shape_and_bits():
     (CoefficientField("affine-in-x", [2.0, 0.1]), False),
     (CoefficientField("sinusoidal-in-s-and-x", [2.0, 0.0, 3.0, 0.0, 1.0]), True),
     (CoefficientField("sinusoidal-in-s-and-x", [2.0, 0.0, 3.0, 0.1, 1.0]), False),
-    (CoefficientField.tabulated([0.0, 1.0], [0.0, 1.0], [[2.0, 2.0], [2.0, 2.0]]), False),
+    (CoefficientField("tabulated", [2, 2, 0.0, 1.0, 0.0, 1.0, 2.0, 2.0, 2.0, 2.0]), False),
     (TimeFunction("linear", [2.0, 0.0]), True),
     (TimeFunction("sinusoidal", [2.0, 0.0, 3.0, 0.5]), True),
     (TimeFunction("sinusoidal", [2.0, 0.1, 3.0]), False),
@@ -196,7 +195,7 @@ def test_constant_forms_read_their_first_parameter(form, constant):
     (CoefficientField("affine-in-x", [2.0, 0.5]), True),
     (CoefficientField("sinusoidal-in-s-and-x", [2.0, 0.3, 3.0, 0.0, 1.0]), True),
     (CoefficientField("sinusoidal-in-s-and-x", [2.0, 0.3, 3.0, 0.1, 1.0]), False),
-    (CoefficientField.tabulated([0.0, 1.0], [0.0, 1.0], [[2.0, 2.0], [2.0, 2.0]]), False),
+    (CoefficientField("tabulated", [2, 2, 0.0, 1.0, 0.0, 1.0, 2.0, 2.0, 2.0, 2.0]), False),
 ])
 def test_time_homogeneous_fields_do_not_depend_on_s(field, homogeneous):
     # a catalog property: tabulated fields never count, even when their
@@ -298,8 +297,7 @@ def test_problem_from_dict_missing_key():
 
 
 def test_tabulated_kinds_json_roundtrip():
-    tab_c = CoefficientField.tabulated([0.0, 1.0], [-1.0, 1.0],
-                                       [[1.0, 2.0], [3.0, 4.0]])
+    tab_c = CoefficientField("tabulated", [2, 2, 0.0, 1.0, -1.0, 1.0, 1.0, 2.0, 3.0, 4.0])
     back_c = CoefficientField.from_dict(tab_c.to_dict())
     assert back_c(0.5, 0.0) == pytest.approx(tab_c(0.5, 0.0))
     tab_t = TimeFunction("tabulated", [3, 0.0, 0.5, 1.0, 0.2, 0.9, 0.2])

