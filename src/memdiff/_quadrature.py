@@ -41,7 +41,8 @@ def singular_rule(a, b, n: int, left_exp: float = 0.0, right_exp: float = 0.0):
     an interval is empty or so narrow that a node rounds onto an end, where
     the integrand is singular or undefined.
     """
-    if not (isinstance(a, float) and isinstance(b, float)):
+    scalar = isinstance(a, float) and isinstance(b, float)
+    if not scalar:
         a = np.asarray(a, dtype=float)[..., None]
         b = np.asarray(b, dtype=float)[..., None]
     plain = left_exp == 0.0 and right_exp == 0.0
@@ -49,7 +50,8 @@ def singular_rule(a, b, n: int, left_exp: float = 0.0, right_exp: float = 0.0):
     half = 0.5 * (b - a)
     x = a + half * (xi + 1.0)
     # the reference nodes increase, so the end nodes decide
-    if not ((x[..., :1] > a).all() and (x[..., -1:] < b).all()):
+    if not (x[0] > a and x[-1] < b if scalar
+            else (x[..., :1] > a).all() and (x[..., -1:] < b).all()):
         raise SingularIntegrandError("a quadrature node rounded onto an end of its interval")
     if plain:
         return x, wi * half

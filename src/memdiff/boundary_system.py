@@ -16,7 +16,11 @@ through its differentiated representation
     Ef(s,t) = (2 pi)^(-1/2) integral of (rho-s)^(-3/2) [f(rho)-f(s)] d rho
               - sqrt(2/pi) (t-s)^(-1/2) f(s),
 
-never by numerical differentiation.  After elimination the system reads
+never by numerical differentiation.  The right-hand side needs E of the
+Poisson trace gap P_2 - P_1: when both sides are exact on a flat membrane
+that is closed, E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y)
+sign(y - h) phi(y) dy (RightHandSide.transformed_trace_gap), and every
+other problem evaluates it numerically.  After elimination the system reads
 
     V_i(s,t) = Psi_i(s,t) + sum_j integral N_ij(s,tau) V_j(tau,t) d tau
 
@@ -264,6 +268,11 @@ class RightHandSide:
     The Poisson correction table of a variable side is sized once, for the
     membrane and the atoms on [s_min, t], so the values do not depend on
     the order in which times are evaluated.
+
+    The transformed trace gap E[P_2 - P_1] takes one of three routes:
+    zero on identical sides, a closed form when both sides are exact on a
+    flat membrane (see transformed_trace_gap), and holmgren_transform of
+    trace_gap everywhere else.
     """
 
     def __init__(self, assembler: KernelAssembler, phi: InitialFunction, t: float,
@@ -307,18 +316,54 @@ class RightHandSide:
                                  lambda x, on: poisson_on(j, x, on)) for j in (1, 2))
         return out if np.shape(out) else float(out)
 
+    def transformed_trace_gap(self, s):
+        """E[P_2 - P_1](s, t), the Holmgren transform of the trace gap, at
+        the times s.
+
+        When both sides are exact (G_j = Z0_j, variance b_j (t - s)) on a
+        flat membrane h, the transform is closed.  With a = (y - h)^2 / (2 b_j),
+
+            integral over (s,t) of (rho-s)^(-1/2) Z0_j(rho, h; t, y) d rho
+                = (2 pi b_j)^(-1/2) integral over (0,T) of
+                  e^(-a/tau) (tau (T - tau))^(-1/2) d tau
+                = (2 pi b_j)^(-1/2) pi erfc(sqrt(a/T)),     T = t - s,
+
+        and sqrt(2/pi) d/ds of it is -|y - h| T^(-3/2) e^(-a/T) / (b_j sqrt(2 pi))
+        = -sqrt(b_j) dZ0_j/dx(s, h; t, y) sign(y - h).  Integrated against
+        phi (phi is bounded, so E and the y-integral commute):
+
+            E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y)
+                        sign(y - h) phi(y) dy,
+
+        one terminal_integral of phi sign(. - h) with p = 1 per side, whose
+        window y = h + u sigma puts the sign kink on its u = 0 panel edge.
+        Every other problem transforms trace_gap numerically.
+        """
+        s = np.asarray(s, dtype=float)
+        prob = self.assembler.problem
+        if self._identical_sides:
+            return 0.0
+        if not all(self.assembler._flat_exact.values()):
+            return holmgren_transform(
+                lambda rho: self.trace_gap(np.minimum(rho, self.t - 1e-14)), s, self.t,
+                f_s=self.trace_gap(s), n=self.assembler.config.n_holmgren,
+                left_exp=prob.kernel_time_exponent())
+        h = prob.membrane.constant_value()
+
+        def signed_phi(y):
+            return self.phi(y) * np.sign(y - h)
+
+        key = ("signed-phi", h) + self.phi.key
+        return sum((-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value())
+                   * fs.terminal_integral(s, h, self.t, signed_phi, key, p=1)
+                   for j, fs in self.assembler.evaluator.fs.items())
+
     def combined(self, s) -> np.ndarray:
         """Right-hand sides (Psi_1, Psi_2) of the eliminated second-kind
         system at the times s, shape (2,) + shape of s."""
         s = np.asarray(s, dtype=float)
         prob = self.assembler.problem
-        phi_term = 0.0
-        if not self._identical_sides:
-            phi_term = holmgren_transform(
-                lambda rho: self.trace_gap(np.minimum(rho, self.t - 1e-14)), s, self.t,
-                f_s=self.trace_gap(s), n=self.assembler.config.n_holmgren,
-                left_exp=prob.kernel_time_exponent())
-        return eliminate(prob, s, prob.h(s), self.flux_gap(s), phi_term)
+        return eliminate(prob, s, prob.h(s), self.flux_gap(s), self.transformed_trace_gap(s))
 
 
 # ---------------------------------------------------------------------------

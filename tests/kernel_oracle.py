@@ -2,7 +2,9 @@
 
 Point-by-point evaluation of the Holmgren transform, the flux and
 transformed continuity kernels, the combined system kernel, the right-hand
-side, and the successive approximations with per-node np.interp.  The
+side, and the successive approximations with per-node np.interp.  On exact
+sides at a flat membrane the transformed trace gap is its closed form, on
+the Z0-slice form of the Poisson window.  The
 library evaluates the same formulas on whole node arrays; the tests compare
 the two.
 
@@ -205,8 +207,20 @@ class ScalarRightHandSide:
         return out
 
     def transformed_trace_gap(self, s: float) -> float:
+        """E[P_2 - P_1](s): numerically, or on exact sides at a flat membrane
+        h by the closed form E[P_j](s) = -sqrt(b_j) integral of
+        dZ0_j/dx(s, h; t, y) sign(y - h) phi(y) dy."""
         if self._identical_sides:
             return 0.0
+        if all(self.kernels._flat_exact.values()):
+            h = float(self.kernels.problem.h(s))
+
+            def signed_phi(y):
+                return self.phi(y) * np.sign(y - h)
+
+            return sum((-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value())
+                       * float(z0_slice_poisson(fs, s, h, self.t, signed_phi, p=1))
+                       for j, fs in self.kernels.evaluator.fs.items())
 
         def f(rho):
             rho = np.atleast_1d(np.asarray(rho, dtype=float))
