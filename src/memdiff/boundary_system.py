@@ -268,11 +268,6 @@ class RightHandSide:
     The Poisson correction table of a variable side is sized once, for the
     membrane and the atoms on [s_min, t], so the values do not depend on
     the order in which times are evaluated.
-
-    The transformed trace gap E[P_2 - P_1] takes one of three routes:
-    zero on identical sides, a closed form when both sides are exact on a
-    flat membrane (see transformed_trace_gap), and holmgren_transform of
-    trace_gap everywhere else.
     """
 
     def __init__(self, assembler: KernelAssembler, phi: InitialFunction, t: float,
@@ -353,9 +348,9 @@ class RightHandSide:
         def signed_phi(y):
             return self.phi(y) * np.sign(y - h)
 
-        key = ("signed-phi", h) + self.phi.key
+        # an exact side's window reads no table, so it needs no cache key
         return sum((-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value())
-                   * fs.terminal_integral(s, h, self.t, signed_phi, key, p=1)
+                   * fs.terminal_integral(s, h, self.t, signed_phi, None, p=1)
                    for j, fs in self.assembler.evaluator.fs.items())
 
     def combined(self, s) -> np.ndarray:
