@@ -11,9 +11,11 @@ form for two constant diffusion scales (two_scale_density).  The particle
 simulation realizes the pasted diffusion directly: Euler-Maruyama between
 crossings, and on a membrane crossing the landing side is redrawn with the
 membrane weights read as exit probabilities.  Atomic jump measures are
-realized by a thin-layer approximation that is first-order accurate only
-and used purely for qualitative cross-checks; its bias indicator is
-reported alongside the estimate.
+realized by a thin jump layer that jumps about twice as often as the
+conjugation condition asks (ROADMAP item 6: with unit atoms the estimates
+sit 20-37 standard errors below a finite-difference value, and halving the
+weights brings them within 3), so atom estimates serve qualitative
+cross-checks only; the jump count is reported alongside the estimate.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ def skew_action(params: SkewParams, dt: float, x: float, phi) -> float:
 
 # bounds on a simulation's size, 100 times the default paths and the default
 # dt's steps over a unit interval: the run time grows with paths x steps (10^7
-# paths of 1000 steps take about 15 min), the step times with steps (about
-# 100 bytes a step)
+# paths of 1000 steps take about 10 min, from 5.3-6.3 s for 10^5 paths on a
+# 2-core machine), the step times with steps (about 100 bytes a step)
 MAX_PATHS = 10 ** 7
 MAX_STEPS = 10 ** 5
 
@@ -158,6 +160,13 @@ JUMP_LAYER = 1.0
 # largest mean second-interaction indicator of resolved steps that
 # simulate() accepts before it asks for a smaller dt
 CROSSING_RISK_CAP = 0.05
+# exponent past which a same-side step cannot touch the membrane.
+# Generator.random returns (raw64 >> 11) 2^-53, so a positive uniform is at
+# least 2^-53 = exp(-36.7).  A path with d0 d1 >= (TOUCH_CUT / 2) b dt in
+# floating point has a rounded exponent 2 d0 d1 / (b dt) above 39.9, and
+# exp(-39.9) < 5e-18 lies far below 2^-53: its uniform falls under the
+# touch probability only when it is exactly 0.0
+TOUCH_CUT = 40.0
 
 
 @dataclass
@@ -207,7 +216,14 @@ def simulate(problem: Problem, s: float, x: float, t: float,
     The time-only data (membrane, q, membrane diffusions) is evaluated once
     per call on the arrays of step times, and the resolve runs on the
     resolved paths only; every step still draws full blocks in a fixed
-    order (normal, touch uniform, side uniform, then the atom draws).
+    order (normal, then touch, side and jump uniforms in one draw, then the
+    atom choice).  The touch probability exp(-z), z = 2 d0 d1 / (b dt), is
+    evaluated only where a uniform can fall below it: a positive uniform of
+    Generator.random is at least 2^-53, so a path with z past TOUCH_CUT
+    touches only when its uniform is exactly 0.0, and only the paths under
+    the cut or with a zero uniform take the exp.  Where z is large, which
+    is most paths away from the membrane, exp(-z) underflows to a subnormal
+    or 0, and NumPy's exp is slow there.
     """
     config = config or SimConfig()
     if s >= t:
@@ -248,40 +264,61 @@ def simulate(problem: Problem, s: float, x: float, t: float,
         size = min(BLOCK_SIZE, n_left)
         rng = _block_generator(config.seed, block)
         xs = np.full(size, float(x))
+        prop, noise, gap, excess = np.empty((4, size))
+        right, land_right, near = np.empty((3, size), dtype=bool)
+        # one draw per step for the touch, side (and jump) uniforms: each
+        # double takes one 64-bit output in order, so the stream is that
+        # of separate draws
+        uniforms = np.empty((3 if has_atoms else 2) * size)
+        u_touch, u_side, uj = uniforms[:size], uniforms[size:2 * size], uniforms[2 * size:]
+        again = np.zeros(size)
         risk = 0.0
         for k, (sk, sk1, h_k, h_k1, r1_k, r2_k, l2_k) in enumerate(zip(*steps)):
-            right = xs >= h_k
+            np.greater_equal(xs, h_k, out=right)
             b_dt = diffusion(right, sk, xs) * dt
             a = drift(right, sk, xs)
-            noise = rng.standard_normal(size)
-            prop = xs + a * dt + np.sqrt(b_dt) * noise
+            rng.standard_normal(out=noise)
+            np.multiply(noise, np.sqrt(b_dt), out=noise)
+            np.add(xs, a * dt, out=prop)
+            prop += noise
+            rng.random(out=uniforms)
 
-            land_right = prop >= h_k1
+            np.greater_equal(prop, h_k1, out=land_right)
+            np.subtract(prop, h_k1, out=excess)
+            np.abs(excess, out=excess)
+            b_dt_eps = b_dt + 1e-300
             # same-side steps may still have touched the membrane: the
             # Brownian bridge touch probability exp(-2 d0 d1 / (b dt));
             # resolving touched steps alongside crossed ones makes the
-            # one-step law exact for flat membranes and constant scales
-            excess = np.abs(prop - h_k1)
-            b_dt_eps = b_dt + 1e-300
-            p_touch = np.exp(-2.0 * np.abs(xs - h_k) * excess / b_dt_eps)
-            u_touch = rng.random(size)
-            at = np.flatnonzero((right != land_right) | (u_touch < p_touch))
-            u_side = rng.random(size)
+            # one-step law exact for flat membranes and constant scales.
+            # Only paths under the cut, or with a zero uniform, can touch
+            np.subtract(xs, h_k, out=gap)
+            np.abs(gap, out=gap)
+            gap *= excess
+            np.less(gap, 0.5 * TOUCH_CUT * b_dt_eps, out=near)
+            if u_touch.min() == 0.0:
+                near |= u_touch == 0.0
+            c = np.flatnonzero(near)
+            p_touch = np.exp(-2.0 * np.abs(xs[c] - h_k) * excess[c]
+                             / (b_dt_eps[c] if np.ndim(b_dt_eps) else b_dt_eps))
+            resolve = np.not_equal(right, land_right, out=right)  # the crossed paths
+            resolve[c[u_touch[c] < p_touch]] = True
+            at = np.flatnonzero(resolve)
 
             dest_right = u_side[at] < l2_k
             e_res = excess[at] * (np.where(dest_right, r2_k, r1_k)
                                   / np.where(land_right[at], r2_k, r1_k))
-            xs = prop
+            xs, prop = prop, xs
             xs[at] = h_k1 + np.where(dest_right, 1.0, -1.0) * e_res
             # step-size reliability: probability that a resolved step
-            # interacts with the membrane again before it ends
-            again = np.zeros(size)
+            # interacts with the membrane again before it ends; the sum
+            # and divide are np.mean's own
             again[at] = np.exp(-2.0 * e_res * e_res
                                / (b_dt_eps[at] if np.ndim(b_dt_eps) else b_dt_eps))
-            risk += float(np.mean(again))
+            risk += float(np.add.reduce(again) / size)
+            again[at] = 0.0
             if has_atoms:
                 in_layer = np.abs(xs - h_k1) < layers[k]
-                uj = rng.random(size)
                 if np.any(in_layer):
                     y_at = meas.positions(sk1)
                     w_at = meas.weights(sk1)

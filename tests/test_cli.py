@@ -231,6 +231,19 @@ def test_solve_matches_golden_output(tmp_path, name):
     assert out.read_bytes() == (REPO / "tests" / "golden" / f"{name}.csv").read_bytes()
 
 
+def test_compare_mc_matches_golden_report(tmp_path):
+    # configs/skew.json on 3 points with 2000 paths: every estimate, standard
+    # error and z-score to all digits, as committed in tests/golden
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["grid"] = {"min": -0.5, "max": 0.5, "n": 3}
+    cfg["mc"] = {"paths": 2000, "dt": 0.002, "seed": 42}
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["compare-mc", "--config", cfg_path, "--out", out]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "golden" / "compare_mc_skew.json").read_bytes()
+
+
 @pytest.mark.parametrize("case", ["constant-one", "unreached-gaussian", "one-path"])
 def test_compare_mc_zero_variance_exits_3(tmp_path, capsys, case):
     # every path returns the same phi value: the estimate has no standard

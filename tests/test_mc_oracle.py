@@ -8,12 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import simulate_reference
 from conftest import atom_at, make_problem
+from memdiff import mc_oracle
 from memdiff._quadrature import panel_rule
 from memdiff.errors import StepTooLargeError
 from memdiff.mc_oracle import (
+    TOUCH_CUT,
     SimConfig,
     SkewParams,
+    _block_generator,
     compare,
     simulate,
     skew_action,
@@ -270,16 +274,94 @@ BITWISE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
-def test_simulate_bitwise_equals_reference(case, gaussian_phi):
-    # the time data and the resolved-only resolve change no bit: the same
-    # streams are drawn in the same order and every sum runs in full order
+# (s, x, t) of each bitwise comparison; x = None starts on the membrane h(s),
+# where every path has a zero touch exponent on its first step, and the far
+# point is mc-compare's, where most exponents lie past TOUCH_CUT.  A case
+# from the first start keeps the case's name as its id
+BITWISE_STARTS = {
+    "near": (0.1, 0.2, 0.6),
+    "on-membrane": (0.1, None, 0.6),
+    "far": (0.0, 1.5, 1.0),
+}
+BITWISE_RUNS = [pytest.param(case, start, id=case if start == "near" else f"{case}-{start}")
+                for case in sorted(BITWISE_CASES) for start in BITWISE_STARTS]
+
+
+def _bitwise_case(case, start):
     build, paths = BITWISE_CASES[case]
     problem = build()
-    config = SimConfig(paths=paths, dt=0.002, seed=5)
-    got = simulate(problem, 0.1, 0.2, 0.6, gaussian_phi, config)
-    want = reference_simulate(problem, 0.1, 0.2, 0.6, gaussian_phi, config)
+    s, x, t = BITWISE_STARTS[start]
+    if x is None:
+        x = float(problem.h(s))
+    return problem, s, x, t, SimConfig(paths=paths, dt=0.002, seed=5)
+
+
+def _assert_results_equal(got, want):
     for name in ("mean", "stderr", "crossing_risk", "jump_bias_indicator"):
         assert getattr(got, name) == getattr(want, name), name
-    if case.startswith("atoms"):
+
+
+@pytest.mark.parametrize("case, start", BITWISE_RUNS)
+def test_simulate_bitwise_equals_reference(case, start, gaussian_phi, monkeypatch):
+    # the time data, the resolved-only resolve and the touch cut change no
+    # bit: the same streams are drawn in the same order and every sum runs
+    # in full order.  The risk cap is lifted in both, so that a start where
+    # the drifts meet on the membrane still returns every field to compare
+    for module in (mc_oracle, simulate_reference):
+        monkeypatch.setattr(module, "CROSSING_RISK_CAP", math.inf)
+    problem, s, x, t, config = _bitwise_case(case, start)
+    got = simulate(problem, s, x, t, gaussian_phi, config)
+    want = reference_simulate(problem, s, x, t, gaussian_phi, config)
+    _assert_results_equal(got, want)
+    if case.startswith("atoms") and start == "near":
         assert got.jump_bias_indicator > 0  # the jump-layer branch ran
+
+
+def test_touch_cut_is_sound():
+    # a positive uniform is at least 2^-53, and exp(-TOUCH_CUT) lies below it
+    assert math.exp(-TOUCH_CUT) < 2.0 ** -53
+    u = _block_generator(5, 0).random(1 << 16)
+    scaled = u * 2.0 ** 53
+    assert np.all(scaled == np.floor(scaled))
+    assert np.all((u >= 0.0) & (u < 1.0))
+
+
+class _ZeroingGenerator:
+    """A block generator whose every ZERO_EVERY-th uniform is 0.0.
+
+    The position counts the uniforms drawn so far, so the same uniforms are
+    zeroed however a step groups its draws.
+    """
+
+    ZERO_EVERY = 97
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def standard_normal(self, size=None, out=None):
+        return self.rng.standard_normal(size, out=out)
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        pos = self.drawn + np.arange(u.size)
+        u[pos % self.ZERO_EVERY == 0] = 0.0
+        self.drawn += u.size
+        return u
+
+
+@pytest.mark.parametrize("case", ["flat-skew", "atoms-two-scale"])
+def test_zero_uniforms_touch_as_in_the_reference(case, gaussian_phi, monkeypatch):
+    # a zero uniform lies below every positive touch probability, however
+    # far past TOUCH_CUT its exponent: the cut must still test those paths
+    def zeroing(seed, block):
+        return _ZeroingGenerator(_block_generator(seed, block))
+
+    problem, s, x, t, config = _bitwise_case(case, "far")
+    plain = simulate(problem, s, x, t, gaussian_phi, config)
+    monkeypatch.setattr(mc_oracle, "_block_generator", zeroing)
+    monkeypatch.setattr(simulate_reference, "_block_generator", zeroing)
+    got = simulate(problem, s, x, t, gaussian_phi, config)
+    want = reference_simulate(problem, s, x, t, gaussian_phi, config)
+    _assert_results_equal(got, want)
+    assert got.mean != plain.mean  # the zeros moved paths
