@@ -1,9 +1,14 @@
-"""Batch front door: load a problem config, run solves and checks, emit reports.
+"""Batch front door: parse a run config whole, run one command on it, emit reports.
+
+Usage: memdiff COMMAND --config PATH [--out PATH]; every other setting comes
+from the config.  Every command parses and range-checks the whole config
+before it runs, so a config that one command accepts, every command accepts,
+except that check and compare-mc run from one start time only.
 
 Commands
   validate     audit the problem and initial function, print the per-condition report
   solve        evaluate the field on a grid, write CSV (s,x,u,side)
-  check        run one named check suite, write a JSON report
+  check        run the config's check suite, write a JSON report
   compare-mc   solver vs Monte Carlo z-scores per grid point
 
 Exit codes: 0 success / all checks passed, 1 some check failed, 2 config or
@@ -23,13 +28,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .boundary_system import (  # noqa: F401  perfbench traces cli.solve_densities
-    KernelAssembler,
     SolverConfig,
     first_kind_residual,
     solve_densities,
@@ -49,7 +53,6 @@ from .problem import InitialFunction, Problem, require_number, require_object, v
 from .semigroup import SemigroupOperator
 
 REPORT_SCHEMA = "report.v1"
-PROBLEM_SCHEMA = "problem.v1"
 
 
 def fmt_sig(value: float, precision: int = 12) -> str:
@@ -59,6 +62,7 @@ def fmt_sig(value: float, precision: int = 12) -> str:
 
 RUN_KEYS = ("problem", "problem_file", "s", "t", "grid", "phi", "solver", "mc",
             "precision", "grid_resolution", "suite")
+SUITES = ("semigroup", "conjugation", "generator", "parametrix")
 
 
 def read_json(path, what: str):
@@ -67,80 +71,83 @@ def read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed, not UTF-8 or nested too deep
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def load_run_config(path: str) -> dict:
+@dataclass(frozen=True)
+class Run:
+    """A run config, every key parsed and range-checked, whatever the command."""
+
+    problem: Problem
+    phi: InitialFunction
+    s_values: list
+    t: float
+    grid: np.ndarray
+    solver: SolverConfig
+    sim: SimConfig
+    precision: int
+    suite: str
+    grid_resolution: int  # range-checked by validate()
+
+
+def parse_run(path: str) -> Run:
+    """The run config at path; a ConfigError names the first bad or
+    conflicting setting."""
     cfg = require_object(read_json(path, "config"), "config", optional=RUN_KEYS)
+    if ("problem" in cfg) == ("problem_file" in cfg):
+        raise ConfigError("config needs exactly one of 'problem' and 'problem_file'")
     if "problem_file" in cfg:
         if not isinstance(cfg["problem_file"], str):
             raise ConfigError(f"bad problem_file: expected a path, "
                               f"got {cfg['problem_file']!r}")
         cfg["problem"] = read_json(Path(path).parent / cfg["problem_file"], "problem file")
-    if "problem" not in cfg:
-        raise ConfigError("config missing key 'problem' (or 'problem_file')")
-    return cfg
-
-
-def build_phi(cfg: dict) -> InitialFunction:
-    return InitialFunction.from_dict(cfg.get("phi", {"kind": "constant-one", "params": [1.0]}))
-
-
-def audit(cfg: dict) -> tuple:
-    """The config's problem, its initial function and validate() of both, on
-    the config's grid_resolution, else on validate's default."""
-    problem, phi = Problem.from_dict(cfg["problem"]), build_phi(cfg)
-    return problem, phi, validate(problem, cfg.get("grid_resolution", 65), phi)
-
-
-def validated(cfg: dict) -> tuple:
-    """The config's problem and initial function, audited on the grid of the
-    validate command before any solve."""
-    problem, phi, report = audit(cfg)
-    failed = ", ".join(c.condition for c in report.checks if not c.passed)
-    if failed:
-        raise ConfigError(f"failed validation of condition {failed}; run the validate command")
-    return problem, phi
-
-
-def build_grid(cfg: dict) -> np.ndarray:
+    problem = Problem.from_dict(cfg["problem"])
+    phi = InitialFunction.from_dict(cfg.get("phi", {"kind": "constant-one", "params": [1.0]}))
+    t = float(require_number(cfg.get("t"), "t", gt=0, le=problem.horizon))
+    s = cfg.get("s", 0.0)
+    s_values = [float(require_number(v, "s", ge=0, lt=t))
+                for v in (s if isinstance(s, list) and s else [s])]
     grid = require_object(cfg.get("grid", {"min": -2.0, "max": 2.0, "n": 21}), "grid",
                           ("min", "max", "n"))
     lo = require_number(grid["min"], "grid min")
     hi = require_number(grid["max"], "grid max", ge=lo)
-    return np.linspace(lo, hi, require_number(grid["n"], "grid n", integer=True,
-                                              ge=1, le=100_000))
+    n = require_number(grid["n"], "grid n", integer=True, ge=1, le=100_000)
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ConfigError(f"bad grid: max - min = {hi!r} - {lo!r} overflows")
+    solver = SolverConfig(**require_object(cfg.get("solver", {}), "solver override",
+                                           optional=[f.name for f in fields(SolverConfig)]))
+    sim = SimConfig(**require_object(cfg.get("mc", {}), "mc setting",
+                                     optional=[f.name for f in fields(SimConfig)]))
+    sim.steps(min(s_values), t)  # a dt too fine for (s, t) is refused before any solve
+    precision = require_number(cfg.get("precision", 12), "precision",
+                               integer=True, ge=1, le=17)
+    suite = cfg.get("suite", "semigroup")
+    if suite not in SUITES:
+        raise ConfigError(f"bad suite: expected one of {', '.join(SUITES)}, got {suite!r}")
+    return Run(problem, phi, s_values, t, np.linspace(lo, hi, n), solver, sim, precision,
+               suite, cfg.get("grid_resolution", 65))
 
 
-def build_solver(cfg: dict) -> SolverConfig:
-    overrides = require_object(cfg.get("solver", {}), "solver override",
-                               optional=[f.name for f in fields(SolverConfig)])
-    return SolverConfig(**overrides)
+def audit(run: Run):
+    """validate() of the run's problem and initial function, on the config's
+    grid_resolution, else on validate's default."""
+    return validate(run.problem, run.grid_resolution, run.phi)
 
 
-def build_sim(cfg: dict, args) -> SimConfig:
-    overrides = dict(require_object(cfg.get("mc", {}), "mc setting",
-                                    optional=[f.name for f in fields(SimConfig)]))
-    overrides.update((k, v) for k, v in (("paths", args.paths), ("seed", args.seed))
-                     if v is not None)
-    return SimConfig(**overrides)
+def validated(run: Run) -> None:
+    """Refuse a run whose problem or initial function fails the audit of the
+    validate command; every command but validate calls this before any solve."""
+    failed = ", ".join(c.condition for c in audit(run).checks if not c.passed)
+    if failed:
+        raise ConfigError(f"failed validation of condition {failed}; run the validate command")
 
 
-def times(cfg: dict, problem: Problem) -> tuple:
-    """(start times, t) with 0 <= s < t <= horizon; s is one number or a list."""
-    t = float(require_number(cfg.get("t"), "t", gt=0, le=problem.horizon))
-    s = cfg.get("s", 0.0)
-    s_values = s if isinstance(s, list) and s else [s]
-    return [float(require_number(v, "s", ge=0, lt=t)) for v in s_values], t
-
-
-def start_time(cfg: dict, problem: Problem) -> tuple:
-    """(s, t) for a command that runs from a single start time."""
-    s_values, t = times(cfg, problem)
-    if len(s_values) > 1:
-        raise ConfigError(f"this command takes one start time s, got {len(s_values)}")
-    return s_values[0], t
+def start_time(run: Run) -> float:
+    """s for a command that runs from a single start time."""
+    if len(run.s_values) > 1:
+        raise ConfigError(f"this command takes one start time s, got {len(run.s_values)}")
+    return run.s_values[0]
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -184,23 +191,20 @@ def entry(check: str, case: str, statistic: float, tolerance: float) -> dict:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_validate(cfg: dict, args) -> int:
-    report = audit(cfg)[2]
+def cmd_validate(run: Run, out: str | None) -> int:
+    report = audit(run)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    write_text(args.out, text)
+    write_text(out, text)
     return 0 if report.passed else 1
 
 
-def cmd_solve(cfg: dict, args) -> int:
-    problem, phi = validated(cfg)
-    s_values, t = times(cfg, problem)
-    grid = build_grid(cfg)
-    precision = require_number(cfg.get("precision", 12), "precision",
-                               integer=True, ge=1, le=17)
-    op = SemigroupOperator(problem, build_solver(cfg))
-    op.densities(min(s_values), t, phi)  # one solve serves every start time
+def cmd_solve(run: Run, out: str | None) -> int:
+    validated(run)
+    problem, phi, t, grid, precision = run.problem, run.phi, run.t, run.grid, run.precision
+    op = SemigroupOperator(problem, run.solver)
+    op.densities(min(run.s_values), t, phi)  # one solve serves every start time
     lines = ["s,x,u,side"]
-    for s_val in s_values:
+    for s_val in run.s_values:
         field = op.apply(s_val, t, phi)
         values = field(grid)
         for x_val, u_val in zip(grid, np.atleast_1d(values)):
@@ -210,40 +214,15 @@ def cmd_solve(cfg: dict, args) -> int:
             lines.append(",".join([fmt_sig(s_val, precision),
                                    fmt_sig(float(x_val), precision),
                                    fmt_sig(u_val, precision), side]))
-    write_text(args.out, "\n".join(lines) + "\n")
-    if args.dump_kernels:
-        _dump_kernels(op, phi, t, min(s_values), args.dump_kernels)
+    write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
-def _dump_kernels(op, phi, t, s_min, path):
-    dens = op.densities(s_min, t, phi)
-    assembler = KernelAssembler(op.problem, op.evaluator, op.solver)
-    sample_s = dens.mesh[:: max(1, len(dens.mesh) // 8)]
-    taus = np.linspace(sample_s, t, 6)[1:-1].T
-    values = assembler.system_kernel_matrix(sample_s[:, None], taus)
-    kernels = [{"s": float(sv), "tau": taus[k].tolist(),
-                "values": values[:, :, k].reshape(4, -1).tolist()}
-               for k, sv in enumerate(sample_s)]
-    payload = {
-        "schema": "kernel-dump.v1",
-        "terminal_time": t,
-        "mesh": [float(v) for v in dens.mesh],
-        "w1": [float(v) for v in dens.w1],
-        "w2": [float(v) for v in dens.w2],
-        "kernels": kernels,
-    }
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def cmd_check(cfg: dict, args) -> int:
-    problem, phi = validated(cfg)
-    s, t = start_time(cfg, problem)
-    grid = build_grid(cfg)
-    suite = cfg.get("suite", args.suite)
-    if suite not in ("semigroup", "conjugation", "generator", "parametrix"):
-        raise ConfigError(f"unknown check suite {suite!r}")
-    op = SemigroupOperator(problem, build_solver(cfg))
+def cmd_check(run: Run, out: str | None) -> int:
+    validated(run)
+    s = start_time(run)
+    problem, phi, t, grid, suite = run.problem, run.phi, run.t, run.grid, run.suite
+    op = SemigroupOperator(problem, run.solver)
     entries = []
 
     if suite == "semigroup":
@@ -284,18 +263,16 @@ def cmd_check(cfg: dict, args) -> int:
                 entries.append(entry("moment-identity", f"side{i}-order{k}",
                                      r, 1e-3))
 
-    write_text(args.out, report_json(f"check:{suite}", entries))
+    write_text(out, report_json(f"check:{suite}", entries))
     return 0 if all(e["pass"] for e in entries) else 1
 
 
-def cmd_compare_mc(cfg: dict, args) -> int:
-    problem, phi = validated(cfg)
-    s, t = start_time(cfg, problem)
-    grid = build_grid(cfg)
-    config = build_sim(cfg, args)
-    config.steps(s, t)  # a dt too fine for (s, t) is refused before the solve
+def cmd_compare_mc(run: Run, out: str | None) -> int:
+    validated(run)
+    s = start_time(run)
+    problem, phi, t, grid, config = run.problem, run.phi, run.t, run.grid, run.sim
     # one array call, as in solve, so that both report the same values
-    solver_values = SemigroupOperator(problem, build_solver(cfg)).apply(s, t, phi)(grid)
+    solver_values = SemigroupOperator(problem, run.solver).apply(s, t, phi)(grid)
     # the points' simulations are independent, each on its own seeded streams
     with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
         sims = list(pool.map(lambda x_val: simulate(problem, s, float(x_val), t, phi, config),
@@ -308,39 +285,29 @@ def cmd_compare_mc(cfg: dict, args) -> int:
     comparisons = [compare(v, res.mean, res.stderr) for v, res in zip(solver_values, sims)]
     entries = [entry("mc-z-score", f"x={fmt_sig(float(x_val), 6)}", c.z_score, c.k_sigma)
                for x_val, c in zip(grid, comparisons)]
-    write_text(args.out, report_json("compare-mc", entries,
-                                     {"results": [c.to_dict() for c in comparisons],
-                                      "paths": config.paths, "seed": config.seed}))
+    write_text(out, report_json("compare-mc", entries,
+                                {"results": [c.to_dict() for c in comparisons],
+                                 "paths": config.paths, "seed": config.seed}))
     return 0 if all(e["pass"] for e in entries) else 1
+
+
+COMMANDS = {"validate": cmd_validate, "solve": cmd_solve, "check": cmd_check,
+            "compare-mc": cmd_compare_mc}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="memdiff",
                                 description="membrane-diffusion semigroup solver")
-    p.add_argument("command",
-                   choices=["validate", "solve", "check", "compare-mc"])
+    p.add_argument("command", choices=list(COMMANDS))
     p.add_argument("--config", required=True, help="run configuration JSON")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--dump-kernels", default=None,
-                   help="write kernel tables and density mesh to this path")
-    p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-    p.add_argument("--paths", type=int, default=None, help="Monte Carlo paths")
-    p.add_argument("--suite", default="semigroup",
-                   help="check suite when not given in the config")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config)
-        if args.command == "validate":
-            return cmd_validate(cfg, args)
-        if args.command == "solve":
-            return cmd_solve(cfg, args)
-        if args.command == "check":
-            return cmd_check(cfg, args)
-        return cmd_compare_mc(cfg, args)
+        return COMMANDS[args.command](parse_run(args.config), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

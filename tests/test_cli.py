@@ -30,6 +30,15 @@ def read_json(path):
         return json.load(fh)
 
 
+def config_with(tmp_path, name, **updates):
+    """configs/<name>.json with its top-level keys updated, written to tmp_path."""
+    cfg = read_json(CONFIGS / f"{name}.json")
+    cfg.update(updates)
+    cfg_path = tmp_path / f"{name}-cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
 def test_fmt_sig_fixed_digits():
     assert fmt_sig(1.0) == "1"
     assert fmt_sig(0.30000000000000004, 12) == "0.3"
@@ -140,8 +149,8 @@ def test_missing_key_named_in_diagnostic(tmp_path, capsys):
 def test_check_suites(tmp_path):
     for suite in ("semigroup", "conjugation", "parametrix"):
         out = tmp_path / f"{suite}.json"
-        code = run(["check", "--config", CONFIGS / "skew.json",
-                    "--suite", suite, "--out", out])
+        code = run(["check", "--config", config_with(tmp_path, "skew", suite=suite),
+                    "--out", out])
         assert code == 0, suite
         payload = read_json(out)
         assert payload["passed"]
@@ -152,8 +161,8 @@ def test_check_suites(tmp_path):
 
 def test_check_generator_suite(tmp_path):
     out = tmp_path / "gen.json"
-    code = run(["check", "--config", CONFIGS / "skew.json",
-                "--suite", "generator", "--out", out])
+    code = run(["check", "--config", config_with(tmp_path, "skew", suite="generator"),
+                "--out", out])
     assert code == 0
     assert read_json(out)["passed"]
 
@@ -161,8 +170,8 @@ def test_check_generator_suite(tmp_path):
 def test_reports_validate_against_shipped_schema(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     out = tmp_path / "report.json"
-    run(["check", "--config", CONFIGS / "symmetric_heat.json",
-         "--suite", "semigroup", "--out", out])
+    run(["check", "--config", config_with(tmp_path, "symmetric_heat", suite="semigroup"),
+         "--out", out])
     schema = read_json(REPO / "schema" / "report.v1.json")
     jsonschema.validate(read_json(out), schema)
     problem_schema = read_json(REPO / "schema" / "problem.v1.json")
@@ -251,54 +260,30 @@ def test_compare_mc_zero_variance_exits_3(tmp_path, capsys, case):
     cfg = read_json(CONFIGS / "skew.json")
     cfg["grid"] = {"min": -0.5, "max": 0.5, "n": 3}
     cfg["mc"] = {"paths": 2000, "dt": 0.002, "seed": 42}
-    extra = []
     if case == "constant-one":
         cfg["phi"] = {"kind": "constant-one", "params": [1.0]}
     elif case == "unreached-gaussian":
         cfg["phi"] = {"kind": "gaussian-bump", "params": [1.0, 30.0, 0.1]}
     else:
-        extra = ["--paths", "1"]
+        cfg["mc"]["paths"] = 1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "mc.json"
-    assert run(["compare-mc", "--config", cfg_path, "--out", out] + extra) == 3
+    assert run(["compare-mc", "--config", cfg_path, "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error: x=-0.5:") and err.count("\n") == 1
     assert not out.exists()
-
-
-def test_dump_kernels(tmp_path):
-    out = tmp_path / "field.csv"
-    dump = tmp_path / "kernels.json"
-    assert run(["solve", "--config", CONFIGS / "moving_membrane.json",
-                "--out", out, "--dump-kernels", dump]) == 0
-    payload = read_json(dump)
-    assert payload["schema"] == "kernel-dump.v1"
-    assert set(payload) == {"schema", "terminal_time", "mesh", "w1", "w2", "kernels"}
-    assert len(payload["mesh"]) == len(payload["w1"]) == len(payload["w2"])
-    assert payload["kernels"]
-    for block in payload["kernels"]:
-        assert set(block) == {"s", "tau", "values"}
-        assert np.shape(block["values"]) == (4, len(block["tau"]))
-    # the dumped densities are the solve's own, bit for bit
-    cfg = read_json(CONFIGS / "moving_membrane.json")
-    op = SemigroupOperator(Problem.from_dict(cfg["problem"]))
-    phi = InitialFunction.from_dict(cfg["phi"])
-    dens = op.densities(cfg["s"], cfg["t"], phi)
-    assert np.array_equal(payload["w1"], dens.w1)
-    assert np.array_equal(payload["w2"], dens.w2)
-    assert np.array_equal(payload["mesh"], dens.mesh)
 
 
 def test_check_rejects_config_failing_validation(tmp_path, capsys):
     cfg = read_json(CONFIGS / "skew.json")
     cfg["problem"]["left"]["diffusion"] = {"kind": "constant", "params": [3.0]}
     cfg["problem"]["left"]["diffusion_max"] = 2.0
+    cfg["suite"] = "semigroup"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "report.json"
-    assert run(["check", "--config", cfg_path, "--suite", "semigroup",
-                "--out", out]) == 2
+    assert run(["check", "--config", cfg_path, "--out", out]) == 2
     assert "failed validation" in capsys.readouterr().err
     assert not out.exists()
 
@@ -361,18 +346,17 @@ def test_compare_mc_rejects_bad_config(tmp_path, capsys, case):
     cfg = read_json(CONFIGS / "skew.json")
     cfg["grid"] = {"min": -0.5, "max": 0.5, "n": 3}
     cfg["mc"] = {"paths": 100, "dt": 0.01, "seed": 42}
-    extra = []
     if case == "invalid-problem":
         cfg["problem"]["left"]["diffusion"] = {"kind": "constant", "params": [3.0]}
         cfg["problem"]["left"]["diffusion_max"] = 2.0
     elif case == "zero-paths":
-        extra = ["--paths", "0"]
+        cfg["mc"]["paths"] = 0
     else:
         cfg["mc"]["walkers"] = 10
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "mc.json"
-    assert run(["compare-mc", "--config", cfg_path, "--out", out] + extra) == 2
+    assert run(["compare-mc", "--config", cfg_path, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not out.exists()
@@ -423,16 +407,17 @@ def test_a_non_finite_value_exits_3_and_writes_nothing(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-def near_t_config(tmp_path, s, mesh_n):
+def near_t_config(tmp_path, s, mesh_n, **updates):
     """configs/skew.json with a left diffusion 1 + 0.25 sin x, q1 = q2 = 1/2,
-    t = 0.4 and a grid of 5 points on [-0.5, 0.5], written to tmp_path."""
+    t = 0.4, a grid of 5 points on [-0.5, 0.5] and the given updates,
+    written to tmp_path."""
     cfg = read_json(CONFIGS / "skew.json")
     cfg["problem"]["left"]["diffusion"] = {"kind": "sinusoidal-in-s-and-x",
                                            "params": [1.0, 0.25, 1.0, 0.0, 0.0]}
     for q in ("q1", "q2"):
         cfg["problem"]["wentzell"][q]["params"] = [0.5]
     cfg.update(s=s, t=0.4, solver={"mesh_n": mesh_n},
-               grid={"min": -0.5, "max": 0.5, "n": 5})
+               grid={"min": -0.5, "max": 0.5, "n": 5}, **updates)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     return cfg_path
@@ -462,10 +447,9 @@ def test_variable_side_check_near_t_is_a_solver_error(tmp_path, capsys):
     # membrane up to 3.9e-4 before t, where a point-table lookup meets a time
     # that rounded onto its anchor: one solver-error line and exit 3, where
     # an IndexError traceback once ended the run with exit 1
-    cfg_path = near_t_config(tmp_path, s=0.0, mesh_n=32)
+    cfg_path = near_t_config(tmp_path, s=0.0, mesh_n=32, suite="conjugation")
     out = tmp_path / "report.json"
-    assert run(["check", "--config", cfg_path, "--suite", "conjugation",
-                "--out", out]) == 3
+    assert run(["check", "--config", cfg_path, "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and err.count("\n") == 1
     assert not out.exists()
@@ -559,6 +543,23 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     ("validate", ("problem_file",), 5),
     ("check", ("suite",), "nonsense"),
     ("check", ("s",), [0.0, 0.5]),
+    ("solve", ("grid",), {"min": -1e308, "max": 1e308, "n": 3}),
+    ("validate", ("s",), -0.5),
+    ("validate", ("t",), 99),
+    ("validate", ("grid", "n"), 0),
+    ("validate", ("solver", "mesh_n"), 0),
+    ("validate", ("mc", "paths"), 0),
+    ("validate", ("mc", "dt"), 1e-9),
+    ("validate", ("precision",), 99),
+    ("validate", ("suite",), "nonsense"),
+    ("solve", ("mc", "paths"), 0),
+    ("solve", ("mc", "dt"), 1e-9),
+    ("solve", ("suite",), "nonsense"),
+    ("check", ("mc", "paths"), 0),
+    ("check", ("mc", "dt"), 1e-9),
+    ("check", ("precision",), 99),
+    ("compare-mc", ("precision",), 99),
+    ("compare-mc", ("suite",), "nonsense"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
@@ -568,8 +569,12 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     # as solver.delta at any value, are refused before any solve, by a
     # message that names the offending key; so is a size past its upper
     # bound (10^15 points would need 8 PB, and fail in any address space),
-    # and a Monte Carlo dt that takes more steps over (s, t) than its bound
-    # (1e-300 overflowed NumPy's size limit, 1e-12 asked for 7.3 TiB)
+    # a Monte Carlo dt that takes more steps over (s, t) than its bound
+    # (1e-300 overflowed NumPy's size limit, 1e-12 asked for 7.3 TiB), and
+    # a grid whose span max - min overflows (its points were once NaN and
+    # inf, and solve ended in RuntimeWarnings and a solver error).  Every
+    # command checks every key, also those it does not read, so that a
+    # config one command accepts, every command accepts
     cfg = read_json(CONFIGS / "skew.json")
     target = cfg
     for key in path[:-1]:
@@ -582,6 +587,60 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert path[-1] in err
+    assert not out.exists()
+
+
+COMMANDS = ["validate", "solve", "check", "compare-mc"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag,value", [("--suite", "conjugation"), ("--seed", "3"),
+                                        ("--paths", "5"), ("--dump-kernels", "kernels.json")])
+def test_removed_flags_exit_2(tmp_path, capsys, command, flag, value):
+    # the suite, the Monte Carlo paths and seed come from the config alone,
+    # and there is no kernel dump: each flag is a usage error, where the
+    # commands that ignored it once ran
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", CONFIGS / "skew.json", "--out", tmp_path / "out",
+             flag, tmp_path / value if flag == "--dump-kernels" else value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_problem_and_problem_file_together_exit_2(tmp_path, capsys, command):
+    # an inline problem (b2 = 1) and a problem file (b2 = 4) in one config:
+    # validate once audited the file's problem without a word
+    problem = read_json(CONFIGS / "skew.json")["problem"]
+    problem["right"]["diffusion"]["params"] = [4.0]
+    (tmp_path / "problem.json").write_text(json.dumps(problem))
+    out = tmp_path / "out"
+    assert run([command, "--config", config_with(tmp_path, "skew", problem_file="problem.json"),
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "problem_file" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config", "problem_file"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, where):
+    # JSON's decoder recurses once per level: 200 000 nested lists once
+    # ended in a RecursionError traceback and exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    cfg_path = deep
+    if where == "problem_file":
+        cfg = read_json(CONFIGS / "skew.json")
+        del cfg["problem"]
+        cfg["problem_file"] = deep.name
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["validate", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed JSON in {deep}") and err.count("\n") == 1
     assert not out.exists()
 
 

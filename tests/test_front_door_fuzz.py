@@ -10,12 +10,12 @@ The parser is stricter than the schemas (table layouts, scale parameters,
 s < t <= horizon), so acceptance is only checked one way.
 """
 
-import argparse
 import contextlib
 import copy
 import io
 import json
 import math
+import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -55,8 +55,9 @@ PROBLEMS = [_read(name)["problem"] for name in
 PROBLEMS.append(_with_atom_and_window())
 
 RUN_CONFIG = _read("skew.json")
-RUN_CONFIG.update(solver={f.name: f.default for f in fields(SolverConfig)}, grid_resolution=65)
-RUN_SECTIONS = ("grid", "solver", "mc", "s", "t", "precision", "grid_resolution")
+RUN_CONFIG.update(solver={f.name: f.default for f in fields(SolverConfig)}, grid_resolution=65,
+                  suite="semigroup")
+RUN_SECTIONS = ("grid", "solver", "mc", "s", "t", "precision", "grid_resolution", "suite")
 
 
 def _int(lo=None, hi=None):
@@ -74,7 +75,8 @@ def _object_schema(props, required=()):
 
 
 RUN_SCHEMA = _object_schema({
-    "problem": {}, "phi": {}, "suite": {},
+    "problem": {}, "phi": {},
+    "suite": {"enum": ["semigroup", "conjugation", "generator", "parametrix"]},
     "s": _num(minimum=0),
     "t": _num(exclusiveMinimum=0, maximum=1.5),
     "grid": _object_schema({"min": _num(), "max": _num(), "n": _int(1, 100_000)},
@@ -150,34 +152,44 @@ def _stop(*args, **kwargs):
 @FUZZ
 @hypothesis.given(mutated([RUN_CONFIG], RUN_SECTIONS))
 def test_run_config_parsers_refuse_what_the_schema_refuses(doc):
-    # solve parses grid, solver, s, t, precision and grid_resolution and
-    # compare-mc parses mc before either builds the operator; both stop there
+    # every command parses the whole config before it runs: validate stops
+    # after its audit, the others where they would build the operator.  So
+    # all four refuse the same configs, except that check and compare-mc
+    # also refuse more than one start time
+    refused = {}
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "SemigroupOperator", _stop)
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc))
-        for command in ("solve", "compare-mc"):
+        for command in ("validate", "solve", "check", "compare-mc"):
             err = io.StringIO()
             try:
                 with contextlib.redirect_stderr(err):
-                    code = cli.main([command, "--config", str(path)])
+                    code = cli.main([command, "--config", str(path), "--out", os.devnull])
             except _Reached:
-                continue
-            assert code == 2
-            assert err.getvalue().startswith("config error:")
-            assert err.getvalue().count("\n") == 1
-            return
-    jsonschema.validate(doc, RUN_SCHEMA)
+                code = None
+            refused[command] = code == 2
+            if refused[command]:
+                assert err.getvalue().startswith("config error:")
+                assert err.getvalue().count("\n") == 1
+            else:
+                assert code in (None, 0)
+    several_starts = isinstance(doc.get("s"), list) and len(doc["s"]) > 1
+    assert refused["validate"] == refused["solve"]
+    assert refused["check"] == refused["compare-mc"] == (refused["solve"] or several_starts)
+    if not refused["solve"]:
+        jsonschema.validate(doc, RUN_SCHEMA)
 
 
 @pytest.mark.parametrize("overrides", [{"block_size": 0}, {"paths": 2.5}, {"seed": -1},
                                        {"crossing_risk_cap": "x"}, {"dt": math.nan}])
-def test_sim_settings_are_refused_before_any_simulation(overrides):
-    # an out-of-range setting is refused where the settings are parsed, and
+def test_sim_settings_are_refused_before_any_simulation(tmp_path, overrides):
+    # an out-of-range setting is refused where the run config is parsed, and
     # block_size and crossing_risk_cap, constants of simulate(), as unknown keys
-    args = argparse.Namespace(paths=None, seed=None)
-    with pytest.raises(ConfigError):
-        cli.build_sim({"mc": overrides}, args)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(RUN_CONFIG, mc=overrides)))
+    with pytest.raises(ConfigError, match="mc"):
+        cli.parse_run(str(path))
     if set(overrides) <= {f.name for f in fields(SimConfig)}:
         with pytest.raises(ConfigError):
             SimConfig(**overrides)
