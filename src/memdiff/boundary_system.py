@@ -34,17 +34,21 @@ Everything is evaluated on arrays (product-integration Nystrom): the
 kernels on the (mesh node, tau node) array with the Holmgren rho nodes as a
 trailing axis, the right-hand side on the mesh nodes with the same trailing
 axis, each in one array pass over the mesh (more only where the (node,
-tau, rho) array would exceed PASS_POINTS nodes); each successive
-approximation is one interpolation of the iterates at the tau nodes
-(interpolate_w, as in the potentials) and one contraction.
+tau, rho) array would exceed PASS_POINTS nodes).  The weighted kernels and
+the interpolation of the iterates at the tau nodes fold into one sparse
+operator per solve (fold_interpolation), with the rule of interpolate_w that
+the potentials use: linear between mesh nodes, constant past the last.  Each
+successive approximation is one sparse product with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from ._quadrature import singular_rule
 from .errors import (
@@ -53,7 +57,7 @@ from .errors import (
     SingularIntegrandError,
     TimeOrderError,
 )
-from .potentials import DensityPair, PotentialEvaluator, graded_mesh, interpolate_w
+from .potentials import DensityPair, PotentialEvaluator, graded_mesh
 from .problem import InitialFunction, Problem, require_number
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -367,12 +371,43 @@ class RightHandSide:
 
 @dataclass
 class SolveDiagnostics:
+    """Iteration record of one solve.  m_delta, the measure smallness
+    witness, is computed from the problem when first read: only the
+    divergence messages need it."""
+
+    problem: Problem = field(repr=False, compare=False)
     iterate_sups: list = field(default_factory=list)
     iterations: int = 0
-    m_delta: float = 0.0
     # numerical witness that the regularized densities stay bounded by a
     # multiple of the initial-function norm
     w_sup_ratio: float = 0.0
+
+    @cached_property
+    def m_delta(self) -> float:
+        return m_delta_witness(self.problem)
+
+
+def fold_interpolation(mesh: np.ndarray, tau_nodes: np.ndarray,
+                       kern: np.ndarray) -> sparse.csr_array:
+    """The successive-approximation map without its sqrt(t - s) factor, as
+    a sparse operator on the stacked iterates (W_1, W_2) on the mesh.
+
+    kern holds the weighted kernels, shape (2, 2, node, q), at each node's
+    tau nodes tau_nodes[node, q].  Row (i, node) holds, per side j and tau
+    node q, kern[i, j, node, q] split over the bracketing mesh nodes lo and
+    lo + 1 by the rule of interpolate_w (linear between nodes, constant past
+    the last): 8 mesh_n n_kernel entries, duplicates kept.
+    """
+    n, n_tau = tau_nodes.shape
+    lo = np.clip(np.searchsorted(mesh, tau_nodes, side="right") - 1, 0, n - 2)
+    frac = np.clip((tau_nodes - mesh[lo]) / (mesh[lo + 1] - mesh[lo]), 0.0, 1.0)
+    # (i, node, j, q, bracket end)
+    data = (kern.transpose(0, 2, 1, 3)[..., None]
+            * np.stack([1.0 - frac, frac], axis=-1)[:, None])
+    cols = (lo[:, None, :, None] + np.arange(2)) + n * np.arange(2)[:, None, None]
+    indptr = np.arange(0, data.size + 1, 4 * n_tau)
+    return sparse.csr_array((data.ravel(), np.broadcast_to(cols, data.shape).ravel(), indptr),
+                            shape=(2 * n, 2 * n))
 
 
 def solve_densities(problem: Problem, phi: InitialFunction, t: float,
@@ -397,18 +432,22 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     sqrt_rem = np.sqrt(t - mesh)
     w = np.concatenate([rhs.combined(mesh[nodes]) for nodes in passes], axis=1) * sqrt_rem
 
-    # kernel tables: per node, quadrature times and weighted kernel values
-    tau_nodes, wt = singular_rule(mesh, t, config.n_kernel,
-                                  left_exp=problem.kernel_time_exponent(),
-                                  right_exp=-0.5)
-    kern = np.zeros((2, 2) + tau_nodes.shape)
+    # the iteration operator: per node, quadrature times and weighted kernel
+    # values, folded with the interpolation at those times; where the
+    # kernels vanish it stores nothing
+    operator = sparse.csr_array((2 * len(mesh), 2 * len(mesh)))
     if not assembler.kernels_vanish:
+        tau_nodes, wt = singular_rule(mesh, t, config.n_kernel,
+                                      left_exp=problem.kernel_time_exponent(),
+                                      right_exp=-0.5)
+        kern = np.empty((2, 2) + tau_nodes.shape)
         for nodes in passes:
             kern[:, :, nodes] = assembler.system_kernel_matrix(mesh[nodes, None],
                                                                tau_nodes[nodes])
         kern *= wt * (t - tau_nodes) ** (-0.5)
+        operator = fold_interpolation(mesh, tau_nodes, kern)
 
-    diag = SolveDiagnostics(m_delta=m_delta_witness(problem))
+    diag = SolveDiagnostics(problem)
     scale = max(phi.sup_norm, 1e-300)
     total = w.copy()
     current = w
@@ -420,8 +459,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
             raise SeriesDivergenceError(
                 f"no convergence within k_max={config.k_max} iterations "
                 f"(m_delta witness {diag.m_delta:.3g})")
-        current = sqrt_rem * np.einsum("ijnq,nqj->in", kern,
-                                       interpolate_w(tau_nodes, mesh, current))
+        current = sqrt_rem * (operator @ current.ravel()).reshape(2, -1)
         total += current
         sup = float(np.max(np.abs(current)))
         diag.iterate_sups.append(sup)

@@ -18,6 +18,8 @@ from memdiff.boundary_system import (
     RightHandSide,
     SolverConfig,
     first_kind_residual,
+    fold_interpolation,
+    m_delta_witness,
     solve_densities,
 )
 from memdiff.parametrix import CorrectionKernel, CorrectionQuadrature, FundamentalSolution
@@ -26,6 +28,7 @@ from memdiff.potentials import (
     DensityPair,
     PotentialEvaluator,
     graded_mesh,
+    interpolate_w,
     layer_time_rule,
 )
 from memdiff.problem import (
@@ -124,6 +127,46 @@ def test_criterion_11_iterate_counts():
         prob, phi, t, config, _ = CASES[name]
         sups = solve_densities(prob, phi, t, config=config).diagnostics.iterate_sups
         assert len(sups) == count, name
+
+
+@pytest.mark.parametrize("name, mesh_n", [(name, None) for name in sorted(CASES)]
+                         + [("atoms", 256)])
+def test_folded_operator_is_interpolation_then_contraction(name, mesh_n):
+    # the sparse operator of the iteration applied to any iterates gives the
+    # interpolation at the tau nodes followed by the kernel contraction, and
+    # stores two entries per (equation, side, node, tau node)
+    prob, _, t, config, _ = CASES[name]
+    if mesh_n is not None:
+        config = replace(config, mesh_n=mesh_n)
+    mesh = graded_mesh(t, 0.0, config.mesh_n)
+    tau, wt = singular_rule(mesh, t, config.n_kernel, left_exp=prob.kernel_time_exponent(),
+                            right_exp=-0.5)
+    kern = (KernelAssembler(prob, assembler(name).evaluator, config)
+            .system_kernel_matrix(mesh[:, None], tau) * wt * (t - tau) ** (-0.5))
+    operator = fold_interpolation(mesh, tau, kern)
+    assert operator.nnz == 2 * 2 * config.mesh_n * 2 * config.n_kernel
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        current = rng.standard_normal((2, config.mesh_n))
+        want = np.einsum("ijnq,nqj->in", kern, interpolate_w(tau, mesh, current))
+        got = (operator @ current.ravel()).reshape(2, -1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+
+
+def test_vanishing_kernels_leave_the_right_hand_side():
+    # two scales on a flat membrane: the densities are the right-hand side
+    # times sqrt(t - s), bit for bit
+    prob, phi, t, config, _ = CASES["two-scale"]
+    dens = solve_densities(prob, phi, t, config=config)
+    mesh = graded_mesh(t, 0.0, config.mesh_n)
+    want = RightHandSide(assembler("two-scale"), phi, t).combined(mesh) * np.sqrt(t - mesh)
+    assert np.array_equal(dens.w1, want[0]) and np.array_equal(dens.w2, want[1])
+
+
+def test_diagnostics_report_the_m_delta_witness():
+    prob, phi, t, config, _ = CASES["atoms"]
+    diag = solve_densities(prob, phi, t, config=config).diagnostics
+    assert diag.m_delta == m_delta_witness(prob) > 0.0
 
 
 def _table_builds(monkeypatch, prob):
