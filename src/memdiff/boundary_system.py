@@ -16,11 +16,13 @@ through its differentiated representation
     Ef(s,t) = (2 pi)^(-1/2) integral of (rho-s)^(-3/2) [f(rho)-f(s)] d rho
               - sqrt(2/pi) (t-s)^(-1/2) f(s),
 
-never by numerical differentiation.  The right-hand side needs E of the
-Poisson trace gap P_2 - P_1: when both sides are exact on a flat membrane
-that is closed, E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y)
-sign(y - h) phi(y) dy (RightHandSide.transformed_trace_gap), and every
-other problem evaluates it numerically.  After elimination the system reads
+never by numerical differentiation.  E is linear, so each side takes its
+own route (KernelAssembler.transform_sides): on an exact side at a flat
+membrane the continuity kernel vanishes and E of the Poisson trace P_j is
+closed, E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y) sign(y - h)
+phi(y) dy (RightHandSide.transformed_trace_gap); every other side's traces
+go through one numerical transform per solve stage, all sides stacked.
+After elimination the system reads
 
     V_i(s,t) = Psi_i(s,t) + sum_j integral N_ij(s,tau) V_j(tau,t) d tau
 
@@ -96,17 +98,17 @@ PASS_POINTS = 2 ** 16
 # Holmgren transform
 # ---------------------------------------------------------------------------
 
-def holmgren_transform(f, s, t, f_s=None, n: int = 24, left_exp: float = -0.5):
+def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
     """Differentiated Holmgren transform of f over (s, t), elementwise.
 
     s and t are scalars or arrays that broadcast together.  f is called on
     arrays of interior times whose leading axes are those of s and t and
     whose trailing axis holds the points of one interval, and returns values
-    of the same shape.  f_s overrides the left endpoint values f(s) (useful
-    when f has a removable definition there).  Each integral is split at the
-    midpoint: the left half uses a Jacobi rule matched to the decay of
-    f(rho) - f(s), the right half plain Gauss.  Returns a float for scalar
-    s and t.
+    of that shape, optionally behind leading component axes (one transform
+    per component, every one of them decay-checked).  Each integral is
+    split at the midpoint: the left half uses a Jacobi rule matched to the
+    decay of f(rho) - f(s), the right half plain Gauss.  Returns a float
+    for scalar s and t and a scalar f.
     """
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     if np.any(s >= t):
@@ -115,8 +117,7 @@ def holmgren_transform(f, s, t, f_s=None, n: int = 24, left_exp: float = -0.5):
     def at(rho):
         return np.asarray(f(rho[..., None]), dtype=float)[..., 0]
 
-    fs_val = at(s) if f_s is None else np.broadcast_to(np.asarray(f_s, dtype=float),
-                                                       s.shape)
+    fs_val = at(s)
     mid = 0.5 * (s + t)
     scale = np.abs(fs_val) + 1.0
 
@@ -163,43 +164,24 @@ class KernelAssembler:
 
     # -- the system kernel ------------------------------------------------------
 
-    def _side_kernel(self, j: int, s, tau, h_s, h_tau):
-        """Side-j parts shared by both equations: (flux kernel, transformed
-        continuity kernel)."""
-        fs = self.evaluator.fs[j]
+    def transform_sides(self, traces, s, t) -> np.ndarray:
+        """(-1)^j E[f_j](s, t) over the sides j = 1, 2, stacked on a new
+        first axis.
 
-        def g(x, p=0, mask=None):
-            return fs.on_anchors(s[..., None], x[..., None], tau[..., None],
-                                 h_tau[..., None], p, mask)[..., 0]
-
-        # reflection term first: it opens every anchor of a correction side
-        return (flux_condition(self.problem, j, s, h_s, g(h_s, p=1),
-                               lambda x, on: g(x, mask=on)),
-                self._holmgren_kernel(j, s, tau, h_tau))
-
-    def _holmgren_kernel(self, j: int, s, tau, h_tau):
-        """Kernel produced by transforming the continuity equation.
-
-        Evaluates the differentiated representation: the (rho-s)^(-3/2)
-        integral of the three increments of the membrane-trace kernel (the
-        correction-part increment, the mixed time/space increment, and the
-        membrane-motion increment), split at the midpoint, plus the boundary
-        term with the (tau-s)^(-1/2) factor.
+        traces(rho, sides) returns side j's membrane trace f_j(rho) for each
+        j in sides, stacked on a leading axis.  A flat exact side reads zero:
+        its continuity kernel vanishes and its Poisson trace has a closed
+        transform.  The other sides go through one holmgren_transform call,
+        so they share its rho rule and its h(rho).
         """
-        if self._flat_exact[j]:
-            return np.zeros(np.shape(s))
-        fs = self.evaluator.fs[j]
-        tau_col, h_col = tau[..., None], h_tau[..., None]
-
-        def trace_f(rho):
-            # the three increments of the representation telescope to
-            # G(rho, h(rho)) - Z0(rho, h(tau)), both anchored at (tau, h(tau))
-            g_moved = fs.on_anchors(rho, self.problem.h(rho), tau_col, h_col)
-            return g_moved - fs.principal(rho, h_col, tau_col, h_col)
-
-        value = holmgren_transform(trace_f, s, tau, n=self.config.n_holmgren,
-                                   left_exp=self.problem.kernel_time_exponent())
-        return (-1.0) ** j * value
+        out = np.zeros((2,) + np.shape(s))
+        sides = [j for j in (1, 2) if not self._flat_exact[j]]
+        if sides:
+            signs = np.reshape([(-1.0) ** j for j in sides], (-1,) + (1,) * np.ndim(s))
+            out[[j - 1 for j in sides]] = signs * holmgren_transform(
+                lambda rho: traces(rho, sides), s, t, n=self.config.n_holmgren,
+                left_exp=self.problem.kernel_time_exponent())
+        return out
 
     def system_kernel_matrix(self, s, tau) -> np.ndarray:
         """Full kernel values N_ij(s, tau), shape (2, 2) + broadcast shape.
@@ -212,12 +194,28 @@ class KernelAssembler:
                                      np.asarray(tau, dtype=float))
         if np.any(s >= tau):
             raise TimeOrderError("system kernel needs s < tau")
-        prob = self.problem
+        prob, fs = self.problem, self.evaluator.fs
         h_s = np.broadcast_to(prob.h(s), s.shape)
         h_tau = np.broadcast_to(prob.h(tau), s.shape)
-        sides = [self._side_kernel(j, s, tau, h_s, h_tau) for j in (1, 2)]
-        flux, continuity = (np.stack(parts) for parts in zip(*sides))
-        return eliminate(prob, s, h_s, flux, continuity)
+        tau_col, h_col = tau[..., None], h_tau[..., None]
+
+        def g(j, x, p=0, mask=None):
+            return fs[j].on_anchors(s[..., None], x[..., None], tau_col, h_col, p, mask)[..., 0]
+
+        # reflection term first: it opens every anchor of a correction side
+        flux = np.stack([flux_condition(prob, j, s, h_s, g(j, h_s, p=1),
+                                        lambda x, on: g(j, x, mask=on)) for j in (1, 2)])
+
+        def traces(rho, sides):
+            # the three increments of the differentiated representation (the
+            # correction part, the mixed time/space and the membrane-motion
+            # increment) telescope to G(rho, h(rho)) - Z0(rho, h(tau)), both
+            # anchored at (tau, h(tau))
+            h_rho = prob.h(rho)
+            return np.stack([fs[j].on_anchors(rho, h_rho, tau_col, h_col)
+                             - fs[j].principal(rho, h_col, tau_col, h_col) for j in sides])
+
+        return eliminate(prob, s, h_s, flux, self.transform_sides(traces, s, tau))
 
 
 def flux_condition(problem: Problem, j: int, s, h, slope, value):
@@ -289,16 +287,6 @@ class RightHandSide:
             and (left.diffusion.kind, left.diffusion.params)
             == (right.diffusion.kind, right.diffusion.params))
 
-    def trace_gap(self, s):
-        """Difference of the Poisson traces on the membrane (right minus left)."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s >= self.t):
-            raise TimeOrderError("trace gap needs s < t")
-        ev = self.assembler.evaluator
-        h = self.assembler.problem.h(s)
-        return (ev.poisson(2, s, h, self.t, self.phi)
-                - ev.poisson(1, s, h, self.t, self.phi))
-
     def flux_gap(self, s):
         """Flux data: the flux condition of both sides on the Poisson potentials."""
         s = np.asarray(s, dtype=float)
@@ -317,10 +305,11 @@ class RightHandSide:
 
     def transformed_trace_gap(self, s):
         """E[P_2 - P_1](s, t), the Holmgren transform of the trace gap, at
-        the times s.
+        the times s: the sum over the sides of (-1)^j E[P_j], each side by
+        its own route.
 
-        When both sides are exact (G_j = Z0_j, variance b_j (t - s)) on a
-        flat membrane h, the transform is closed.  With a = (y - h)^2 / (2 b_j),
+        On an exact side (G_j = Z0_j, variance b_j (t - s)) at a flat
+        membrane h the transform is closed.  With a = (y - h)^2 / (2 b_j),
 
             integral over (s,t) of (rho-s)^(-1/2) Z0_j(rho, h; t, y) d rho
                 = (2 pi b_j)^(-1/2) integral over (0,T) of
@@ -334,28 +323,31 @@ class RightHandSide:
             E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y)
                         sign(y - h) phi(y) dy,
 
-        one terminal_integral of phi sign(. - h) with p = 1 per side, whose
-        window y = h + u sigma puts the sign kink on its u = 0 panel edge.
-        Every other problem transforms trace_gap numerically.
+        one terminal_integral of phi sign(. - h) with p = 1, whose window
+        y = h + u sigma puts the sign kink on its u = 0 panel edge.  Every
+        other side's Poisson trace is transformed numerically, all of them
+        in one KernelAssembler.transform_sides call.
         """
         s = np.asarray(s, dtype=float)
-        prob = self.assembler.problem
         if self._identical_sides:
             return 0.0
-        if not all(self.assembler._flat_exact.values()):
-            return holmgren_transform(
-                lambda rho: self.trace_gap(np.minimum(rho, self.t - 1e-14)), s, self.t,
-                f_s=self.trace_gap(s), n=self.assembler.config.n_holmgren,
-                left_exp=prob.kernel_time_exponent())
-        h = prob.membrane.constant_value()
+        asm, t = self.assembler, self.t
+        prob, ev = asm.problem, asm.evaluator
 
-        def signed_phi(y):
-            return self.phi(y) * np.sign(y - h)
+        def traces(rho, sides):
+            rho = np.minimum(rho, t - 1e-14)
+            h = prob.h(rho)
+            return np.stack([ev.poisson(j, rho, h, t, self.phi) for j in sides])
 
-        # an exact side's window reads no table, so it needs no cache key
-        return sum((-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value())
-                   * fs.terminal_integral(s, h, self.t, signed_phi, None, p=1)
-                   for j, fs in self.assembler.evaluator.fs.items())
+        out = np.sum(asm.transform_sides(traces, s, t), axis=0)
+        for j, fs in ev.fs.items():
+            if asm._flat_exact[j]:
+                h = prob.membrane.constant_value()
+                # an exact side's window reads no table, so it needs no cache key
+                out = out + ((-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value())
+                             * fs.terminal_integral(s, h, t, lambda y: self.phi(y) * np.sign(y - h),
+                                                    None, p=1))
+        return out
 
     def combined(self, s) -> np.ndarray:
         """Right-hand sides (Psi_1, Psi_2) of the eliminated second-kind

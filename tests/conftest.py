@@ -2,6 +2,7 @@
 
 import pytest
 
+from memdiff.parametrix import CorrectionQuadrature
 from memdiff.problem import (
     Atom,
     CoefficientField,
@@ -34,6 +35,23 @@ def make_problem(b1=1.0, b2=1.0, a1=0.0, a2=0.0, q1=0.5, q2=0.5,
 
 def atom_at(position, weight=1.0):
     return Atom(TimeFunction.constant(position), TimeFunction.constant(weight))
+
+
+# reduced correction settings of a genuinely variable diffusion side
+VAR_CORRECTION = CorrectionQuadrature(n_sigma=10, n_w=24, n_time=6, n_space=6, depth=4)
+
+
+def variable_problem(membrane=None, s_amp=0.0):
+    """b = 1 + 0.25 sin x + s_amp sin s on the left, b = 1 on the
+    right, q = 1/2, on a flat membrane at 0 unless one is given."""
+    left = SideSpec(CoefficientField.constant(0.0),
+                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, s_amp, 1.0]))
+    right = SideSpec(CoefficientField.constant(0.0), CoefficientField.constant(1.0))
+    return Problem(left=left, right=right,
+                   membrane=membrane or MembranePath.constant(0.0),
+                   wentzell=WentzellData(TimeFunction.constant(0.5),
+                                         TimeFunction.constant(0.5)),
+                   horizon=1.0)
 
 
 @pytest.fixture

@@ -2,11 +2,12 @@
 
 Point-by-point evaluation of the Holmgren transform, the flux and
 transformed continuity kernels, the combined system kernel, the right-hand
-side, and the successive approximations with per-node np.interp.  On exact
-sides at a flat membrane the transformed trace gap is its closed form, on
-the Z0-slice form of the Poisson window.  The
-library evaluates the same formulas on whole node arrays; the tests compare
-the two.
+side, and the successive approximations with per-node np.interp.  The
+transformed trace gap takes one route per side: on an exact side at a flat
+membrane the closed form, on any other side the transform of its own
+Poisson trace, both read from the side's Poisson windows one node at a
+time.  The library evaluates the same formulas on whole node arrays; the
+tests compare the two.
 
 A validation-only route lives here as well: the Gaussian envelope fit of
 the parametrix correction kernel.
@@ -47,12 +48,12 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def scalar_holmgren_transform(f, s: float, t: float, f_s: float | None = None,
-                              n: int = 24, left_exp: float = -0.5) -> float:
+def scalar_holmgren_transform(f, s: float, t: float, n: int = 24,
+                              left_exp: float = -0.5) -> float:
     """Differentiated Holmgren transform of f over one interval (s, t)."""
     if s >= t:
         raise TimeOrderError("holmgren transform needs s < t")
-    fs_val = float(f(np.array([s]))[0]) if f_s is None else float(f_s)
+    fs_val = float(f(np.array([s]))[0])
     mid = 0.5 * (s + t)
     scale = abs(fs_val) + 1.0
 
@@ -169,7 +170,7 @@ class ScalarKernels:
 
 
 class ScalarRightHandSide:
-    """Pointwise trace gap, flux data and right-hand sides Psi_i."""
+    """Pointwise transformed trace gap, flux data and right-hand sides Psi_i."""
 
     def __init__(self, kernels: ScalarKernels, phi, t: float):
         self.kernels = kernels
@@ -181,16 +182,6 @@ class ScalarRightHandSide:
             == (right.drift.kind, right.drift.params)
             and (left.diffusion.kind, left.diffusion.params)
             == (right.diffusion.kind, right.diffusion.params))
-
-    def trace_gap(self, s: float) -> float:
-        if s >= self.t:
-            raise TimeOrderError("trace gap needs s < t")
-        if self._identical_sides:
-            return 0.0
-        ev = self.kernels.evaluator
-        h = float(self.kernels.problem.h(s))
-        return (ev.poisson(2, s, h, self.t, self.phi)
-                - ev.poisson(1, s, h, self.t, self.phi))
 
     def flux_gap(self, s: float) -> float:
         ev = self.kernels.evaluator
@@ -207,28 +198,40 @@ class ScalarRightHandSide:
         return out
 
     def transformed_trace_gap(self, s: float) -> float:
-        """E[P_2 - P_1](s): numerically, or on exact sides at a flat membrane
-        h by the closed form E[P_j](s) = -sqrt(b_j) integral of
-        dZ0_j/dx(s, h; t, y) sign(y - h) phi(y) dy."""
+        """E[P_2 - P_1](s), the sum over the sides of (-1)^j E[P_j](s): on an
+        exact side at a flat membrane h the closed form E[P_j](s) =
+        -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y) sign(y - h) phi(y) dy,
+        on any other side the numeric transform of P_j.  Both routes read
+        the windows of terminal_integral, as the library does: on phi = 1
+        the two sides' transforms cancel to 1e-4 of their size or less, so
+        a window form rounded differently (z0_slice_poisson, 3e-16 apart)
+        would move the sum by 3e-12 of its maximum."""
+        if s >= self.t:
+            raise TimeOrderError("trace gap needs s < t")
         if self._identical_sides:
             return 0.0
-        if all(self.kernels._flat_exact.values()):
-            h = float(self.kernels.problem.h(s))
+        ev = self.kernels.evaluator
+        prob = self.kernels.problem
+        h = float(prob.h(s))
+        out = 0.0
+        for j, fs in ev.fs.items():
+            if self.kernels._flat_exact[j]:
+                def signed_phi(y):
+                    return self.phi(y) * np.sign(y - h)
 
-            def signed_phi(y):
-                return self.phi(y) * np.sign(y - h)
+                out += (-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value()) \
+                    * float(fs.terminal_integral(s, h, self.t, signed_phi, None, p=1))
+                continue
 
-            return sum((-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value())
-                       * float(z0_slice_poisson(fs, s, h, self.t, signed_phi, p=1))
-                       for j, fs in self.kernels.evaluator.fs.items())
+            def trace(rho, j=j):
+                rho = np.minimum(np.atleast_1d(np.asarray(rho, dtype=float)), self.t - 1e-14)
+                return np.array([ev.poisson(j, r, float(prob.h(r)), self.t, self.phi)
+                                 for r in rho])
 
-        def f(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            return np.array([self.trace_gap(min(r, self.t - 1e-14)) for r in rho])
-
-        return scalar_holmgren_transform(
-            f, s, self.t, n=self.kernels.config.n_holmgren,
-            left_exp=self.kernels.problem.kernel_time_exponent())
+            out += (-1.0) ** j * scalar_holmgren_transform(
+                trace, s, self.t, n=self.kernels.config.n_holmgren,
+                left_exp=prob.kernel_time_exponent())
+        return out
 
     def combined(self, i: int, s: float) -> float:
         prob = self.kernels.problem

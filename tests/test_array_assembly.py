@@ -22,7 +22,7 @@ from memdiff.boundary_system import (
     m_delta_witness,
     solve_densities,
 )
-from memdiff.parametrix import CorrectionKernel, CorrectionQuadrature, FundamentalSolution
+from memdiff.parametrix import CorrectionKernel, FundamentalSolution
 from memdiff import potentials
 from memdiff.potentials import (
     DensityPair,
@@ -31,36 +31,16 @@ from memdiff.potentials import (
     interpolate_w,
     layer_time_rule,
 )
-from memdiff.problem import (
-    CoefficientField,
-    InitialFunction,
-    MembranePath,
-    Problem,
-    SideSpec,
-    TimeFunction,
-    WentzellData,
-)
+from memdiff.problem import CoefficientField, InitialFunction, MembranePath, SideSpec
 from memdiff.semigroup import SemigroupOperator
 
-from conftest import atom_at, make_problem
+from conftest import VAR_CORRECTION, atom_at, make_problem, variable_problem
 from kernel_oracle import ScalarKernels, ScalarRightHandSide, anchor_loop, reference_solve
 
 REL = 1e-12
 PHI = InitialFunction.gaussian(amp=1.0, center=0.3, width=0.6)
 # reduced settings of a genuinely variable diffusion side
 VAR_SOLVER = SolverConfig(mesh_n=10, n_kernel=6, n_holmgren=10)
-VAR_CORRECTION = CorrectionQuadrature(n_sigma=10, n_w=24, n_time=6, n_space=6, depth=4)
-
-
-def variable_problem(membrane=None, s_amp=0.0):
-    left = SideSpec(CoefficientField.constant(0.0),
-                    CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, s_amp, 1.0]))
-    right = SideSpec(CoefficientField.constant(0.0), CoefficientField.constant(1.0))
-    return Problem(left=left, right=right,
-                   membrane=membrane or MembranePath.constant(0.0),
-                   wentzell=WentzellData(TimeFunction.constant(0.5),
-                                         TimeFunction.constant(0.5)),
-                   horizon=1.0)
 
 
 # name: (problem, phi, t, solver config, correction quadrature)
