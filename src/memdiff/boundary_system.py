@@ -17,11 +17,13 @@ through its differentiated representation
               - sqrt(2/pi) (t-s)^(-1/2) f(s),
 
 never by numerical differentiation.  E is linear, so each side takes its
-own route (KernelAssembler.transform_sides): on an exact side at a flat
-membrane the continuity kernel vanishes and E of the Poisson trace P_j is
-closed, E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y) sign(y - h)
+own route, picked in one place for both solve stages
+(KernelAssembler.transform_sides): on an exact side at a flat membrane the
+continuity kernel vanishes and E of the Poisson trace P_j is closed,
+E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y) sign(y - h)
 phi(y) dy (RightHandSide.transformed_trace_gap); every other side's traces
-go through one numerical transform per solve stage, all sides stacked.
+go through one numerical transform per solve stage, all sides stacked, on
+the midpoint split of holmgren_rules.
 After elimination the system reads
 
     V_i(s,t) = Psi_i(s,t) + sum_j integral N_ij(s,tau) V_j(tau,t) d tau
@@ -30,7 +32,8 @@ and is solved by successive approximations on the regularized unknowns
 W_i = (t-s)^(1/2) V_i over a graded mesh.  The jump measure has finitely
 many atoms, none on the membrane (validate refuses one there), so each atom
 keeps a positive distance from it and enters the kernels through the plain
-difference w_k (G(y_k) - G(h)), a regular kernel.
+difference w_k (G(y_k) - G(h)), a regular kernel, taken on the atom's side
+at the times where w_k != 0.
 
 Everything is evaluated on arrays (product-integration Nystrom): the
 kernels on the (mesh node, tau node) array with the Holmgren rho nodes as a
@@ -59,7 +62,7 @@ from .errors import (
     SingularIntegrandError,
     TimeOrderError,
 )
-from .potentials import DensityPair, PotentialEvaluator, graded_mesh
+from .potentials import DensityPair, PotentialEvaluator, graded_mesh, kernel_time_rule
 from .problem import InitialFunction, Problem, require_number
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -98,6 +101,14 @@ PASS_POINTS = 2 ** 16
 # Holmgren transform
 # ---------------------------------------------------------------------------
 
+def holmgren_rules(s, t, n: int, left_exp: float):
+    """The Holmgren rule over (s, t), split at the midpoint: (nodes, weights)
+    of a Jacobi rule with left exponent left_exp on the left half and of
+    plain Gauss on the right half."""
+    mid = 0.5 * (s + t)
+    return singular_rule(s, mid, n, left_exp=left_exp), singular_rule(mid, t, n)
+
+
 def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
     """Differentiated Holmgren transform of f over (s, t), elementwise.
 
@@ -106,9 +117,9 @@ def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
     whose trailing axis holds the points of one interval, and returns values
     of that shape, optionally behind leading component axes (one transform
     per component, every one of them decay-checked).  Each integral is
-    split at the midpoint: the left half uses a Jacobi rule matched to the
-    decay of f(rho) - f(s), the right half plain Gauss.  Returns a float
-    for scalar s and t and a scalar f.
+    split at the midpoint (holmgren_rules): a Jacobi rule matched to the
+    decay of f(rho) - f(s) on the left half, plain Gauss on the right.
+    Returns a float for scalar s and t and a scalar f.
     """
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     if np.any(s >= t):
@@ -118,7 +129,6 @@ def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
         return np.asarray(f(rho[..., None]), dtype=float)[..., 0]
 
     fs_val = at(s)
-    mid = 0.5 * (s + t)
     scale = np.abs(fs_val) + 1.0
 
     span = t - s
@@ -130,9 +140,8 @@ def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
             "integrand increment does not decay at the left endpoint")
 
     s_col, fs_col = s[..., None], fs_val[..., None]
-    rho_l, w_l = singular_rule(s, mid, n, left_exp=left_exp)
+    (rho_l, w_l), (rho_r, w_r) = holmgren_rules(s, t, n, left_exp)
     vals_l = (np.asarray(f(rho_l)) - fs_col) * (rho_l - s_col) ** (-1.5)
-    rho_r, w_r = singular_rule(mid, t, n)
     vals_r = (np.asarray(f(rho_r)) - fs_col) * (rho_r - s_col) ** (-1.5)
     integral = np.sum(vals_l * w_l, axis=-1) + np.sum(vals_r * w_r, axis=-1)
     out = INV_SQRT_2PI * integral - SQRT_2_OVER_PI * fs_val / np.sqrt(t - s)
@@ -164,17 +173,21 @@ class KernelAssembler:
 
     # -- the system kernel ------------------------------------------------------
 
-    def transform_sides(self, traces, s, t) -> np.ndarray:
+    def transform_sides(self, traces, s, t, closed=None) -> np.ndarray:
         """(-1)^j E[f_j](s, t) over the sides j = 1, 2, stacked on a new
-        first axis.
+        first axis: the one place where each side's route is picked.
 
         traces(rho, sides) returns side j's membrane trace f_j(rho) for each
-        j in sides, stacked on a leading axis.  A flat exact side reads zero:
-        its continuity kernel vanishes and its Poisson trace has a closed
-        transform.  The other sides go through one holmgren_transform call,
-        so they share its rho rule and its h(rho).
+        j in sides, stacked on a leading axis.  A flat exact side takes its
+        closed form: the row closed(j) for the Poisson traces, and zero
+        where closed is None, for the kernels, whose transformed continuity
+        kernel vanishes there.  The other sides go through one
+        holmgren_transform call, so they share its rho rule and its h(rho).
         """
         out = np.zeros((2,) + np.shape(s))
+        for j in (1, 2):
+            if self._flat_exact[j] and closed is not None:
+                out[j - 1] = closed(j)
         sides = [j for j in (1, 2) if not self._flat_exact[j]]
         if sides:
             signs = np.reshape([(-1.0) ** j for j in sides], (-1,) + (1,) * np.ndim(s))
@@ -199,12 +212,12 @@ class KernelAssembler:
         h_tau = np.broadcast_to(prob.h(tau), s.shape)
         tau_col, h_col = tau[..., None], h_tau[..., None]
 
-        def g(j, x, p=0, mask=None):
-            return fs[j].on_anchors(s[..., None], x[..., None], tau_col, h_col, p, mask)[..., 0]
+        def g(j, x, p=0):
+            return fs[j].on_anchors(s[..., None], x[..., None], tau_col, h_col, p)[..., 0]
 
         # reflection term first: it opens every anchor of a correction side
         flux = np.stack([flux_condition(prob, j, s, h_s, g(j, h_s, p=1),
-                                        lambda x, on: g(j, x, mask=on)) for j in (1, 2)])
+                                        lambda x: g(j, x)) for j in (1, 2)])
 
         def traces(rho, sides):
             # the three increments of the differentiated representation (the
@@ -220,17 +233,17 @@ class KernelAssembler:
 
 def flux_condition(problem: Problem, j: int, s, h, slope, value):
     """Side j's part of the flux condition at the times s, for slope =
-    u_j'(h): (-1)^j q_j slope, plus w_k (value(y_k, on) - value(h, on)) at
-    the times on where atom k has w_k != 0 and lies on side j (the left
-    when y_k < h).  value(x, on) gives u_j at points x broadcast to s; it
-    is read only where on is set."""
+    u_j'(h): (-1)^j q_j slope, plus w_k (value(y_k) - value(h)) at the
+    times where atom k has w_k != 0 and lies on side j (the left when
+    y_k < h).  value(x) gives u_j at points x broadcast to s; it is called
+    only for an atom that is on side j at one of the times at least."""
     out = (-1.0) ** j * problem.q(j, s) * slope
     for atom in problem.wentzell.measure.atoms:
         y = np.broadcast_to(atom.position(s), np.shape(s))
         w = np.broadcast_to(atom.weight(s), np.shape(s))
         on = (np.where(y < h, 1, 2) == j) & (w != 0.0)
         if np.any(on):
-            out = out + np.where(on, w * (value(y, on) - value(h, on)), 0.0)
+            out = out + np.where(on, w * (value(y) - value(h)), 0.0)
     return out
 
 
@@ -290,17 +303,10 @@ class RightHandSide:
     def flux_gap(self, s):
         """Flux data: the flux condition of both sides on the Poisson potentials."""
         s = np.asarray(s, dtype=float)
-        ev = self.assembler.evaluator
-        prob = self.assembler.problem
+        ev, prob, t, phi = self.assembler.evaluator, self.assembler.problem, self.t, self.phi
         h = np.broadcast_to(prob.h(s), s.shape)
-
-        def poisson_on(j, x, on):  # side j's Poisson potential on the mask, zero elsewhere
-            out = np.zeros(s.shape)
-            out[on] = ev.poisson(j, s[on], x[on], self.t, self.phi)
-            return out
-
-        out = sum(flux_condition(prob, j, s, h, ev.poisson(j, s, h, self.t, self.phi, p=1),
-                                 lambda x, on: poisson_on(j, x, on)) for j in (1, 2))
+        out = sum(flux_condition(prob, j, s, h, ev.poisson(j, s, h, t, phi, p=1),
+                                 lambda x: ev.poisson(j, s, x, t, phi)) for j in (1, 2))
         return out if np.shape(out) else float(out)
 
     def transformed_trace_gap(self, s):
@@ -324,9 +330,9 @@ class RightHandSide:
                         sign(y - h) phi(y) dy,
 
         one terminal_integral of phi sign(. - h) with p = 1, whose window
-        y = h + u sigma puts the sign kink on its u = 0 panel edge.  Every
-        other side's Poisson trace is transformed numerically, all of them
-        in one KernelAssembler.transform_sides call.
+        y = h + u sigma puts the sign kink on its u = 0 panel edge.
+        KernelAssembler.transform_sides picks each side's route; the sides
+        without the closed form share one numeric transform.
         """
         s = np.asarray(s, dtype=float)
         if self._identical_sides:
@@ -339,15 +345,14 @@ class RightHandSide:
             h = prob.h(rho)
             return np.stack([ev.poisson(j, rho, h, t, self.phi) for j in sides])
 
-        out = np.sum(asm.transform_sides(traces, s, t), axis=0)
-        for j, fs in ev.fs.items():
-            if asm._flat_exact[j]:
-                h = prob.membrane.constant_value()
-                # an exact side's window reads no table, so it needs no cache key
-                out = out + ((-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value())
-                             * fs.terminal_integral(s, h, t, lambda y: self.phi(y) * np.sign(y - h),
-                                                    None, p=1))
-        return out
+        def closed(j):
+            fs, h = ev.fs[j], prob.membrane.constant_value()
+            # an exact side's window reads no table, so it needs no cache key
+            return ((-1.0) ** (j + 1) * math.sqrt(fs.side.diffusion.constant_value())
+                    * fs.terminal_integral(s, h, t, lambda y: self.phi(y) * np.sign(y - h),
+                                           None, p=1))
+
+        return np.sum(asm.transform_sides(traces, s, t, closed), axis=0)
 
     def combined(self, s) -> np.ndarray:
         """Right-hand sides (Psi_1, Psi_2) of the eliminated second-kind
@@ -417,7 +422,17 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
         raise TimeOrderError("solve needs s_min < t")
     assembler = KernelAssembler(problem, evaluator, config)
     mesh = graded_mesh(t, s_min, config.mesh_n)
-    require_interior_nodes(problem, config, float(mesh[-1]), t)
+    # before any mesh-sized array, the rules of the narrowest (s, tau) pair, s
+    # the last node: where a node rounds onto an end, the kernels are singular
+    s, tau = float(mesh[-1]), t
+    try:
+        tau = float(kernel_time_rule(problem, s, t, config.n_kernel)[0][0])
+        holmgren_rules(s, tau, config.n_holmgren, problem.kernel_time_exponent())
+    except SingularIntegrandError:
+        raise ConfigError(
+            f"solver mesh_n {config.mesh_n}, n_kernel {config.n_kernel} and n_holmgren "
+            f"{config.n_holmgren} put quadrature nodes on an end of the narrowest kernel "
+            f"interval, {tau - s:.2g} wide; lower one of them or start further from t") from None
     rhs = RightHandSide(assembler, phi, t, float(mesh[0]))
     step = max(1, PASS_POINTS // (config.n_kernel * 2 * config.n_holmgren))
     passes = [slice(lo, lo + step) for lo in range(0, len(mesh), step)]
@@ -429,9 +444,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     # kernels vanish it stores nothing
     operator = sparse.csr_array((2 * len(mesh), 2 * len(mesh)))
     if not assembler.kernels_vanish:
-        tau_nodes, wt = singular_rule(mesh, t, config.n_kernel,
-                                      left_exp=problem.kernel_time_exponent(),
-                                      right_exp=-0.5)
+        tau_nodes, wt = kernel_time_rule(problem, mesh, t, config.n_kernel)
         kern = np.empty((2, 2) + tau_nodes.shape)
         for nodes in passes:
             kern[:, :, nodes] = assembler.system_kernel_matrix(mesh[nodes, None],
@@ -468,25 +481,6 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     diag.w_sup_ratio = densities.max_w() / scale
     densities.diagnostics = diag
     return densities
-
-
-def require_interior_nodes(problem: Problem, config: SolverConfig, s: float, t: float):
-    """ConfigError unless the kernel nodes of the last mesh node s, and the
-    Holmgren nodes of its first kernel interval (s, tau), the narrowest
-    pair, lie strictly inside their intervals: where roundoff puts a node on
-    an end, the kernels are singular or undefined there."""
-    exponent = problem.kernel_time_exponent()
-    tau = t
-    try:
-        tau = float(singular_rule(s, t, config.n_kernel, left_exp=exponent, right_exp=-0.5)[0][0])
-        mid = 0.5 * (s + tau)
-        singular_rule(s, mid, config.n_holmgren, left_exp=exponent)
-        singular_rule(mid, tau, config.n_holmgren)
-    except SingularIntegrandError:
-        raise ConfigError(
-            f"solver mesh_n {config.mesh_n}, n_kernel {config.n_kernel} and n_holmgren "
-            f"{config.n_holmgren} put quadrature nodes on an end of the narrowest kernel "
-            f"interval, {tau - s:.2g} wide; lower one of them or start further from t") from None
 
 
 def first_kind_residual(problem: Problem, phi: InitialFunction, t: float,

@@ -518,25 +518,20 @@ class FundamentalSolution:
         out = self.on_anchors(s.reshape(1, -1), x.reshape(1, -1), t, y, p).reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
-    def on_anchors(self, s, x, t, y, p: int = 0, mask=None):
+    def on_anchors(self, s, x, t, y, p: int = 0):
         """G^(p)(s, x; t, y) on broadcast arrays whose trailing axis holds
         points that share one terminal anchor (t, y).
 
-        On a side with a correction term only anchors where mask (over the
-        leading axes) is set are evaluated, the others read zero, and each
-        anchor's table is CorrectionKernel.table of its points in this call.
+        On a side with a correction term each anchor's table is
+        CorrectionKernel.table of its points in this call.
         """
         if self.is_exact:
             return self.principal(s, x, t, y, p)
         s, x, t, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (s, x, t, y)))
-        keep = (np.ones(s.shape[:-1], dtype=bool) if mask is None
-                else np.broadcast_to(mask, s.shape[:-1]))
-        out = np.zeros(s.shape)
-        if np.any(keep):
-            s, x, t, y = s[keep], x[keep], t[keep], y[keep]
-            out[keep] = (self.principal(s, x, t, y, p)
-                         + self._corrections(s, x, t[:, 0], y[:, 0], p))
-        return out
+        shape = s.shape
+        s, x, t, y = (a.reshape(math.prod(shape[:-1]), shape[-1]) for a in (s, x, t, y))
+        return (self.principal(s, x, t, y, p)
+                + self._corrections(s, x, t[:, 0], y[:, 0], p)).reshape(shape)
 
     def _corrections(self, s, x, t, y, p):
         """Z1^(p) at points (s, x) of shape (anchors, points); row a belongs

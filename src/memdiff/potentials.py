@@ -123,6 +123,13 @@ def layer_time_rule(s, t: float):
                  for part in zip(*rules))
 
 
+def kernel_time_rule(problem: Problem, s, t, n: int):
+    """The n-node rule over (s, t) of a kernel's membrane trace, exponent
+    kernel_time_exponent at tau = s, times the density's (t - tau)^(-1/2):
+    the solve's tau nodes (n_kernel) and the direct value's (N_TIME)."""
+    return singular_rule(s, t, n, left_exp=problem.kernel_time_exponent(), right_exp=-0.5)
+
+
 def _poisson_key(phi: InitialFunction) -> tuple:
     return ("phi",) + phi.key
 
@@ -189,9 +196,7 @@ class PotentialEvaluator:
         """
         if s >= t:
             raise TimeOrderError("direct value needs s < t")
-        tau, wt = singular_rule(s, t, N_TIME,
-                                left_exp=self.problem.kernel_time_exponent(),
-                                right_exp=-0.5)
+        tau, wt = kernel_time_rule(self.problem, s, t, N_TIME)
         h_s = float(self.problem.h(s))
         h_tau = np.asarray(self.problem.h(tau), dtype=float)
         g1 = self.fs[i].on_anchors(s, h_s, tau[:, None], h_tau[:, None], p=1)[:, 0]

@@ -411,7 +411,9 @@ class InitialFunction(_Catalog):
 
     def __init__(self, kind: str, params: Sequence[float] = (), sup_norm: float | None = None):
         super().__init__(kind, params)
-        if kind in ("gaussian-bump", "indicator-smoothed"):
+        if kind == "constant-one":  # one cache key for both spellings of the default
+            self.params = self.params or (1.0,)
+        elif kind in ("gaussian-bump", "indicator-smoothed"):
             require_number(self.params[2], f"{kind} width", gt=0)
         elif kind == "polynomial-clamped":
             r_in = require_number(self.params[1], "polynomial-clamped r_in", ge=0)
@@ -473,8 +475,7 @@ class InitialFunction(_Catalog):
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         if self.kind == "constant-one":
-            c = self.params[0] if self.params else 1.0
-            out = np.full_like(x, c if order == 0 else 0.0)
+            out = np.full_like(x, self.params[0] if order == 0 else 0.0)
         elif self.kind == "gaussian-bump":
             amp, c, w = self.params
             if order == 0:

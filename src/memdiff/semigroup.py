@@ -162,7 +162,7 @@ class SemigroupOperator:
         traces = [ev.field(i, s, h, t, phi, dens) for i in (1, 2)]
         slopes = SemigroupField(self, s, t, phi, dens).derivative_limits()
         # the flux condition on the field, with its traces at h reused
-        b2_res = -sum(flux_condition(self.problem, j, s, h, slopes[j - 1], lambda x, on: (
+        b2_res = -sum(flux_condition(self.problem, j, s, h, slopes[j - 1], lambda x: (
             traces[j - 1] if x == h else ev.field(j, s, x, t, phi, dens))) for j in (1, 2))
         return (float(traces[0] - traces[1]), float(b2_res))
 
@@ -186,8 +186,7 @@ class SemigroupOperator:
         """(q_2 - q_1) phi'(h) + sum of w_k (phi(y_k) - phi(h)) at time s."""
         h = float(self.problem.h(s))
         slope = phi.derivative(h, 1)
-        return float(sum(flux_condition(self.problem, j, s, h, slope, lambda x, on: phi(x))
-                         for j in (1, 2)))
+        return float(sum(flux_condition(self.problem, j, s, h, slope, phi) for j in (1, 2)))
 
     def _transition_quotients(self, s: float, phi: InitialFunction, dt_values, x):
         """(T_{s,s+dt} phi - phi)/dt at the points x, one array per dt."""

@@ -172,10 +172,11 @@ class ScalarKernels:
 class ScalarRightHandSide:
     """Pointwise transformed trace gap, flux data and right-hand sides Psi_i."""
 
-    def __init__(self, kernels: ScalarKernels, phi, t: float):
+    def __init__(self, kernels: ScalarKernels, phi, t: float, s_min: float = 0.0):
         self.kernels = kernels
         self.phi = phi
         self.t = t
+        kernels.evaluator.reserve_poisson(phi, t, s_min)  # the library's Poisson table
         left, right = kernels.problem.left, kernels.problem.right
         self._identical_sides = (
             (left.drift.kind, left.drift.params)
@@ -251,7 +252,7 @@ def reference_solve(assembler: KernelAssembler, phi, t: float, s_min: float = 0.
     """
     config = assembler.config
     kernels = ScalarKernels(assembler)
-    rhs = ScalarRightHandSide(kernels, phi, t)
+    rhs = ScalarRightHandSide(kernels, phi, t, s_min)
     mesh = graded_mesh(t, s_min, config.mesh_n)
     n = len(mesh)
     sqrt_rem = np.sqrt(t - mesh)

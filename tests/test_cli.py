@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memdiff import semigroup
 from memdiff.boundary_system import SolverConfig
 from memdiff.cli import fmt_sig, main
 from memdiff.errors import ConvergenceFailureError, SingularIntegrandError
@@ -251,6 +252,42 @@ def test_compare_mc_matches_golden_report(tmp_path):
     out = tmp_path / "report.json"
     assert run(["compare-mc", "--config", cfg_path, "--out", out]) == 0
     assert out.read_bytes() == (REPO / "tests" / "golden" / "compare_mc_skew.json").read_bytes()
+
+
+def test_check_with_atoms_on_a_variable_side_matches_golden_report(tmp_path):
+    # configs/skew.json with b = 1 + 0.25 sin x on the left, unit atoms at
+    # +-1 and reduced solver settings: the conjugation suite's report to all
+    # digits, as committed in tests/golden
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["problem"]["left"]["diffusion"] = {"kind": "sinusoidal-in-s-and-x",
+                                           "params": [1.0, 0.25, 1.0, 0.0, 0.0]}
+    cfg["problem"]["wentzell"]["measure"]["atoms"] = [
+        {"position": {"kind": "constant", "params": [y]},
+         "weight": {"kind": "constant", "params": [1.0]}} for y in (-1.0, 1.0)]
+    cfg.update(suite="conjugation", solver={"mesh_n": 8, "n_kernel": 8, "n_holmgren": 12})
+    cfg_path = tmp_path / "variable-atoms.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["check", "--config", cfg_path, "--out", out]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "golden" /
+                                "check_variable_atoms.json").read_bytes()
+
+
+def test_semigroup_check_of_the_unit_datum_solves_once_per_datum(tmp_path, monkeypatch):
+    # phi = 1 with no params is the conservation check's own datum: its
+    # densities come from the memo, so the check solves twice (phi on
+    # [s, t], and the re-ingested midpoint field on [s, mid]), not three times
+    calls = []
+    solve = semigroup.solve_densities
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "solve_densities", counted)
+    cfg_path = config_with(tmp_path, "skew", phi={"kind": "constant-one"})
+    assert run(["check", "--config", cfg_path, "--out", tmp_path / "report.json"]) == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("case", ["constant-one", "unreached-gaussian", "one-path"])

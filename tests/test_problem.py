@@ -222,6 +222,8 @@ def test_initial_function_values_keep_their_formulas_bits():
     assert tab(-2.0) == np.cos(-3.0) and tab(2.0) == np.cos(3.0)
     assert isinstance(InitialFunction("constant-one").derivative(0.4, 2), float)
     assert not hasattr(InitialFunction("constant-one"), "is_constant")
+    # the default constant and its explicit spelling are one function in caches
+    assert InitialFunction("constant-one").key == InitialFunction.one().key
 
 
 def test_initial_function_values_and_derivatives():
