@@ -39,14 +39,13 @@ from .problem import (
     WentzellData,
     validate,
 )
-from .semigroup import EffectiveCoefficients, SemigroupField, SemigroupOperator
+from .semigroup import SemigroupField, SemigroupOperator
 
 __all__ = [
     "Atom",
     "CoefficientField",
     "CorrectionQuadrature",
     "DensityPair",
-    "EffectiveCoefficients",
     "FundamentalSolution",
     "InitialFunction",
     "JumpMeasure",

@@ -16,14 +16,18 @@ from scipy.special import roots_jacobi
 
 from .errors import SingularIntegrandError
 
+# rules kept per reference cache (a benchmark workload uses at most 8): the
+# Jacobi exponents follow holder_exponent, so each new problem may add one
+RULE_CACHE = 64
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=RULE_CACHE)
 def gauss_legendre(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RULE_CACHE)
 def _jacobi(n: int, a: float, b: float):
     # weight (1-x)^a (1+x)^b on [-1, 1]
     x, w = roots_jacobi(n, a, b)
@@ -74,7 +78,7 @@ def panel_rule(edges, n: int):
 R_CUT = 8.0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RULE_CACHE)
 def unit_window(n_per_panel: int):
     """Fixed rule for integrals of a Gaussian-localized factor.
 

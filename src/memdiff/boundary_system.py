@@ -236,14 +236,17 @@ def flux_condition(problem: Problem, j: int, s, h, slope, value):
     u_j'(h): (-1)^j q_j slope, plus w_k (value(y_k) - value(h)) at the
     times where atom k has w_k != 0 and lies on side j (the left when
     y_k < h).  value(x) gives u_j at points x broadcast to s; it is called
-    only for an atom that is on side j at one of the times at least."""
+    only for an atom on side j at one of the times at least, at h once."""
     out = (-1.0) ** j * problem.q(j, s) * slope
+    at_h = None
     for atom in problem.wentzell.measure.atoms:
         y = np.broadcast_to(atom.position(s), np.shape(s))
         w = np.broadcast_to(atom.weight(s), np.shape(s))
         on = (np.where(y < h, 1, 2) == j) & (w != 0.0)
         if np.any(on):
-            out = out + np.where(on, w * (value(y) - value(h)), 0.0)
+            at_y = value(y)
+            at_h = value(h) if at_h is None else at_h
+            out = out + np.where(on, w * (at_y - at_h), 0.0)
     return out
 
 

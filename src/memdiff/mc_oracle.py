@@ -5,17 +5,18 @@ crossing parameter alpha, scale sigma) is the image formula
 
     p(dt, x, y) = g(y - x) + sign(y) (2 alpha - 1) g(|x| + |y|),
 
-with g the centered Gaussian density of variance sigma^2 dt.  Rescaling
-each side of a unit skew Brownian motion by its own sigma gives the closed
-form for two constant diffusion scales (two_scale_density).  The particle
-simulation realizes the pasted diffusion directly: Euler-Maruyama between
-crossings, and on a membrane crossing the landing side is redrawn with the
-membrane weights read as exit probabilities.  Atomic jump measures are
-realized by a thin jump layer that jumps about twice as often as the
-conjugation condition asks (ROADMAP item 6: with unit atoms the estimates
-sit 20-37 standard errors below a finite-difference value, and halving the
-weights brings them within 3), so atom estimates serve qualitative
-cross-checks only; the jump count is reported alongside the estimate.
+with g the centered Gaussian density of variance sigma^2 dt.  No command
+reaches it, but the benchmark workloads check requests against skew_action
+as an attribute of this module; closed forms that only tests use live in
+tests/closed_forms.py.  The particle simulation realizes the pasted
+diffusion directly: Euler-Maruyama between crossings, and on a membrane
+crossing the landing side is redrawn with the membrane weights read as exit
+probabilities.  Atomic jump measures are realized by a thin jump layer that
+jumps about twice as often as the conjugation condition asks (ROADMAP item
+6: with unit atoms the estimates sit 20-37 standard errors below a
+finite-difference value, and halving the weights brings them within 3), so
+atom estimates serve qualitative cross-checks only; the jump count is
+reported alongside the estimate.
 """
 
 from __future__ import annotations
@@ -74,42 +75,6 @@ def skew_density(params: SkewParams, dt: float, x, y):
 
     out = g(y - x) + np.sign(y) * (2.0 * params.alpha - 1.0) * g(np.abs(x) + np.abs(y))
     return float(out) if out.ndim == 0 else out
-
-
-def two_scale_density(problem: Problem, dt: float, x, y):
-    """Transition density of the two-scale problem after elapsed time dt.
-
-    Constant diffusions b1 and b2, zero drifts, constant q, a flat membrane
-    at h and no atoms.  X = h + sigma(Y) Y with Y a unit skew Brownian
-    motion of parameter beta = q2 sqrt(b1) / (q1 sqrt(b2) + q2 sqrt(b1))
-    and sigma = sqrt(b1) left, sqrt(b2) right (the oscillating Brownian
-    motion of Keilson and Wellner), so
-
-        p(dt, x, y) = p_skew^beta(dt, (x - h)/sigma(x), (y - h)/sigma(y)) / sigma(y).
-
-    beta is written out here, apart from Problem.membrane_weights, so that
-    the closed form stays an independent check of the solver.
-    """
-    left, right = problem.left, problem.right
-    if not (left.diffusion.is_constant and right.diffusion.is_constant
-            and all(f.is_constant and f.constant_value() == 0.0
-                    for f in (left.drift, right.drift))
-            and problem.membrane.is_constant and problem.wentzell.measure.is_null
-            and problem.wentzell.q1.is_constant and problem.wentzell.q2.is_constant):
-        raise ValueError("the two-scale closed form needs constant diffusions, zero "
-                         "drifts, constant q, a flat membrane and no atoms")
-    r1 = math.sqrt(left.diffusion.constant_value())
-    r2 = math.sqrt(right.diffusion.constant_value())
-    q1 = float(problem.q(1, 0.0))
-    q2 = float(problem.q(2, 0.0))
-    beta = q2 * r1 / (q1 * r2 + q2 * r1)
-    h = float(problem.h(0.0))
-    x = np.asarray(x, dtype=float) - h
-    y = np.asarray(y, dtype=float) - h
-    sigma_y = np.where(y >= 0.0, r2, r1)
-    out = skew_density(SkewParams(beta), dt, x / np.where(x >= 0.0, r2, r1),
-                       y / sigma_y) / sigma_y
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def skew_action(params: SkewParams, dt: float, x: float, phi) -> float:

@@ -13,7 +13,7 @@ is the Neumann series Q = sum_m K^(m) built from
 
 with K^(m+1) the space-time convolution of K^(1) with K^(m).  When the
 drift vanishes and the diffusion is constant, K^(1) is identically zero and
-G = Z0 exactly; that case is detected structurally and skipped.
+G = Z0 exactly; CorrectionKernel.is_null detects that case structurally.
 
 The series is never materialized in four variables.  Everything the solver
 needs is a "terminal functional" of Q (evaluation at a fixed terminal
@@ -136,35 +136,6 @@ def slice_integral(s, x, t, b, left, weight, n_space: int):
     trailing axis."""
     y, wy = window_nodes(x, np.sqrt(b * (t - s)), n_space)
     return np.sum(left(y) * weight(y) * wy, axis=-1)
-
-
-class _CorrectionSource:
-    """The generating kernel K^(1) = (d/ds + L_s) Z0, vectorized."""
-
-    def __init__(self, side: SideSpec):
-        self.side = side
-        self._drift_null = side.drift.is_constant and side.drift.constant_value() == 0.0
-        self._diff_const = side.diffusion.is_constant
-
-    @property
-    def is_null(self) -> bool:
-        return self._drift_null and self._diff_const
-
-    def __call__(self, s, x, t, y, b_ty=None, b_sx=None):
-        """K^(1)(s, x; t, y); a caller that holds b_ty = b(t, y) or
-        b_sx = b(s, x) passes it in, so K^(1) serves as the left factor of
-        CorrectionKernel.convolution."""
-        if b_ty is None:
-            b_ty = self.side.diffusion(t, y)
-        var, z = b_ty * (t - s), y - x
-        out = 0.0
-        if not self._diff_const:
-            if b_sx is None:
-                b_sx = self.side.diffusion(s, x)
-            out = 0.5 * (b_sx - b_ty) * _z0(var, z, 2)
-        if not self._drift_null:
-            out = out + self.side.drift(s, x) * _z0(var, z, 1)
-        return out
 
 
 def _span_class(span: float) -> float:
@@ -313,15 +284,29 @@ class CorrectionKernel:
     def __init__(self, side: SideSpec, quad: CorrectionQuadrature | None = None):
         self.side = side
         self.quad = quad or CorrectionQuadrature()
-        self.source = _CorrectionSource(side)
+        self.drift_null = side.drift.is_constant and side.drift.constant_value() == 0.0
+        self.diffusion_constant = side.diffusion.is_constant
+        self.is_null = self.drift_null and self.diffusion_constant
         self.alpha = side.holder_exponent
         self._shares_points = side.is_time_homogeneous
         self._tables: dict = {}
         self._lock = threading.Lock()
 
-    @property
-    def is_null(self) -> bool:
-        return self.source.is_null
+    def source(self, s, x, t, y, b_ty=None, b_sx=None):
+        """The generating kernel K^(1)(s, x; t, y) = (d/ds + L_s) Z0; a caller
+        that holds b_ty = b(t, y) or b_sx = b(s, x) passes it in, so K^(1)
+        serves as the left factor of convolution."""
+        if b_ty is None:
+            b_ty = self.side.diffusion(t, y)
+        var, z = b_ty * (t - s), y - x
+        out = 0.0
+        if not self.diffusion_constant:
+            if b_sx is None:
+                b_sx = self.side.diffusion(s, x)
+            out = 0.5 * (b_sx - b_ty) * _z0(var, z, 2)
+        if not self.drift_null:
+            out = out + self.side.drift(s, x) * _z0(var, z, 1)
+        return out
 
     # -- grid helpers -----------------------------------------------------
 
@@ -643,7 +628,7 @@ def moment_residuals(fs: FundamentalSolution, s: float, x: float, t: float):
     m1 = fs.terminal_integral(s, x, t, lambda y: y - x, ("m1", x))
     m2 = fs.terminal_integral(s, x, t, lambda y: (y - x) ** 2, ("m2", x))
     ra = rax = 0.0
-    if not (fs.side.drift.is_constant and fs.side.drift.constant_value() == 0.0):
+    if not fs.correction.drift_null:
         ra = fs.spacetime_integral(s, x, t, lambda tau, z: fs.side.drift(tau, z),
                                    ("a",))
         rax = fs.spacetime_integral(

@@ -7,8 +7,8 @@ solved once per (t, phi) and memoized: the first solve serves every later
 start, and an earlier start gets a solve of its own that replaces nothing.
 The remaining operations are the audits that `memdiff check` runs: the
 semigroup laws (two-parameter composition, positivity, contraction), the
-interface conditions, and the weak generator pairing, whose membrane term
-carries the Dirac drift weight of EffectiveCoefficients.
+interface conditions, and the weak generator pairing, whose membrane term,
+1/2 (d1 + d2) times the flux condition, holds the Dirac drift weight inline.
 """
 
 from __future__ import annotations
@@ -70,19 +70,6 @@ class SemigroupField:
             left, right = ev.conormal_jump(i, self.s, self.t, self.densities)
             out.append(smooth + (left if i == 1 else right))
         return tuple(out)
-
-
-class EffectiveCoefficients:
-    """Generator coefficients of the pasted process when the measure is null:
-    dirac_drift is the weight of the drift's point mass on the membrane."""
-
-    def __init__(self, problem: Problem):
-        self.problem = problem
-
-    def dirac_drift(self, s: float) -> float:
-        _, (d1, d2) = self.problem.membrane_weights(s)
-        return 0.5 * (d1 + d2) * (float(self.problem.q(2, s))
-                                  - float(self.problem.q(1, s)))
 
 
 class SemigroupOperator:

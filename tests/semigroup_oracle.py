@@ -2,9 +2,10 @@
 
 Quantities of the paper's generator characterization that no memdiff
 command computes, built here from the operator and its generator terms: the
-effective coefficients of the pasted process at one space-time point, the
-displacement moments of the transition law, and the domain check of the
-ordinary generator with its pointwise limit.  The coefficients and the
+Dirac drift weight on the membrane, the effective coefficients of the pasted
+process at one space-time point, the displacement moments of the transition
+law, and the domain check of the ordinary generator with its pointwise
+limit.  The coefficients and the
 moments are defined for an empty jump measure only; the tests that call
 them use such problems.
 """
@@ -16,7 +17,20 @@ import math
 import numpy as np
 
 from memdiff.problem import InitialFunction, Problem
-from memdiff.semigroup import EffectiveCoefficients, SemigroupOperator
+from memdiff.semigroup import SemigroupOperator
+
+
+class EffectiveCoefficients:
+    """Generator coefficients of the pasted process when the measure is null:
+    dirac_drift is the weight of the drift's point mass on the membrane."""
+
+    def __init__(self, problem: Problem):
+        self.problem = problem
+
+    def dirac_drift(self, s: float) -> float:
+        _, (d1, d2) = self.problem.membrane_weights(s)
+        return 0.5 * (d1 + d2) * (float(self.problem.q(2, s))
+                                  - float(self.problem.q(1, s)))
 
 
 def effective_coefficients(problem: Problem, s: float, x: float):

@@ -15,9 +15,10 @@ from memdiff.errors import SeriesDivergenceError
 from memdiff.mc_oracle import SimConfig, SkewParams, compare, simulate, skew_action
 from memdiff.parametrix import CorrectionQuadrature, FundamentalSolution, moment_residuals
 from memdiff.problem import CoefficientField, InitialFunction, MembranePath, SideSpec
-from memdiff.semigroup import EffectiveCoefficients, SemigroupOperator
+from memdiff.semigroup import SemigroupOperator
 
 from conftest import make_problem, atom_at
+from semigroup_oracle import EffectiveCoefficients
 
 GRID = np.linspace(-2.0, 2.0, 41)
 PHI = InitialFunction.gaussian(amp=1.0, center=0.3, width=0.6)

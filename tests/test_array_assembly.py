@@ -104,6 +104,41 @@ def test_kernel_matrix_matches_scalar_reference(name):
     assert_close(got, want)
 
 
+def test_flux_condition_evaluates_the_membrane_value_once(monkeypatch):
+    # two atoms on the variable side: 6 Z1 evaluations without atoms, one
+    # per atom, and one of G at the membrane shared by both atoms; the
+    # kernels are bitwise those of value(h) evaluated once per atom
+    prob = variable_problem()
+    prob = replace(prob, wentzell=replace(prob.wentzell, measure=JumpMeasure(
+        (atom_at(-0.8), atom_at(-1.5)))))
+    mesh = graded_mesh(0.5, 0.0, VAR_SOLVER.mesh_n)
+    nodes = mesh[[0, len(mesh) // 2, -1]]
+    tau, _ = singular_rule(nodes, 0.5, VAR_SOLVER.n_kernel, left_exp=-0.5, right_exp=-0.5)
+
+    def kernels():
+        return KernelAssembler(prob, PotentialEvaluator(prob, VAR_CORRECTION),
+                               VAR_SOLVER).system_kernel_matrix(nodes[:, None], tau)
+
+    calls = []
+    corrections = FundamentalSolution._corrections
+    monkeypatch.setattr(FundamentalSolution, "_corrections",
+                        lambda fs, *args: calls.append(1) or corrections(fs, *args))
+    got = kernels()
+    assert len(calls) == 9
+
+    def per_atom(problem, j, s, h, slope, value):
+        out = (-1.0) ** j * problem.q(j, s) * slope
+        for atom in problem.wentzell.measure.atoms:
+            y = np.broadcast_to(atom.position(s), np.shape(s))
+            w = np.broadcast_to(atom.weight(s), np.shape(s))
+            on = (np.where(y < h, 1, 2) == j) & (w != 0.0)
+            if np.any(on):
+                out = out + np.where(on, w * (value(y) - value(h)), 0.0)
+        return out
+    monkeypatch.setattr(boundary_system, "flux_condition", per_atom)
+    assert np.array_equal(got, kernels())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_right_hand_side_matches_scalar_reference(name):
     _, phi, t, config, _ = CASES[name]

@@ -446,3 +446,23 @@ def test_singular_rule_refuses_nodes_on_an_end(a, b, exps):
     from memdiff._quadrature import singular_rule
     with pytest.raises(SingularIntegrandError):
         singular_rule(a, b, 24, *exps)
+
+
+def test_quadrature_rule_rebuilt_after_eviction_is_bitwise_the_first():
+    # each reference-rule cache holds RULE_CACHE rules; a rule pushed out by
+    # RULE_CACHE others is rebuilt with the same bits
+    from memdiff import _quadrature
+    for rule, key, others in (
+            (_quadrature.gauss_legendre, (5,), [(n,) for n in range(6, 200)]),
+            (_quadrature._jacobi, (6, -0.375, -0.5),
+             [(2, 0.5 * k / _quadrature.RULE_CACHE - 0.75, 0.0) for k in range(200)]),
+            (_quadrature.unit_window, (3,), [(n,) for n in range(4, 200)])):
+        assert rule.cache_info().maxsize == _quadrature.RULE_CACHE
+        first = rule(*key)
+        kept = [a.copy() for a in first]
+        for other in others[:_quadrature.RULE_CACHE]:
+            rule(*other)
+        again = rule(*key)
+        assert again[0] is not first[0]
+        for a, b in zip(again, kept):
+            assert a.tobytes() == b.tobytes()

@@ -273,6 +273,23 @@ def test_check_with_atoms_on_a_variable_side_matches_golden_report(tmp_path):
                                 "check_variable_atoms.json").read_bytes()
 
 
+def test_parametrix_check_on_correction_sides_matches_golden_report(tmp_path):
+    # configs/skew.json with drift 0.5 on the left and b = 1 + 0.25 sin x on
+    # the right, at t = 0.5: both terms of K^(1), the space-time tables and
+    # the drift moments, to all digits, as committed in tests/golden
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["problem"]["left"]["drift"] = {"kind": "constant", "params": [0.5]}
+    cfg["problem"]["right"]["diffusion"] = {"kind": "sinusoidal-in-s-and-x",
+                                            "params": [1.0, 0.25, 1.0, 0.0, 0.0]}
+    cfg.update(t=0.5, suite="parametrix")
+    cfg_path = tmp_path / "parametrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["check", "--config", cfg_path, "--out", out]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "golden" /
+                                "check_parametrix.json").read_bytes()
+
+
 def test_semigroup_check_of_the_unit_datum_solves_once_per_datum(tmp_path, monkeypatch):
     # phi = 1 with no params is the conservation check's own datum: its
     # densities come from the memo, so the check solves twice (phi on

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import simulate_reference
+from closed_forms import two_scale_density
 from conftest import atom_at, make_problem
 from memdiff import mc_oracle
 from memdiff._quadrature import panel_rule
@@ -22,7 +23,6 @@ from memdiff.mc_oracle import (
     simulate,
     skew_action,
     skew_density,
-    two_scale_density,
 )
 from memdiff.problem import (
     CoefficientField,

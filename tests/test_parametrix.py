@@ -198,6 +198,17 @@ def test_build_correction_flags_null_case():
     corr2 = CorrectionKernel(sine_b_side(), CorrectionQuadrature(depth=6))
     assert not corr2.is_null
     assert corr2.quad.depth == 6
+    # K^(1) vanishes exactly when the drift is zero and the diffusion
+    # constant, whatever the coefficients' kinds, and then G = Z0
+    for drift, diffusion, null in (
+            (CoefficientField("affine-in-x", [0.0, 0.0]),
+             CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.0, 1.0, 0.0, 1.0]), True),
+            (CoefficientField.constant(0.5), CoefficientField.constant(1.0), False),
+            (CoefficientField.constant(0.0),
+             CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, 0.0, 0.0]), False)):
+        sd = SideSpec(drift, diffusion, holder_exponent=0.75)
+        assert CorrectionKernel(sd).is_null is null
+        assert FundamentalSolution(sd).is_exact is null
 
 
 # -- the sweep operator against the row-by-row reference -----------------------

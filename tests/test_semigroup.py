@@ -9,10 +9,15 @@ import pytest
 from memdiff.boundary_system import first_kind_residual
 from memdiff.mc_oracle import SkewParams, skew_action
 from memdiff.problem import InitialFunction, MembranePath
-from memdiff.semigroup import EffectiveCoefficients, SemigroupOperator
+from memdiff.semigroup import SemigroupOperator
 
 from conftest import atom_at, make_problem
-from semigroup_oracle import effective_coefficients, generator_domain_check, transition_moments
+from semigroup_oracle import (
+    EffectiveCoefficients,
+    effective_coefficients,
+    generator_domain_check,
+    transition_moments,
+)
 
 X_GRID = np.linspace(-2.0, 2.0, 41)
 
