@@ -22,8 +22,9 @@ own route, picked in one place for both solve stages
 continuity kernel vanishes and E of the Poisson trace P_j is closed,
 E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y) sign(y - h)
 phi(y) dy (RightHandSide.transformed_trace_gap); every other side's traces
-go through one numerical transform per solve stage, all sides stacked, on
-the midpoint split of holmgren_rules.
+go through one numerical transform per solve stage, on the midpoint split
+of holmgren_rules, of each distinct trace once.  A kernel trace is G's drop
+below Z0's peak (FundamentalSolution.peak_drop), closed on an exact side.
 After elimination the system reads
 
     V_i(s,t) = Psi_i(s,t) + sum_j integral N_ij(s,tau) V_j(tau,t) d tau
@@ -164,6 +165,9 @@ class KernelAssembler:
             i: self.evaluator.fs[i].is_exact and problem.membrane.is_constant
             for i in (1, 2)
         }
+        # one generator and one alpha (correction tables depend on it): equal traces
+        self._same_traces = (problem.sides_share_generator and problem.left.holder_exponent
+                             == problem.right.holder_exponent)
         # flat membrane, exact Gaussian kernels, no atoms: the reflection
         # term is a centered Gaussian derivative (identically zero) and the
         # transformed continuity kernel vanishes, so the whole system kernel
@@ -183,6 +187,8 @@ class KernelAssembler:
         where closed is None, for the kernels, whose transformed continuity
         kernel vanishes there.  The other sides go through one
         holmgren_transform call, so they share its rho rule and its h(rho).
+        It transforms each distinct trace once: side 1's alone when both
+        sides' traces are the same array, its E written as -E and +E.
         """
         out = np.zeros((2,) + np.shape(s))
         for j in (1, 2):
@@ -190,9 +196,10 @@ class KernelAssembler:
                 out[j - 1] = closed(j)
         sides = [j for j in (1, 2) if not self._flat_exact[j]]
         if sides:
+            distinct = sides[:1] if self._same_traces else sides
             signs = np.reshape([(-1.0) ** j for j in sides], (-1,) + (1,) * np.ndim(s))
             out[[j - 1 for j in sides]] = signs * holmgren_transform(
-                lambda rho: traces(rho, sides), s, t, n=self.config.n_holmgren,
+                lambda rho: traces(rho, distinct), s, t, n=self.config.n_holmgren,
                 left_exp=self.problem.kernel_time_exponent())
         return out
 
@@ -223,10 +230,9 @@ class KernelAssembler:
             # the three increments of the differentiated representation (the
             # correction part, the mixed time/space and the membrane-motion
             # increment) telescope to G(rho, h(rho)) - Z0(rho, h(tau)), both
-            # anchored at (tau, h(tau))
+            # anchored at (tau, h(tau)): G's drop below Z0's peak
             h_rho = prob.h(rho)
-            return np.stack([fs[j].on_anchors(rho, h_rho, tau_col, h_col)
-                             - fs[j].principal(rho, h_col, tau_col, h_col) for j in sides])
+            return np.stack([fs[j].peak_drop(rho, h_rho, tau_col, h_col) for j in sides])
 
         return eliminate(prob, s, h_s, flux, self.transform_sides(traces, s, tau))
 
@@ -294,14 +300,9 @@ class RightHandSide:
         self.phi = phi
         self.t = t
         assembler.evaluator.reserve_poisson(phi, t, s_min)
-        left, right = assembler.problem.left, assembler.problem.right
         # identical generators on both sides make the Poisson traces equal
         # for every initial function: the trace gap vanishes structurally
-        self._identical_sides = (
-            (left.drift.kind, left.drift.params)
-            == (right.drift.kind, right.drift.params)
-            and (left.diffusion.kind, left.diffusion.params)
-            == (right.diffusion.kind, right.diffusion.params))
+        self._identical_sides = assembler.problem.sides_share_generator
 
     def flux_gap(self, s):
         """Flux data: the flux condition of both sides on the Poisson potentials."""

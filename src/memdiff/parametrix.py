@@ -117,6 +117,16 @@ def _z0(var, z, p):
     return g * (z * z / var - 1.0) / var
 
 
+def _z0_drop(var, z, g=None):
+    """g - Z0(var, 0), its drop below the peak 1/q, q = sqrt(2 pi var); g is
+    Z0(var, z) unless given.  One sqrt and at most one exp, and bitwise
+    _z0(var, z, 0) - _z0(var, 0, 0): the peak's exponential is exp(-0) = 1."""
+    q = np.sqrt(2.0 * math.pi * var)
+    if g is None:
+        g = np.exp(-z * z / (2.0 * var)) / q
+    return g - 1.0 / q
+
+
 # omega Z0^(p)(var 1, u) on the unit window (u, omega), p = 0, 1, 2: on the
 # window y = x + u sigma, Z0^(p)(sigma^2, y - x) sigma omega is sigma^-p times it
 _UNIT_PROFILE = tuple(w * _z0(1.0, u, p) for u, w in [unit_window(SLICE_NODES)]
@@ -517,6 +527,17 @@ class FundamentalSolution:
         s, x, t, y = (a.reshape(math.prod(shape[:-1]), shape[-1]) for a in (s, x, t, y))
         return (self.principal(s, x, t, y, p)
                 + self._corrections(s, x, t[:, 0], y[:, 0], p)).reshape(shape)
+
+    def peak_drop(self, s, x, t, y):
+        """G(s, x; t, y) - Z0(s, y; t, y) on the arrays of on_anchors: G's drop
+        below Z0's peak.  On an exact side it is the closed _z0_drop of one
+        variance b (t - s); on a correction side on_anchors less the peak."""
+        dt = t - s
+        if np.any(dt <= 0):
+            raise TimeOrderError("peak drop needs s < t")
+        if self.is_exact:
+            return _z0_drop(self.side.diffusion.constant_value() * dt, y - x)
+        return _z0_drop(self.side.diffusion(t, y) * dt, None, self.on_anchors(s, x, t, y))
 
     def _corrections(self, s, x, t, y, p):
         """Z1^(p) at points (s, x) of shape (anchors, points); row a belongs

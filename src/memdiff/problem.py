@@ -571,6 +571,12 @@ class Problem:
     def alpha(self) -> float:
         return min(self.left.holder_exponent, self.right.holder_exponent)
 
+    @property
+    def sides_share_generator(self) -> bool:
+        """Whether both sides have the same drift and diffusion, kinds and params."""
+        return all(getattr(self.left, c).to_dict() == getattr(self.right, c).to_dict()
+                   for c in ("drift", "diffusion"))
+
     def membrane_weights(self, s):
         """Weights of the two sides on the membrane at the times s.
 

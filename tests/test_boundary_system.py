@@ -12,14 +12,24 @@ from memdiff.boundary_system import (
     KernelAssembler,
     RightHandSide,
     SolverConfig,
+    eliminate,
     first_kind_residual,
+    flux_condition,
     holmgren_transform,
     m_delta_witness,
     solve_densities,
 )
 from memdiff.errors import SeriesDivergenceError, SingularIntegrandError, TimeOrderError
-from memdiff.potentials import PotentialEvaluator, graded_mesh
-from memdiff.problem import InitialFunction, MembranePath
+from memdiff.potentials import PotentialEvaluator, graded_mesh, kernel_time_rule
+from memdiff.problem import (
+    CoefficientField,
+    InitialFunction,
+    MembranePath,
+    Problem,
+    SideSpec,
+    TimeFunction,
+    WentzellData,
+)
 
 from conftest import VAR_CORRECTION, atom_at, make_problem, variable_problem
 from kernel_oracle import ScalarKernels, scalar_holmgren_transform
@@ -203,11 +213,19 @@ def test_closed_form_transform_of_a_sharp_datum(two_scale_problem):
 
 
 def _count_holmgren_calls(monkeypatch):
+    """One entry per holmgren_transform call of boundary_system: the set of
+    leading-axis lengths of the traces it was given."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return holmgren_transform(*args, **kwargs)
+    def counted(f, *args, **kwargs):
+        axes = set()
+        calls.append(axes)
+
+        def traced(rho):
+            out = f(rho)
+            axes.add(np.shape(out)[0])
+            return out
+        return holmgren_transform(traced, *args, **kwargs)
 
     monkeypatch.setattr(boundary_system, "holmgren_transform", counted)
     return calls
@@ -221,11 +239,80 @@ def test_two_scale_solve_takes_the_closed_form(monkeypatch, two_scale_problem, g
 
 def test_moving_membrane_solve_transforms_numerically(monkeypatch, moving_membrane_problem,
                                                       gaussian_phi):
-    # identical sides: no trace gap, and both sides' continuity kernels in
-    # one transform over the one-pass kernel array
+    # identical sides: no trace gap, and one transform of the continuity
+    # kernel, over the one-pass kernel array, of side 1's trace alone
     calls = _count_holmgren_calls(monkeypatch)
     solve_densities(moving_membrane_problem, gaussian_phi, 1.0)
     assert len(calls) == 1
+    assert calls[0] == {1}
+
+
+def _stacked_route_kernel(asm, s, tau):
+    """system_kernel_matrix with both sides' continuity traces taken as
+    on_anchors - principal and transformed stacked, in one
+    holmgren_transform call, for a problem whose sides both need it."""
+    prob, fs = asm.problem, asm.evaluator.fs
+    s, tau = np.broadcast_arrays(s, tau)
+    h_s = np.broadcast_to(prob.h(s), s.shape)
+    tau_col, h_col = tau[..., None], np.broadcast_to(prob.h(tau), s.shape)[..., None]
+
+    def g(j, x, p=0):
+        return fs[j].on_anchors(s[..., None], x[..., None], tau_col, h_col, p)[..., 0]
+
+    flux = np.stack([flux_condition(prob, j, s, h_s, g(j, h_s, p=1), lambda x: g(j, x))
+                     for j in (1, 2)])
+
+    def traces(rho):
+        h_rho = prob.h(rho)
+        return np.stack([fs[j].on_anchors(rho, h_rho, tau_col, h_col)
+                         - fs[j].principal(rho, h_col, tau_col, h_col) for j in (1, 2)])
+
+    e = holmgren_transform(traces, s, tau, n=asm.config.n_holmgren,
+                           left_exp=prob.kernel_time_exponent())
+    return eliminate(prob, s, h_s, flux, np.stack([-e[0], e[1]]))
+
+
+def variable_sides_problem(right_alpha=0.75):
+    """b = 1 + 0.25 sin x on both sides, q = 0.25 / 0.75, on the moving
+    membrane h(s) = 0.1 sin 2s; the right side's holder_exponent given."""
+    b = CoefficientField("sinusoidal-in-s-and-x", [1.0, 0.25, 1.0, 0.0, 0.0])
+    zero = CoefficientField.constant(0.0)
+    return Problem(left=SideSpec(zero, b), right=SideSpec(zero, b, holder_exponent=right_alpha),
+                   membrane=MembranePath("sinusoidal", [0.0, 0.1, 2.0]),
+                   wentzell=WentzellData(TimeFunction.constant(0.25), TimeFunction.constant(0.75)),
+                   horizon=1.0)
+
+
+# the varcoef-solve benchmark quadrature at mesh_n 8
+VARIABLE_SOLVER = SolverConfig(mesh_n=8, n_kernel=6, n_holmgren=10)
+# name: (problem, t, solver config, correction quadrature, traces transformed)
+DISTINCT_TRACE_CASES = {
+    "skew-moving": (make_problem(q1=0.25, q2=0.75,
+                                 membrane=MembranePath("sinusoidal", [0.0, 0.1, 2.0])),
+                    1.0, SolverConfig(), None, 1),
+    "two-scale-moving": (make_problem(b1=1.0, b2=4.0,
+                                      membrane=MembranePath("sinusoidal", [0.0, 0.1, 2.0])),
+                         1.0, SolverConfig(), None, 2),
+    "variable-sides": (variable_sides_problem(), 0.5, VARIABLE_SOLVER, VAR_CORRECTION, 1),
+    "variable-sides-two-alphas": (variable_sides_problem(0.6), 0.5, VARIABLE_SOLVER,
+                                  VAR_CORRECTION, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(DISTINCT_TRACE_CASES))
+def test_kernels_transform_each_distinct_trace_bitwise(monkeypatch, name):
+    # the kernels of a solve's first stage, on its mesh and tau nodes, each
+    # route in a fresh evaluator: bitwise those of the stacked per-side route
+    prob, t, config, correction, transformed = DISTINCT_TRACE_CASES[name]
+    mesh = graded_mesh(t, 0.0, config.mesh_n)
+    tau, _ = kernel_time_rule(prob, mesh, t, config.n_kernel)
+    want = _stacked_route_kernel(
+        KernelAssembler(prob, PotentialEvaluator(prob, correction), config), mesh[:, None], tau)
+    calls = _count_holmgren_calls(monkeypatch)
+    got = KernelAssembler(prob, PotentialEvaluator(prob, correction),
+                          config).system_kernel_matrix(mesh[:, None], tau)
+    assert calls == [{transformed}]
+    assert np.array_equal(got, want)
 
 
 # -- flux kernel ------------------------------------------------------------------

@@ -290,6 +290,32 @@ def test_parametrix_check_on_correction_sides_matches_golden_report(tmp_path):
                                 "check_parametrix.json").read_bytes()
 
 
+def test_semigroup_check_on_the_moving_membrane_matches_golden_report(tmp_path):
+    # configs/moving_membrane.json with suite semigroup: identical exact
+    # sides, the solves of phi = 1, of phi and of the Chapman-Kolmogorov
+    # midpoint field, to all digits, as committed in tests/golden
+    cfg_path = config_with(tmp_path, "moving_membrane", suite="semigroup")
+    out = tmp_path / "report.json"
+    assert run(["check", "--config", cfg_path, "--out", out]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "golden" /
+                                "check_moving_semigroup.json").read_bytes()
+
+
+def test_two_scale_check_on_the_moving_membrane_matches_golden_report(tmp_path):
+    # configs/moving_membrane.json with b = 4 on the right and phi centred at
+    # 0.4: two distinct exact sides, both transformed numerically, and the
+    # conjugation suite's report to all digits, as committed in tests/golden
+    cfg = read_json(CONFIGS / "moving_membrane.json")
+    cfg["problem"]["right"]["diffusion"]["params"] = [4.0]
+    cfg.update(phi={"kind": "gaussian-bump", "params": [1.0, 0.4, 0.6]}, suite="conjugation")
+    cfg_path = tmp_path / "two-scale-moving.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["check", "--config", cfg_path, "--out", out]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "golden" /
+                                "check_two_scale_moving.json").read_bytes()
+
+
 def test_semigroup_check_of_the_unit_datum_solves_once_per_datum(tmp_path, monkeypatch):
     # phi = 1 with no params is the conservation check's own datum: its
     # densities come from the memo, so the check solves twice (phi on

@@ -79,6 +79,25 @@ def test_principal_requires_time_order():
         pk(1.0, 0.0, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("make", [side, sine_b_side], ids=["exact", "sine-b"])
+def test_peak_drop_requires_time_order(make):
+    fs = FundamentalSolution(make(), QUADS["bench"])
+    rho = np.array([[0.2, 0.5, 0.7]])
+    for tau in (0.5, 0.6):
+        with pytest.raises(TimeOrderError):
+            fs.peak_drop(rho, 0.1, tau, 0.0)
+
+
+@pytest.mark.parametrize("make", [side, sine_b_side], ids=["exact", "sine-b"])
+def test_peak_drop_is_bitwise_g_less_the_principal_peak(make):
+    # one anchor (tau, h) = (0.9, 0.05), points (rho, h(rho)) before it
+    fs = FundamentalSolution(make(), QUADS["bench"])
+    rho = np.linspace(0.1, 0.85, 7)[None, :]
+    x, tau, y = 0.05 + 0.1 * np.sin(2.0 * rho), np.array([[0.9]]), np.array([[0.05]])
+    want = fs.on_anchors(rho, x, tau, y) - fs.principal(rho, y, tau, y)
+    assert np.array_equal(fs.peak_drop(rho, x, tau, y), want)
+
+
 def test_principal_positive_and_symmetric():
     pk = PrincipalKernel(side(b=1.3))
     rng = np.random.default_rng(3)
