@@ -18,13 +18,13 @@ through its differentiated representation
 
 never by numerical differentiation.  E is linear, so each side takes its
 own route, picked in one place for both solve stages
-(KernelAssembler.transform_sides): on an exact side at a flat membrane the
-continuity kernel vanishes and E of the Poisson trace P_j is closed,
-E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y) sign(y - h)
-phi(y) dy (RightHandSide.transformed_trace_gap); every other side's traces
-go through one numerical transform per solve stage, on the midpoint split
-of holmgren_rules, of each distinct trace once.  A kernel trace is G's drop
-below Z0's peak (FundamentalSolution.peak_drop), closed on an exact side.
+(KernelAssembler.transform_sides): the trace gap of sides with one
+generator is zero; on an exact side at a flat membrane the continuity
+kernel vanishes and E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y)
+sign(y - h) phi(y) dy is closed (RightHandSide.transformed_trace_gap); the
+other sides' traces take one numerical transform per stage, of each distinct
+trace once, in three trace calls.  A kernel trace is G's drop below Z0's
+peak (FundamentalSolution.peak_drop), closed on an exact side.
 After elimination the system reads
 
     V_i(s,t) = Psi_i(s,t) + sum_j integral N_ij(s,tau) V_j(tau,t) d tau
@@ -119,24 +119,20 @@ def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
     of that shape, optionally behind leading component axes (one transform
     per component, every one of them decay-checked).  Each integral is
     split at the midpoint (holmgren_rules): a Jacobi rule matched to the
-    decay of f(rho) - f(s) on the left half, plain Gauss on the right.
+    decay of f(rho) - f(s) on the left half, plain Gauss on the right.  f is
+    called once per half and once for f(s) and the two decay probes.
     Returns a float for scalar s and t and a scalar f.
     """
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     if np.any(s >= t):
         raise TimeOrderError("holmgren transform needs s < t")
 
-    def at(rho):
-        return np.asarray(f(rho[..., None]), dtype=float)[..., 0]
-
-    fs_val = at(s)
-    scale = np.abs(fs_val) + 1.0
-
     span = t - s
     d_small, d_large = 1e-8 * span, 1e-4 * span
-    q_near = np.abs(at(s + d_small) - fs_val) / np.sqrt(d_small)
-    q_far = np.abs(at(s + d_large) - fs_val) / np.sqrt(d_large)
-    if np.any(q_near > 4.0 * q_far + 1e3 * scale):
+    fs_val, near, far = np.moveaxis(f(np.stack([s, s + d_small, s + d_large], axis=-1)), -1, 0)
+    q_near = np.abs(near - fs_val) / np.sqrt(d_small)
+    q_far = np.abs(far - fs_val) / np.sqrt(d_large)
+    if np.any(q_near > 4.0 * q_far + 1e3 * (np.abs(fs_val) + 1.0)):
         raise SingularIntegrandError(
             "integrand increment does not decay at the left endpoint")
 
@@ -165,8 +161,9 @@ class KernelAssembler:
             i: self.evaluator.fs[i].is_exact and problem.membrane.is_constant
             for i in (1, 2)
         }
-        # one generator and one alpha (correction tables depend on it): equal traces
-        self._same_traces = (problem.sides_share_generator and problem.left.holder_exponent
+        # one generator: equal Poisson traces; and one alpha (Z1 tables): equal kernel traces
+        self._share_generator = problem.sides_share_generator
+        self._same_traces = (self._share_generator and problem.left.holder_exponent
                              == problem.right.holder_exponent)
         # flat membrane, exact Gaussian kernels, no atoms: the reflection
         # term is a centered Gaussian derivative (identically zero) and the
@@ -182,15 +179,18 @@ class KernelAssembler:
         first axis: the one place where each side's route is picked.
 
         traces(rho, sides) returns side j's membrane trace f_j(rho) for each
-        j in sides, stacked on a leading axis.  A flat exact side takes its
-        closed form: the row closed(j) for the Poisson traces, and zero
-        where closed is None, for the kernels, whose transformed continuity
-        kernel vanishes there.  The other sides go through one
-        holmgren_transform call, so they share its rho rule and its h(rho).
-        It transforms each distinct trace once: side 1's alone when both
-        sides' traces are the same array, its E written as -E and +E.
+        j in sides, stacked on a leading axis.  Sides with one generator have
+        equal Poisson traces: given closed (the Poisson stage), both rows
+        are zero and nothing is evaluated.  A flat exact side takes its
+        closed form: the row closed(j), and zero for the kernels, whose
+        transformed continuity kernel vanishes there.  The other sides go
+        through one holmgren_transform call, so they share its rho rule and
+        its h(rho).  It transforms each distinct trace once: side 1's alone
+        when both sides' traces are the same array, its E written as -E and +E.
         """
         out = np.zeros((2,) + np.shape(s))
+        if closed is not None and self._share_generator:
+            return out
         for j in (1, 2):
             if self._flat_exact[j] and closed is not None:
                 out[j - 1] = closed(j)
@@ -300,9 +300,6 @@ class RightHandSide:
         self.phi = phi
         self.t = t
         assembler.evaluator.reserve_poisson(phi, t, s_min)
-        # identical generators on both sides make the Poisson traces equal
-        # for every initial function: the trace gap vanishes structurally
-        self._identical_sides = assembler.problem.sides_share_generator
 
     def flux_gap(self, s):
         """Flux data: the flux condition of both sides on the Poisson potentials."""
@@ -335,12 +332,10 @@ class RightHandSide:
 
         one terminal_integral of phi sign(. - h) with p = 1, whose window
         y = h + u sigma puts the sign kink on its u = 0 panel edge.
-        KernelAssembler.transform_sides picks each side's route; the sides
-        without the closed form share one numeric transform.
+        KernelAssembler.transform_sides picks each side's route (zero on
+        sides with one generator); the others share one numeric transform.
         """
         s = np.asarray(s, dtype=float)
-        if self._identical_sides:
-            return 0.0
         asm, t = self.assembler, self.t
         prob, ev = asm.problem, asm.evaluator
 

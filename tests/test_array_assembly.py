@@ -105,7 +105,7 @@ def test_kernel_matrix_matches_scalar_reference(name):
 
 
 def test_flux_condition_evaluates_the_membrane_value_once(monkeypatch):
-    # two atoms on the variable side: 6 Z1 evaluations without atoms, one
+    # two atoms on the variable side: 4 Z1 evaluations without atoms, one
     # per atom, and one of G at the membrane shared by both atoms; the
     # kernels are bitwise those of value(h) evaluated once per atom
     prob = variable_problem()
@@ -124,7 +124,7 @@ def test_flux_condition_evaluates_the_membrane_value_once(monkeypatch):
     monkeypatch.setattr(FundamentalSolution, "_corrections",
                         lambda fs, *args: calls.append(1) or corrections(fs, *args))
     got = kernels()
-    assert len(calls) == 9
+    assert len(calls) == 7
 
     def per_atom(problem, j, s, h, slope, value):
         out = (-1.0) ** j * problem.q(j, s) * slope

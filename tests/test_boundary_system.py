@@ -213,17 +213,17 @@ def test_closed_form_transform_of_a_sharp_datum(two_scale_problem):
 
 
 def _count_holmgren_calls(monkeypatch):
-    """One entry per holmgren_transform call of boundary_system: the set of
-    leading-axis lengths of the traces it was given."""
+    """One entry per holmgren_transform call of boundary_system: the
+    (leading-axis, trailing-axis) lengths of the traces of each f call."""
     calls = []
 
     def counted(f, *args, **kwargs):
-        axes = set()
-        calls.append(axes)
+        shapes = []
+        calls.append(shapes)
 
         def traced(rho):
             out = f(rho)
-            axes.add(np.shape(out)[0])
+            shapes.append((np.shape(out)[0], np.shape(out)[-1]))
             return out
         return holmgren_transform(traced, *args, **kwargs)
 
@@ -240,11 +240,13 @@ def test_two_scale_solve_takes_the_closed_form(monkeypatch, two_scale_problem, g
 def test_moving_membrane_solve_transforms_numerically(monkeypatch, moving_membrane_problem,
                                                       gaussian_phi):
     # identical sides: no trace gap, and one transform of the continuity
-    # kernel, over the one-pass kernel array, of side 1's trace alone
+    # kernel, over the one-pass kernel array, of side 1's trace alone, in
+    # three trace calls: f(s) with its two decay probes, then each half of
+    # the rule
     calls = _count_holmgren_calls(monkeypatch)
     solve_densities(moving_membrane_problem, gaussian_phi, 1.0)
-    assert len(calls) == 1
-    assert calls[0] == {1}
+    n = SolverConfig().n_holmgren
+    assert calls == [[(1, 3), (1, n), (1, n)]]
 
 
 def _stacked_route_kernel(asm, s, tau):
@@ -311,8 +313,25 @@ def test_kernels_transform_each_distinct_trace_bitwise(monkeypatch, name):
     calls = _count_holmgren_calls(monkeypatch)
     got = KernelAssembler(prob, PotentialEvaluator(prob, correction),
                           config).system_kernel_matrix(mesh[:, None], tau)
-    assert calls == [{transformed}]
+    assert [{lead for lead, _ in call} for call in calls] == [{transformed}]
     assert np.array_equal(got, want)
+
+
+def test_one_generator_with_two_alphas_has_no_trace_gap(monkeypatch):
+    # one generator: the Poisson traces are equal whatever the alpha, so the
+    # transformed trace gap is zero and transforms nothing, while the kernel
+    # traces, whose correction tables depend on alpha, are both transformed
+    prob, t, config, correction, _ = DISTINCT_TRACE_CASES["variable-sides-two-alphas"]
+    asm = KernelAssembler(prob, PotentialEvaluator(prob, correction), config)
+    mesh = graded_mesh(t, 0.0, config.mesh_n)
+    calls = _count_holmgren_calls(monkeypatch)
+    rhs = RightHandSide(asm, InitialFunction.gaussian(1.0, 0.3, 0.6), t)
+    gap = rhs.transformed_trace_gap(mesh)
+    assert np.array_equal(gap, np.zeros_like(mesh))
+    assert not calls
+    tau, _ = kernel_time_rule(prob, mesh, t, config.n_kernel)
+    asm.system_kernel_matrix(mesh[:, None], tau)
+    assert [{lead for lead, _ in call} for call in calls] == [{2}]
 
 
 # -- flux kernel ------------------------------------------------------------------
