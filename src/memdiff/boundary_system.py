@@ -16,8 +16,10 @@ through its differentiated representation
     Ef(s,t) = (2 pi)^(-1/2) integral of (rho-s)^(-3/2) [f(rho)-f(s)] d rho
               - sqrt(2/pi) (t-s)^(-1/2) f(s),
 
-never by numerical differentiation.  E is linear, so each side takes its
-own route, picked in one place for both solve stages
+never by numerical differentiation.  Substituting rho = s + (t-s) theta
+makes its quadrature one fixed functional on (0, 1), built once per rule
+order and exponent and scaled by (t-s)^(-1/2).  E is linear, so each
+side takes its own route, picked in one place for both solve stages
 (KernelAssembler.transform_sides): the trace gap of sides with one
 generator is zero; on an exact side at a flat membrane the continuity
 kernel vanishes and E[P_j](s) = -sqrt(b_j) integral of dZ0_j/dx(s, h; t, y)
@@ -51,12 +53,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from ._quadrature import singular_rule
+from ._quadrature import RULE_CACHE, singular_rule
 from .errors import (
     ConfigError,
     SeriesDivergenceError,
@@ -105,9 +107,36 @@ PASS_POINTS = 2 ** 16
 def holmgren_rules(s, t, n: int, left_exp: float):
     """The Holmgren rule over (s, t), split at the midpoint: (nodes, weights)
     of a Jacobi rule with left exponent left_exp on the left half and of
-    plain Gauss on the right half."""
+    plain Gauss on the right half.  holmgren_transform reads it once per
+    (n, left_exp), on (0, 1)."""
     mid = 0.5 * (s + t)
     return singular_rule(s, mid, n, left_exp=left_exp), singular_rule(mid, t, n)
+
+
+@lru_cache(maxsize=RULE_CACHE)
+def _unit_holmgren(n: int, left_exp: float):
+    """(theta, c) of each half of the Holmgren rule on (0, 1), with the
+    transform's (rho - s)^(-3/2) folded in: c_k = w_k theta_k^(-3/2)."""
+    return tuple((theta, w * theta ** -1.5)
+                 for theta, w in holmgren_rules(0.0, 1.0, n, left_exp))
+
+
+def holmgren_nodes(s, t, n: int, left_exp: float):
+    """The Holmgren rule over (s, t), one half at a time: yields (rho, c) of
+    the left half, then of the right half, rho = s + (t - s) theta on a new
+    trailing axis with the unit weights c of _unit_holmgren.  Raises
+    SingularIntegrandError where a node rounds onto s or t, where the
+    integrand is singular."""
+    s_col = np.asarray(s, dtype=float)[..., None]
+    t_col = np.asarray(t, dtype=float)[..., None]
+    span_col = t_col - s_col
+    for theta, c in _unit_holmgren(n, left_exp):
+        rho = span_col * theta
+        rho += s_col
+        # theta increases, so the end nodes decide
+        if not ((rho[..., :1] > s_col).all() and (rho[..., -1:] < t_col).all()):
+            raise SingularIntegrandError("a Holmgren node rounded onto an end of its interval")
+        yield rho, c
 
 
 def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
@@ -119,9 +148,16 @@ def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
     of that shape, optionally behind leading component axes (one transform
     per component, every one of them decay-checked).  Each integral is
     split at the midpoint (holmgren_rules): a Jacobi rule matched to the
-    decay of f(rho) - f(s) on the left half, plain Gauss on the right.  f is
-    called once per half and once for f(s) and the two decay probes.
-    Returns a float for scalar s and t and a scalar f.
+    decay of f(rho) - f(s) on the left half, plain Gauss on the right.  The
+    rule is one fixed functional on (0, 1), built once per (n, left_exp):
+    with span = t - s and its nodes theta_k and weights c_k,
+
+        Ef(s) = span^(-1/2) [(2 pi)^(-1/2) sum_k c_k (f(s + span theta_k) - f(s))
+                             - sqrt(2/pi) f(s)],
+
+    the product rule on (s, t) in exact arithmetic.  f is called once for
+    f(s) and the two decay probes and once per half.  Returns a float for
+    scalar s and t and a scalar f.
     """
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     if np.any(s >= t):
@@ -136,12 +172,14 @@ def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
         raise SingularIntegrandError(
             "integrand increment does not decay at the left endpoint")
 
-    s_col, fs_col = s[..., None], fs_val[..., None]
-    (rho_l, w_l), (rho_r, w_r) = holmgren_rules(s, t, n, left_exp)
-    vals_l = (np.asarray(f(rho_l)) - fs_col) * (rho_l - s_col) ** (-1.5)
-    vals_r = (np.asarray(f(rho_r)) - fs_col) * (rho_r - s_col) ** (-1.5)
-    integral = np.sum(vals_l * w_l, axis=-1) + np.sum(vals_r * w_r, axis=-1)
-    out = INV_SQRT_2PI * integral - SQRT_2_OVER_PI * fs_val / np.sqrt(t - s)
+    fs_col = fs_val[..., None]
+    integral = 0.0
+    for rho, c in holmgren_nodes(s, t, n, left_exp):
+        # f(rho) - f(s) stays inside the sum: taken out, large terms cancel
+        vals = np.asarray(f(rho)) - fs_col
+        vals *= c
+        integral += np.sum(vals, axis=-1)
+    out = (INV_SQRT_2PI * integral - SQRT_2_OVER_PI * fs_val) / np.sqrt(span)
     return out if out.ndim else float(out)
 
 
@@ -232,7 +270,9 @@ class KernelAssembler:
             # increment) telescope to G(rho, h(rho)) - Z0(rho, h(tau)), both
             # anchored at (tau, h(tau)): G's drop below Z0's peak
             h_rho = prob.h(rho)
-            return np.stack([fs[j].peak_drop(rho, h_rho, tau_col, h_col) for j in sides])
+            drops = [fs[j].peak_drop(rho, h_rho, tau_col, h_col) for j in sides]
+            # one trace is stacked as a view: a copy would cost fresh pages
+            return drops[0][None] if len(drops) == 1 else np.stack(drops)
 
         return eliminate(prob, s, h_s, flux, self.transform_sides(traces, s, tau))
 
@@ -426,7 +466,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     s, tau = float(mesh[-1]), t
     try:
         tau = float(kernel_time_rule(problem, s, t, config.n_kernel)[0][0])
-        holmgren_rules(s, tau, config.n_holmgren, problem.kernel_time_exponent())
+        list(holmgren_nodes(s, tau, config.n_holmgren, problem.kernel_time_exponent()))
     except SingularIntegrandError:
         raise ConfigError(
             f"solver mesh_n {config.mesh_n}, n_kernel {config.n_kernel} and n_holmgren "

@@ -41,19 +41,24 @@ class SemigroupField:
         if self.densities is None:  # s == t: identity operator
             return self.phi(x)
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        ev = self.op.evaluator
-        side = self.op.problem.side_index(self.s, x_arr)
-        out = np.empty_like(x_arr)
-        for i in (1, 2):
-            mask = side == i
-            if np.any(mask):
-                out[mask] = ev.field(i, self.s, x_arr[mask], self.t, self.phi,
-                                     self.densities)
+        ev, s, t, phi, dens = self.op.evaluator, self.s, self.t, self.phi, self.densities
+        side = self.op.problem.side_index(s, x_arr)
         mem = side == 0
-        if np.any(mem):
-            vals = [ev.field(i, self.s, x_arr[mem], self.t, self.phi,
-                             self.densities) for i in (1, 2)]
-            out[mem] = 0.5 * (np.asarray(vals[0]) + np.asarray(vals[1]))
+        out = np.full_like(x_arr, -0.0)  # -0.0 + v is v, bit for bit
+        for i in (1, 2):
+            # one layer pass over the side's points and the membrane points;
+            # the Poisson part keeps one call per group, since a variable
+            # side sizes its table by the points of the call
+            on = side == i
+            both = on | mem
+            if not np.any(both):
+                continue
+            layer = ev.layer(i, s, x_arr[both], t, dens)
+            for group in (on, mem):
+                if np.any(group):
+                    out[group] += ev.poisson(i, s, x_arr[group], t, phi) + layer[group[both]]
+        # the membrane value is the mean of the two sides' fields
+        out[mem] *= 0.5
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def derivative_limits(self):

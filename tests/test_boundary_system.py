@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from memdiff import boundary_system
-from memdiff._quadrature import panel_rule
+from memdiff._quadrature import panel_rule, singular_rule
 from memdiff.boundary_system import (
     KernelAssembler,
     RightHandSide,
@@ -79,6 +79,53 @@ def test_holmgren_array_matches_scalar_reference():
         want = scalar_holmgren_transform(f, float(s[k, 0]), float(t[m]), n=16)
         assert value == pytest.approx(want, rel=1e-12)
     assert isinstance(holmgren_transform(f, 0.1, 0.5), float)
+
+
+def _moving_membrane_drop(r, t):
+    # the heat kernel's drop below its peak along h(s) = 0.1 sin 2s,
+    # anchored at (t, h(t)): a moving-membrane Gaussian trace
+    var = t - r
+    z = 0.1 * (np.sin(2.0 * r) - np.sin(2.0 * t))
+    return np.expm1(-z * z / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+
+
+HOLMGREN_INTEGRANDS = {
+    "oscillating": lambda r, t: np.cos(3.0 * r) * (2.0 - r),
+    "decaying": lambda r, t: np.exp(-r) * (1.0 + r * r),
+    "moving-membrane-trace": _moving_membrane_drop,
+}
+
+
+@pytest.mark.parametrize("left_exp", [-0.5, -0.7, -0.2])
+@pytest.mark.parametrize("n", [8, 16, 24])
+@pytest.mark.parametrize("name", list(HOLMGREN_INTEGRANDS))
+def test_holmgren_unit_functional_matches_the_product_rule(name, n, left_exp):
+    # the cached rule on (0, 1) against the product rule built on each
+    # (s, t): equal in exact arithmetic, so only rounding may differ
+    trace = HOLMGREN_INTEGRANDS[name]
+    s = np.array([[0.0], [0.3], [0.55]])
+    t = np.array([0.6, 0.9, 1.4])
+    got = holmgren_transform(lambda r: trace(r, t[:, None]), s, t, n=n, left_exp=left_exp)
+    want = np.array([[scalar_holmgren_transform(lambda r: trace(r, tm), float(sk), float(tm),
+                                                n=n, left_exp=left_exp) for tm in t]
+                     for sk in s[:, 0]])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_holmgren_rule_is_built_once_per_order_and_exponent(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return singular_rule(*args, **kwargs)
+
+    monkeypatch.setattr(boundary_system, "singular_rule", counted)
+    boundary_system._unit_holmgren.cache_clear()
+    holmgren_transform(np.cos, 0.1, 0.9, n=11, left_exp=-0.6)
+    assert len(calls) == 2  # the two halves of the rule on (0, 1)
+    holmgren_transform(np.cos, np.array([[0.0], [0.3]]), np.array([0.5, 1.4]), n=11,
+                       left_exp=-0.6)
+    assert len(calls) == 2
 
 
 def test_holmgren_checks_every_element():
@@ -505,7 +552,6 @@ def test_flux_equation_residual_moving_membrane(skew_moving_problem, gaussian_ph
     asm = KernelAssembler(skew_moving_problem, ev)
     dens = solve_densities(skew_moving_problem, gaussian_phi, t, evaluator=ev)
     rhs = RightHandSide(asm, gaussian_phi, t)
-    from memdiff._quadrature import singular_rule
     for s in (0.2, 0.5):
         h = float(skew_moving_problem.h(s))
         lhs = sum(float(skew_moving_problem.q(i, s))
@@ -524,7 +570,6 @@ def test_closed_form_time_integral_identity():
     # integral over (s,t) of (t-tau)^(-1/2) (tau-s)^(-3/2) exp(-beta/(tau-s))
     # equals sqrt(pi/beta) (t-s)^(-1/2) exp(-beta/(t-s)); the substitution
     # u = sqrt(beta/(tau-s)) on two singular_rule panels reproduces it
-    from memdiff._quadrature import singular_rule
     s, t = 0.2, 1.1
     for beta in (0.1, 0.5, 2.0):
         g = math.sqrt(beta)
@@ -549,7 +594,6 @@ def test_singular_rule_refuses_nodes_on_an_end(a, b, exps):
     # an interval two ulps wide puts nodes on its ends, where the integrand
     # is singular; an empty one has no interior at all.  Both are a
     # SingularIntegrandError, raised before any weight is formed (no warning)
-    from memdiff._quadrature import singular_rule
     with pytest.raises(SingularIntegrandError):
         singular_rule(a, b, 24, *exps)
 

@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from memdiff.boundary_system import first_kind_residual
+from memdiff.boundary_system import SolverConfig, first_kind_residual
 from memdiff.mc_oracle import SkewParams, skew_action
+from memdiff.potentials import PotentialEvaluator
 from memdiff.problem import InitialFunction, MembranePath
 from memdiff.semigroup import SemigroupOperator
 
-from conftest import atom_at, make_problem
+from conftest import VAR_CORRECTION, atom_at, make_problem, variable_problem
 from semigroup_oracle import (
     EffectiveCoefficients,
     effective_coefficients,
@@ -331,7 +332,6 @@ def test_continuity_in_initial_data(skew_problem, gaussian_phi):
 def test_variable_coefficient_side_conserves_mass():
     # one genuinely variable diffusion side, coarse resolution: the full
     # solve runs through the correction machinery end to end
-    from memdiff.boundary_system import SolverConfig
     from memdiff.parametrix import CorrectionQuadrature
     from memdiff.problem import (CoefficientField, MembranePath, Problem,
                                  SideSpec, TimeFunction, WentzellData)
@@ -350,6 +350,36 @@ def test_variable_coefficient_side_conserves_mass():
                                              n_space=6, depth=4))
     vals = op.apply(0.0, 0.4, InitialFunction.one())(np.array([-0.8, 0.0, 0.9]))
     assert np.max(np.abs(vals - 1.0)) < 5e-3
+
+
+def test_field_takes_one_layer_pass_per_side(monkeypatch):
+    # the membrane points ride along with each side's points: one layer
+    # call per side, and the values of one field call per group, bit for
+    # bit, on a variable side too
+    def operator():
+        return SemigroupOperator(variable_problem(),
+                                 solver=SolverConfig(mesh_n=10, n_kernel=6, n_holmgren=10),
+                                 correction_quad=VAR_CORRECTION)
+
+    phi, s, t = InitialFunction.gaussian(1.0, 0.3, 0.6), 0.0, 0.4
+    x = np.array([-0.4, 0.0, 0.5])
+    ref = operator()
+    ev, dens = ref.evaluator, ref.densities(s, t, phi)
+    want = np.array([ev.field(1, s, x[:1], t, phi, dens)[0],
+                     0.5 * (ev.field(1, s, x[1:2], t, phi, dens)[0]
+                            + ev.field(2, s, x[1:2], t, phi, dens)[0]),
+                     ev.field(2, s, x[2:], t, phi, dens)[0]])
+    field = operator().apply(s, t, phi)
+    layer, sides = PotentialEvaluator.layer, []
+
+    def counted(self, i, *args):
+        sides.append(i)
+        return layer(self, i, *args)
+
+    monkeypatch.setattr(PotentialEvaluator, "layer", counted)
+    got = field(x)
+    assert sides == [1, 2]
+    assert np.array_equal(got, want)
 
 
 def test_density_memo_reuse(skew_problem, gaussian_phi):
@@ -374,7 +404,6 @@ def test_density_memo_keeps_its_first_solve(skew_problem, gaussian_phi):
 def test_caches_are_keyed_by_initial_function_value():
     # two equal-valued initial functions share one density solve and one
     # Poisson correction table; a different parameter gets its own
-    from memdiff.boundary_system import SolverConfig
     from memdiff.parametrix import CorrectionQuadrature
     from memdiff.problem import CoefficientField, SideSpec
     variable = SideSpec(CoefficientField.constant(0.0),
