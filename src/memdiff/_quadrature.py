@@ -1,10 +1,13 @@
 """Quadrature building blocks: Gauss-Legendre panels and Gauss-Jacobi product rules.
 
-Every rule here is returned in "division" form: nodes x and weights w such
-that integral(f) ~ sum(w * f(x)) for integrands f that behave like
-(x-a)**left_exp * (b-x)**right_exp * smooth near the interval ends.  The
-singular factors are folded into the weights so call sites evaluate the raw
-integrand at interior nodes only.
+Every rule on an interval is made here, from one cached reference rule per
+(n, left_exp, right_exp) on (0, 1) and one mapper (interval_nodes) that
+places its nodes at a + (b - a) theta.  Rules are returned in "division"
+form: nodes x and weights w such that integral(f) ~ sum(w * f(x)) for
+integrands f that behave like (x-a)**left_exp * (b-x)**right_exp * smooth
+near the interval ends.  The singular factors are folded into the weights,
+taken on the mapped nodes, so call sites evaluate the raw integrand at
+interior nodes only.
 """
 
 from __future__ import annotations
@@ -16,22 +19,37 @@ from scipy.special import roots_jacobi
 
 from .errors import SingularIntegrandError
 
-# rules kept per reference cache (a benchmark workload uses at most 8): the
-# Jacobi exponents follow holder_exponent, so each new problem may add one
+# rules kept per rule cache: over 30 requests the const-solve, varcoef-solve,
+# audit and mc-compare benchmarks put 7, 11, 8 and 7 keys in reference_rule.
+# The Jacobi exponents follow holder_exponent, so each new problem may add one
 RULE_CACHE = 64
 
 
 @lru_cache(maxsize=RULE_CACHE)
-def gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def reference_rule(n: int, left_exp: float, right_exp: float):
+    """(theta, w): the n-point rule on (0, 1) with nodes theta = (xi + 1) / 2
+    and the raw weights w of its reference rule on [-1, 1], Gauss-Legendre
+    when both exponents are zero and else Gauss-Jacobi with weight
+    (1 - xi)^right_exp (1 + xi)^left_exp."""
+    if left_exp == 0.0 and right_exp == 0.0:
+        xi, w = np.polynomial.legendre.leggauss(n)
+    else:
+        xi, w = roots_jacobi(n, right_exp, left_exp)
+    return 0.5 * (xi + 1.0), w
 
 
-@lru_cache(maxsize=RULE_CACHE)
-def _jacobi(n: int, a: float, b: float):
-    # weight (1-x)^a (1+x)^b on [-1, 1]
-    x, w = roots_jacobi(n, a, b)
-    return x, w
+def interval_nodes(a, b, theta):
+    """The nodes a + (b - a) theta of increasing unit nodes theta; a and b
+    broadcast against theta, one interval per row of its trailing axis.
+    Raises SingularIntegrandError when an interval is empty or so narrow
+    that a node rounds onto an end, where the integrand is singular or
+    undefined."""
+    x = (b - a) * theta
+    x += a
+    # theta increases, so the end nodes decide
+    if not ((x[..., :1] > a).all() and (x[..., -1:] < b).all()):
+        raise SingularIntegrandError("a quadrature node rounded onto an end of its interval")
+    return x
 
 
 def singular_rule(a, b, n: int, left_exp: float = 0.0, right_exp: float = 0.0):
@@ -40,24 +58,16 @@ def singular_rule(a, b, n: int, left_exp: float = 0.0, right_exp: float = 0.0):
     Returns nodes strictly inside (a, b) and weights applying to the raw
     integrand.  With both exponents zero this is plain Gauss-Legendre.  The
     ends a and b may be arrays that broadcast together: nodes and weights
-    then carry one trailing axis of n points per interval, each the affine
-    image of the cached reference rule.  Raises SingularIntegrandError when
-    an interval is empty or so narrow that a node rounds onto an end, where
-    the integrand is singular or undefined.
+    then carry one trailing axis of n points per interval.  Raises
+    SingularIntegrandError as interval_nodes does.
     """
-    scalar = isinstance(a, float) and isinstance(b, float)
-    if not scalar:
+    if not (isinstance(a, float) and isinstance(b, float)):
         a = np.asarray(a, dtype=float)[..., None]
         b = np.asarray(b, dtype=float)[..., None]
-    plain = left_exp == 0.0 and right_exp == 0.0
-    xi, wi = gauss_legendre(n) if plain else _jacobi(n, right_exp, left_exp)
+    theta, wi = reference_rule(n, left_exp, right_exp)
+    x = interval_nodes(a, b, theta)
     half = 0.5 * (b - a)
-    x = a + half * (xi + 1.0)
-    # the reference nodes increase, so the end nodes decide
-    if not (x[0] > a and x[-1] < b if scalar
-            else (x[..., :1] > a).all() and (x[..., -1:] < b).all()):
-        raise SingularIntegrandError("a quadrature node rounded onto an end of its interval")
-    if plain:
+    if left_exp == 0.0 and right_exp == 0.0:
         return x, wi * half
     w = wi * half ** (1.0 + left_exp + right_exp)
     w = w * (x - a) ** (-left_exp) * (b - x) ** (-right_exp)
@@ -67,10 +77,9 @@ def singular_rule(a, b, n: int, left_exp: float = 0.0, right_exp: float = 0.0):
 def panel_rule(edges, n: int):
     """Composite Gauss-Legendre rule over consecutive panels given by edges."""
     edges = np.asarray(edges, dtype=float)
-    xi, wi = gauss_legendre(n)
-    nodes = edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (xi[None, :] + 1.0)
-    weights = 0.5 * np.diff(edges)[:, None] * wi[None, :]
-    return nodes.ravel(), weights.ravel()
+    theta, wi = reference_rule(n, 0.0, 0.0)
+    span = np.diff(edges)[:, None]
+    return (edges[:-1, None] + span * theta).ravel(), (0.5 * span * wi).ravel()
 
 
 # half-width, in units of the local Gaussian scale, of every space window:

@@ -58,7 +58,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import sparse
 
-from ._quadrature import RULE_CACHE, singular_rule
+from ._quadrature import RULE_CACHE, interval_nodes, singular_rule
 from .errors import (
     ConfigError,
     SeriesDivergenceError,
@@ -104,39 +104,25 @@ PASS_POINTS = 2 ** 16
 # Holmgren transform
 # ---------------------------------------------------------------------------
 
-def holmgren_rules(s, t, n: int, left_exp: float):
-    """The Holmgren rule over (s, t), split at the midpoint: (nodes, weights)
-    of a Jacobi rule with left exponent left_exp on the left half and of
-    plain Gauss on the right half.  holmgren_transform reads it once per
-    (n, left_exp), on (0, 1)."""
-    mid = 0.5 * (s + t)
-    return singular_rule(s, mid, n, left_exp=left_exp), singular_rule(mid, t, n)
-
-
 @lru_cache(maxsize=RULE_CACHE)
 def _unit_holmgren(n: int, left_exp: float):
-    """(theta, c) of each half of the Holmgren rule on (0, 1), with the
-    transform's (rho - s)^(-3/2) folded in: c_k = w_k theta_k^(-3/2)."""
-    return tuple((theta, w * theta ** -1.5)
-                 for theta, w in holmgren_rules(0.0, 1.0, n, left_exp))
+    """(theta, c) of each half of the Holmgren rule on (0, 1), split at the
+    midpoint: a Jacobi rule with left exponent left_exp on the left half,
+    plain Gauss on the right, with the transform's (rho - s)^(-3/2) folded
+    in: c_k = w_k theta_k^(-3/2)."""
+    halves = singular_rule(0.0, 0.5, n, left_exp), singular_rule(0.5, 1.0, n)
+    return tuple((theta, w * theta ** -1.5) for theta, w in halves)
 
 
 def holmgren_nodes(s, t, n: int, left_exp: float):
     """The Holmgren rule over (s, t), one half at a time: yields (rho, c) of
     the left half, then of the right half, rho = s + (t - s) theta on a new
     trailing axis with the unit weights c of _unit_holmgren.  Raises
-    SingularIntegrandError where a node rounds onto s or t, where the
-    integrand is singular."""
+    SingularIntegrandError where a node rounds onto s or t (interval_nodes)."""
     s_col = np.asarray(s, dtype=float)[..., None]
     t_col = np.asarray(t, dtype=float)[..., None]
-    span_col = t_col - s_col
     for theta, c in _unit_holmgren(n, left_exp):
-        rho = span_col * theta
-        rho += s_col
-        # theta increases, so the end nodes decide
-        if not ((rho[..., :1] > s_col).all() and (rho[..., -1:] < t_col).all()):
-            raise SingularIntegrandError("a Holmgren node rounded onto an end of its interval")
-        yield rho, c
+        yield interval_nodes(s_col, t_col, theta), c
 
 
 def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
@@ -147,7 +133,7 @@ def holmgren_transform(f, s, t, n: int = 24, left_exp: float = -0.5):
     whose trailing axis holds the points of one interval, and returns values
     of that shape, optionally behind leading component axes (one transform
     per component, every one of them decay-checked).  Each integral is
-    split at the midpoint (holmgren_rules): a Jacobi rule matched to the
+    split at the midpoint (_unit_holmgren): a Jacobi rule matched to the
     decay of f(rho) - f(s) on the left half, plain Gauss on the right.  The
     rule is one fixed functional on (0, 1), built once per (n, left_exp):
     with span = t - s and its nodes theta_k and weights c_k,

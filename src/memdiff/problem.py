@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
+from ._quadrature import R_CUT
 from .errors import (
     AtomOnMembraneError,
     ConfigError,
@@ -617,7 +618,7 @@ class Problem:
         ss = np.linspace(0.0, self.horizon, 33)
         hs = self.membrane(ss)
         b_guess = max(self.diffusion_bounds_rough())
-        pad = 8.0 * math.sqrt(max(b_guess, 0.0) * self.horizon) + 1.0
+        pad = R_CUT * math.sqrt(max(b_guess, 0.0) * self.horizon) + 1.0
         lo = float(np.min(hs)) - pad
         hi = float(np.max(hs)) + pad
         if not self.wentzell.measure.is_null:

@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-from ._quadrature import panel_rule
+from ._quadrature import R_CUT, panel_rule
 from .boundary_system import SolverConfig, flux_condition, solve_densities
 from .errors import TimeOrderError
 from .parametrix import CorrectionQuadrature
@@ -127,7 +127,7 @@ class SemigroupOperator:
         direct = self.apply(s, t, phi)(x_grid)
         inner = self.apply(tau, t, phi)
         b_max = self.problem.diffusion_bounds_rough()[1]
-        pad = 8.0 * math.sqrt(b_max * max(t - s, 1e-12)) + 1.0
+        pad = R_CUT * math.sqrt(b_max * max(t - s, 1e-12)) + 1.0
         x_dense = np.linspace(float(np.min(x_grid)) - pad,
                               float(np.max(x_grid)) + pad, 481)
         phi_mid = InitialFunction.from_samples(x_dense, inner(x_dense))

@@ -15,6 +15,7 @@ from memdiff.boundary_system import (
     eliminate,
     first_kind_residual,
     flux_condition,
+    holmgren_nodes,
     holmgren_transform,
     m_delta_witness,
     solve_densities,
@@ -593,26 +594,29 @@ def test_closed_form_time_integral_identity():
 def test_singular_rule_refuses_nodes_on_an_end(a, b, exps):
     # an interval two ulps wide puts nodes on its ends, where the integrand
     # is singular; an empty one has no interior at all.  Both are a
-    # SingularIntegrandError, raised before any weight is formed (no warning)
+    # SingularIntegrandError, raised before any weight is formed (no
+    # warning), by the one node mapper that the Holmgren nodes share
     with pytest.raises(SingularIntegrandError):
         singular_rule(a, b, 24, *exps)
+    with pytest.raises(SingularIntegrandError):
+        list(holmgren_nodes(a, b, 24, exps[0]))
 
 
 def test_quadrature_rule_rebuilt_after_eviction_is_bitwise_the_first():
-    # each reference-rule cache holds RULE_CACHE rules; a rule pushed out by
-    # RULE_CACHE others is rebuilt with the same bits
+    # each rule cache holds RULE_CACHE rules; a rule pushed out by RULE_CACHE
+    # others is rebuilt with the same bits
     from memdiff import _quadrature
     for rule, key, others in (
-            (_quadrature.gauss_legendre, (5,), [(n,) for n in range(6, 200)]),
-            (_quadrature._jacobi, (6, -0.375, -0.5),
-             [(2, 0.5 * k / _quadrature.RULE_CACHE - 0.75, 0.0) for k in range(200)]),
-            (_quadrature.unit_window, (3,), [(n,) for n in range(4, 200)])):
+            (_quadrature.reference_rule, (5, 0.0, 0.0), [(n, 0.0, 0.0) for n in range(6, 200)]),
+            (_quadrature.reference_rule, (6, -0.5, -0.375),
+             [(2, 0.0, 0.5 * k / _quadrature.RULE_CACHE - 0.75) for k in range(200)]),
+            (_quadrature.unit_window, (3,), [(n,) for n in range(4, 200)]),
+            (boundary_system._unit_holmgren, (11, -0.6), [(n, -0.6) for n in range(12, 200)])):
         assert rule.cache_info().maxsize == _quadrature.RULE_CACHE
         first = rule(*key)
-        kept = [a.copy() for a in first]
+        kept = np.array(first)
         for other in others[:_quadrature.RULE_CACHE]:
             rule(*other)
         again = rule(*key)
         assert again[0] is not first[0]
-        for a, b in zip(again, kept):
-            assert a.tobytes() == b.tobytes()
+        assert np.array(again).tobytes() == kept.tobytes()
