@@ -44,7 +44,7 @@ trailing axis, the right-hand side on the mesh nodes with the same trailing
 axis, each in one array pass over the mesh (more only where the (node,
 tau, rho) array would exceed PASS_POINTS nodes).  The weighted kernels and
 the interpolation of the iterates at the tau nodes fold into one sparse
-operator per solve (fold_interpolation), with the rule of interpolate_w that
+operator per solve (fold_interpolation), with the rule of DensityPair.w that
 the potentials use: linear between mesh nodes, constant past the last.  Each
 successive approximation is one sparse product with it.
 """
@@ -89,10 +89,9 @@ class SolverConfig:
 
 
 # the iteration stops once an iterate's sup falls below TOL_V times the sup
-# of the initial function, and is declared divergent when, past
-# CONTRACTION_ONSET iterations, the sups rise three times in a row
+# of the initial function, and is refused once an iterate's sup times the
+# float epsilon exceeds that: the running sum can then not hold the tolerance
 TOL_V = 1e-8
-CONTRACTION_ONSET = 10
 
 
 # quadrature nodes per array pass of the solve: the kernels' (node, tau, rho)
@@ -400,6 +399,8 @@ class SolveDiagnostics:
     problem: Problem = field(repr=False, compare=False)
     iterate_sups: list = field(default_factory=list)
     iterations: int = 0
+    # the iteration map's spectral radius, 0 where the kernels vanish
+    spectral_radius: float = 0.0
     # numerical witness that the regularized densities stay bounded by a
     # multiple of the initial-function norm
     w_sup_ratio: float = 0.0
@@ -417,7 +418,7 @@ def fold_interpolation(mesh: np.ndarray, tau_nodes: np.ndarray,
     kern holds the weighted kernels, shape (2, 2, node, q), at each node's
     tau nodes tau_nodes[node, q].  Row (i, node) holds, per side j and tau
     node q, kern[i, j, node, q] split over the bracketing mesh nodes lo and
-    lo + 1 by the rule of interpolate_w (linear between nodes, constant past
+    lo + 1 by the rule of DensityPair.w (linear between nodes, constant past
     the last): 8 mesh_n n_kernel entries, duplicates kept.
     """
     n, n_tau = tau_nodes.shape
@@ -438,9 +439,10 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     """Solve the interface system by successive approximations.
 
     Returns the regularized densities W_i on a graded mesh over [s_min, t).
-    Raises SeriesDivergenceError when the iterate sup norms stop decreasing
-    past the contraction onset, and reports the measure smallness witness in
-    the exception message and in the attached diagnostics.
+    Raises SeriesDivergenceError, with the spectral radius and the m_delta
+    witness in its message, for a radius of at least 1 (before the first
+    iteration), no convergence within k_max iterations, or an iterate too
+    large for the running sum to hold the tolerance.
     """
     config = config or SolverConfig()
     if not s_min < t:
@@ -464,6 +466,7 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
     sqrt_rem = np.sqrt(t - mesh)
     w = np.concatenate([rhs.combined(mesh[nodes]) for nodes in passes], axis=1) * sqrt_rem
 
+    diag = SolveDiagnostics(problem)
     # the iteration operator: per node, quadrature times and weighted kernel
     # values, folded with the interpolation at those times; where the
     # kernels vanish it stores nothing
@@ -476,32 +479,35 @@ def solve_densities(problem: Problem, phi: InitialFunction, t: float,
                                                                tau_nodes[nodes])
         kern *= wt * (t - tau_nodes) ** (-0.5)
         operator = fold_interpolation(mesh, tau_nodes, kern)
+        # node k's rows read only nodes >= k (its tau nodes lie in (s_k, t)): the radius is the
+        # 2 x 2 diagonal blocks' largest, max(|mid| + sqrt(mid^2 - det), sqrt|det|) for each
+        n = len(mesh)
+        (a, d), b, c = (operator.diagonal(k).reshape(-1, n) * sqrt_rem for k in (0, n, -n))
+        mid, det = 0.5 * (a + d), a * d - b * c
+        radii = np.maximum(abs(mid) + np.sqrt(np.maximum(mid * mid - det, 0)), np.sqrt(abs(det)))
+        diag.spectral_radius = float(radii.max())
 
-    diag = SolveDiagnostics(problem)
+    def divergence(cause: str) -> SeriesDivergenceError:
+        return SeriesDivergenceError(f"{cause} (spectral radius {diag.spectral_radius:.3g}, "
+                                     f"m_delta witness {diag.m_delta:.3g})")
+    if diag.spectral_radius >= 1.0:
+        raise divergence("successive approximations diverge: the radius is at least 1")
+
     scale = max(phi.sup_norm, 1e-300)
     total = w.copy()
     current = w
     sup = float(np.max(np.abs(current)))
     diag.iterate_sups.append(sup)
-    rise_count = 0
     while sup > TOL_V * scale:
         if diag.iterations == config.k_max:
-            raise SeriesDivergenceError(
-                f"no convergence within k_max={config.k_max} iterations "
-                f"(m_delta witness {diag.m_delta:.3g})")
+            raise divergence(f"no convergence within k_max={config.k_max} iterations")
         current = sqrt_rem * (operator @ current.ravel()).reshape(2, -1)
         total += current
         sup = float(np.max(np.abs(current)))
         diag.iterate_sups.append(sup)
         diag.iterations += 1
-        if diag.iterations > CONTRACTION_ONSET and sup > diag.iterate_sups[-2]:
-            rise_count += 1
-            if rise_count >= 3:
-                raise SeriesDivergenceError(
-                    f"iterate sup norms not contracting (m_delta witness "
-                    f"{diag.m_delta:.3g})")
-        else:
-            rise_count = 0
+        if sup * np.finfo(float).eps > TOL_V * scale:
+            raise divergence(f"lost precision: iterate sup {sup:.3g} x eps exceeds TOL_V sup|phi|")
     densities = DensityPair(t, mesh, total[0], total[1])
     diag.w_sup_ratio = densities.max_w() / scale
     densities.diagnostics = diag

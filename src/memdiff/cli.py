@@ -12,7 +12,7 @@ Commands
   compare-mc   solver vs Monte Carlo z-scores per grid point
 
 Exit codes: 0 success / all checks passed, 1 some check failed, 2 config or
-validation error, 3 solver failure (a divergent density iteration or
+validation error, 3 solver failure (a refused density iteration, a divergent
 correction series, a non-decaying Holmgren integrand, a field value or
 check statistic that is not finite), an unreliable simulation step or a
 zero-variance Monte Carlo estimate, 4 I/O error.

@@ -26,7 +26,8 @@ class ConvergenceFailureError(MemdiffError):
 
 
 class SeriesDivergenceError(MemdiffError):
-    """Successive approximations for the layer densities did not contract."""
+    """Successive approximations for the layer densities diverge (spectral
+    radius at least 1), exhaust k_max or lose the precision of their sum."""
 
 
 class MeshMismatchError(MemdiffError):

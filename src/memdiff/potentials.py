@@ -41,14 +41,6 @@ def graded_mesh(t: float, s_min: float, n: int = 64) -> np.ndarray:
     return (t - (t - s_min) * (k / n) ** MESH_GAMMA)[::-1].copy()
 
 
-def interpolate_w(tau, mesh: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Regularized densities at the times tau from their values w on the mesh
-    nodes, one row of w per density and one entry of the result's trailing
-    axis: linear between nodes, constant past the last node (and before the
-    first)."""
-    return np.stack([np.interp(tau, mesh, row) for row in np.atleast_2d(w)], axis=-1)
-
-
 @dataclass
 class DensityPair:
     """Regularized layer densities of both sides on a graded time mesh.
@@ -80,7 +72,7 @@ class DensityPair:
         tau = np.asarray(tau, dtype=float)
         if np.any(tau < self.mesh[0] - 1e-12):
             raise MeshMismatchError("evaluation time below the mesh span")
-        out = interpolate_w(tau, self.mesh, self.w1 if i == 1 else self.w2)[..., 0]
+        out = np.interp(tau, self.mesh, self.w1 if i == 1 else self.w2)
         return out if out.shape else float(out)
 
     def v(self, i: int, tau):

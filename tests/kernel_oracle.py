@@ -19,7 +19,9 @@ of every term, and the point correction evaluated one (s, x) at a time.
 Kernels on arrays of terminal anchors have a per-anchor loop, and a point
 table shared by the anchors of one span class has a table built at the
 anchor itself.  The exact-side Poisson potential has its Z0-slice form: z,
-the variance and the Gaussian evaluated on every window node.
+the variance and the Gaussian evaluated on every window node.  The
+successive approximations have their limit: the dense solve of the same
+discrete system (exact_densities).
 """
 
 from __future__ import annotations
@@ -285,6 +287,20 @@ def reference_solve(assembler: KernelAssembler, phi, t: float, s_min: float = 0.
         total += current
         sups.append(float(np.max(np.abs(current))))
     return mesh, total, sups
+
+
+def exact_densities(operator, mesh: np.ndarray, t: float, w0: np.ndarray) -> np.ndarray:
+    """The exact solution W, shape (2, n), of the solve's own discrete system
+    (I - T) W = W0, T = sqrt(t - s) operator on the stacked iterates (W_1,
+    W_2), by one dense solve: the limit of the successive approximations.
+    operator is the solve's folded operator, or None where the kernels
+    vanish (then W = W0)."""
+    w0 = np.asarray(w0, dtype=float)
+    if operator is None:
+        return w0.copy()
+    sqrt_rem = np.tile(np.sqrt(t - mesh), 2)
+    system = np.eye(2 * len(mesh)) - sqrt_rem[:, None] * operator.toarray()
+    return np.linalg.solve(system, w0.ravel()).reshape(2, -1)
 
 
 def audit_correction_envelope(fs: FundamentalSolution, samples):

@@ -28,7 +28,6 @@ from memdiff.potentials import (
     DensityPair,
     PotentialEvaluator,
     graded_mesh,
-    interpolate_w,
     layer_time_rule,
 )
 from memdiff.problem import (
@@ -171,8 +170,9 @@ def test_criterion_11_iterate_counts():
                          + [("atoms", 256)])
 def test_folded_operator_is_interpolation_then_contraction(name, mesh_n):
     # the sparse operator of the iteration applied to any iterates gives the
-    # interpolation at the tau nodes followed by the kernel contraction, and
-    # stores two entries per (equation, side, node, tau node)
+    # interpolation at the tau nodes by DensityPair.w, the rule of the layer
+    # potentials, followed by the kernel contraction, and stores two entries
+    # per (equation, side, node, tau node)
     prob, _, t, config, _ = CASES[name]
     if mesh_n is not None:
         config = replace(config, mesh_n=mesh_n)
@@ -186,7 +186,9 @@ def test_folded_operator_is_interpolation_then_contraction(name, mesh_n):
     rng = np.random.default_rng(7)
     for _ in range(3):
         current = rng.standard_normal((2, config.mesh_n))
-        want = np.einsum("ijnq,nqj->in", kern, interpolate_w(tau, mesh, current))
+        at_tau = DensityPair(t, mesh, *current)
+        want = np.einsum("ijnq,nqj->in", kern,
+                         np.stack([at_tau.w(j, tau) for j in (1, 2)], axis=-1))
         got = (operator @ current.ravel()).reshape(2, -1)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
 

@@ -33,7 +33,7 @@ from memdiff.problem import (
 )
 
 from conftest import VAR_CORRECTION, atom_at, make_problem, variable_problem
-from kernel_oracle import ScalarKernels, scalar_holmgren_transform
+from kernel_oracle import ScalarKernels, exact_densities, scalar_holmgren_transform
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -493,7 +493,8 @@ def test_solve_at_exactly_k_max_iterations_is_converged(skew_moving_problem, gau
     edge = solve_densities(skew_moving_problem, gaussian_phi, 1.0, config=SolverConfig(k_max=5))
     assert edge.diagnostics.iterations == 5
     assert np.array_equal(edge.w1, full.w1) and np.array_equal(edge.w2, full.w2)
-    with pytest.raises(SeriesDivergenceError, match="no convergence within k_max=4"):
+    with pytest.raises(SeriesDivergenceError,
+                       match=r"no convergence within k_max=4 iterations \(spectral radius 0\.0"):
         solve_densities(skew_moving_problem, gaussian_phi, 1.0, config=SolverConfig(k_max=4))
 
 
@@ -530,6 +531,82 @@ def test_m_delta_witness():
         solve_densities(heavy, phi, 1.0, config=SolverConfig(k_max=40))
     witness = re.search(r"m_delta witness ([0-9.e+-]+)", str(exc.value)).group(1)
     assert float(witness) > 1.0
+
+
+# -- convergence of the successive approximations --------------------------------
+
+PHI = InitialFunction.gaussian(amp=1.0, center=0.3, width=0.6)
+# the const-solve families, and heat sides with one atom of weight 6 at 0.3,
+# whose iterates grow to 1.5e3 before they decay (radius 0.56)
+SOLVE_FAMILIES = {
+    "heat": make_problem(),
+    "flat-skew": make_problem(q1=0.25, q2=0.75),
+    "two-scale": make_problem(b1=1.0, b2=4.0),
+    "skew-moving": make_problem(q1=0.25, q2=0.75,
+                                membrane=MembranePath("sinusoidal", [0.0, 0.1, 2.0])),
+    "atoms": make_problem(atoms=(atom_at(-1.0), atom_at(1.0))),
+    "atom-w6": make_problem(atoms=(atom_at(0.3, 6.0),)),
+}
+
+
+def solve_with_operator(monkeypatch, name, t=1.0):
+    """One default-settings solve of a family on PHI: its densities, its
+    folded operator (None where the kernels vanish) and its first iterate W0."""
+    prob, folded = SOLVE_FAMILIES[name], []
+    fold = boundary_system.fold_interpolation
+    monkeypatch.setattr(boundary_system, "fold_interpolation",
+                        lambda *args: folded.append(fold(*args)) or folded[-1])
+    dens = solve_densities(prob, PHI, t)
+    w0 = RightHandSide(KernelAssembler(prob), PHI, t).combined(dens.mesh) * np.sqrt(t - dens.mesh)
+    return dens, (folded or [None])[0], w0
+
+
+@pytest.mark.parametrize("name", ["skew-moving", "atoms", "atom-w6", "heat", "two-scale"])
+def test_spectral_radius_is_that_of_the_dense_iteration_map(monkeypatch, name):
+    # the iteration map is block upper triangular, so its diagonal blocks
+    # give its radius; the kernels of heat and two-scale sides vanish
+    dens, operator, _ = solve_with_operator(monkeypatch, name)
+    radius = dens.diagnostics.spectral_radius
+    if name in ("heat", "two-scale"):
+        assert operator is None and radius == 0.0
+        return
+    sqrt_rem = np.tile(np.sqrt(1.0 - dens.mesh), 2)
+    want = np.max(np.abs(np.linalg.eigvals(sqrt_rem[:, None] * operator.toarray())))
+    assert 0.0 < radius < 1.0
+    assert radius == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, bound", [(name, 1e-7) for name in sorted(SOLVE_FAMILIES)
+                                         if name != "atom-w6"] + [("atom-w6", 2e-7)])
+def test_iteration_reaches_the_exact_discrete_solution(monkeypatch, name, bound):
+    # the iteration against the dense solve of its own system, relative to
+    # sup W: measured at most 2.0e-8 on the const-solve families and
+    # 4.05e-8 on the weight-6 atom, which takes 133 iterations
+    dens, operator, w0 = solve_with_operator(monkeypatch, name)
+    want = exact_densities(operator, dens.mesh, 1.0, w0)
+    assert np.max(np.abs(np.stack([dens.w1, dens.w2]) - want)) <= bound * np.max(np.abs(want))
+    if name == "atom-w6":
+        assert dens.diagnostics.iterations == 133
+
+
+def test_radius_at_least_one_is_refused_before_the_first_iteration():
+    # criterion 11's heavy atom: with k_max = 1 the refusal still names the
+    # radius, not the k_max budget, so it came before any iteration
+    heavy = make_problem(q1=0.05, q2=0.05, atoms=(atom_at(0.05, 80.0),))
+    with pytest.raises(SeriesDivergenceError, match="radius is at least 1") as exc:
+        solve_densities(heavy, PHI, 1.0, config=SolverConfig(k_max=1))
+    assert "spectral radius 30.8" in str(exc.value)
+    assert "m_delta witness 62.8" in str(exc.value)
+
+
+def test_lost_precision_is_refused_before_the_k_max_budget():
+    # radius 0.70: the series converges in exact arithmetic, but its iterates
+    # pass 4.5e7 sup|phi|, where the rounding of the running sum exceeds the
+    # tolerance TOL_V sup|phi|
+    prob = make_problem(q1=0.2, q2=0.2, atoms=(atom_at(0.3, 3.0),))
+    with pytest.raises(SeriesDivergenceError, match="lost precision") as exc:
+        solve_densities(prob, PHI, 1.0)
+    assert "k_max" not in str(exc.value) and "spectral radius 0.699" in str(exc.value)
 
 
 def test_first_kind_residual_symmetric(symmetric_problem, gaussian_phi):

@@ -1,7 +1,10 @@
 """Command-line interface tests: exit codes, report shapes, determinism."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import re
 import time
 from dataclasses import fields
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import memdiff
 from memdiff import semigroup
 from memdiff.boundary_system import SolverConfig
 from memdiff.cli import fmt_sig, main
@@ -419,6 +423,43 @@ def test_readme_range_table_lists_every_run_setting():
         assert named == {f.name for f in fields(config)}
 
 
+def readme_name_resolves(name: str) -> bool:
+    """Whether a name the README writes in backticks resolves in memdiff: an
+    ALL_CAPS constant of some module, or a dotted name headed by memdiff, one
+    of its modules or one of its classes, whose last part may also be an
+    instance attribute: a dataclass field or a self.<part> set in that
+    class.  Other names resolve trivially."""
+    modules = {m.name: importlib.import_module(f"memdiff.{m.name}")
+               for m in pkgutil.iter_modules(memdiff.__path__)}
+    classes = {k: v for mod in modules.values() for k, v in vars(mod).items()
+               if inspect.isclass(v) and v.__module__.startswith("memdiff.")}
+    if re.fullmatch(r"[A-Z][A-Z0-9_]*", name):
+        return any(name in vars(mod) for mod in modules.values())
+    head, *parts = name.split(".")
+    obj = memdiff if head == "memdiff" else modules.get(head, classes.get(head))
+    if obj is None or not parts:
+        return True
+    for k, part in enumerate(parts):
+        if not hasattr(obj, part):
+            return (k == len(parts) - 1 and inspect.isclass(obj) and re.search(
+                rf"^\s+{part}:|self\.{part}\s*=", inspect.getsource(obj), re.M) is not None)
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_names_resolve():
+    # a rename or a removal in memdiff cannot leave the README naming it;
+    # config keys such as `solver.k_max` and file names are not checked
+    text = re.sub(r"^```.*?^```", "", (REPO / "README.md").read_text(), flags=re.S | re.M)
+    names = {span for span in re.findall(r"`([^`]+)`", text)
+             if re.fullmatch(r"\w+(\.\w+)*", span)}
+    assert "CorrectionKernel.is_null" in names and "boundary_system.TOL_V" in names
+    assert sorted(name for name in names if not readme_name_resolves(name)) == []
+    assert readme_name_resolves("DensityPair.w1")
+    assert not readme_name_resolves("CorrectionKernel.no_such_name")
+    assert not readme_name_resolves("NO_SUCH_CONSTANT")
+
+
 @pytest.mark.parametrize("case", ["invalid-problem", "zero-paths", "unknown-mc-key"])
 def test_compare_mc_rejects_bad_config(tmp_path, capsys, case):
     # compare-mc shares the front door of check and solve: a problem that
@@ -470,6 +511,42 @@ def test_solver_failures_exit_3(tmp_path, capsys, monkeypatch, error):
     assert run(["solve", "--config", CONFIGS / "skew.json", "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def heat_with_atom(tmp_path, q, position, weight):
+    """configs/symmetric_heat.json with q1 = q2 = q and one constant atom,
+    written to tmp_path."""
+    cfg = read_json(CONFIGS / "symmetric_heat.json")
+    wentzell = cfg["problem"]["wentzell"]
+    for key in ("q1", "q2"):
+        wentzell[key]["params"] = [q]
+    wentzell["measure"]["atoms"] = [{"position": {"kind": "constant", "params": [position]},
+                                     "weight": {"kind": "constant", "params": [weight]}}]
+    cfg_path = tmp_path / "heat-atom.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+def test_solve_with_a_weight_6_atom_converges(tmp_path, capsys):
+    # spectral radius 0.56: the iterates grow to 1.5e3 sup|phi| before they
+    # decay, which a rule on rising iterate sups once refused with exit 3
+    out = tmp_path / "field.csv"
+    assert run(["solve", "--config", heat_with_atom(tmp_path, 0.5, 0.3, 6.0),
+                "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 21 and all(math.isfinite(float(r.split(",")[2])) for r in rows)
+
+
+def test_solve_with_a_spectral_radius_above_1_exits_3(tmp_path, capsys):
+    # criterion 11's heavy atom: radius 30.8, refused before any iteration
+    out = tmp_path / "field.csv"
+    assert run(["solve", "--config", heat_with_atom(tmp_path, 0.05, 0.05, 80.0),
+                "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+    assert "spectral radius 30.8" in err
     assert not out.exists()
 
 
