@@ -61,7 +61,7 @@ def fmt_sig(value: float, precision: int = 12) -> str:
 
 
 RUN_KEYS = ("problem", "problem_file", "s", "t", "grid", "phi", "solver", "mc",
-            "precision", "grid_resolution", "suite")
+            "precision", "suite")
 SUITES = ("semigroup", "conjugation", "generator", "parametrix")
 
 
@@ -88,7 +88,6 @@ class Run:
     sim: SimConfig
     precision: int
     suite: str
-    grid_resolution: int  # range-checked by validate()
 
 
 def parse_run(path: str) -> Run:
@@ -126,19 +125,14 @@ def parse_run(path: str) -> Run:
     if suite not in SUITES:
         raise ConfigError(f"bad suite: expected one of {', '.join(SUITES)}, got {suite!r}")
     return Run(problem, phi, s_values, t, np.linspace(lo, hi, n), solver, sim, precision,
-               suite, cfg.get("grid_resolution", 65))
-
-
-def audit(run: Run):
-    """validate() of the run's problem and initial function, on the config's
-    grid_resolution, else on validate's default."""
-    return validate(run.problem, run.grid_resolution, run.phi)
+               suite)
 
 
 def validated(run: Run) -> None:
     """Refuse a run whose problem or initial function fails the audit of the
     validate command; every command but validate calls this before any solve."""
-    failed = ", ".join(c.condition for c in audit(run).checks if not c.passed)
+    failed = ", ".join(c.condition for c in validate(run.problem, run.phi).checks
+                       if not c.passed)
     if failed:
         raise ConfigError(f"failed validation of condition {failed}; run the validate command")
 
@@ -192,7 +186,7 @@ def entry(check: str, case: str, statistic: float, tolerance: float) -> dict:
 
 
 def cmd_validate(run: Run, out: str | None) -> int:
-    report = audit(run)
+    report = validate(run.problem, run.phi)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     write_text(out, text)
     return 0 if report.passed else 1

@@ -402,15 +402,18 @@ class InitialFunction(_Catalog):
                           sum c_m (x-center)^m, flat taper to zero on
                           r_in <= |x-center| <= r_out, zero outside
       tabulated           [n, x..., v...]              cubic spline, constant outside
+
+    sup_norm is measured from the form, never declared: sup |phi| for every
+    kind but indicator-smoothed, whose bound 1 its plateau approaches.
     """
 
     what = "initial-function"
     KINDS = {"constant-one": (0, 1), "gaussian-bump": (3, 3), "indicator-smoothed": (3, 3),
              "polynomial-clamped": (4, None), "tabulated": (0, None)}
     REQUIRED = ("kind",)
-    OPTIONAL = ("params", "sup_norm")
+    OPTIONAL = ("params",)
 
-    def __init__(self, kind: str, params: Sequence[float] = (), sup_norm: float | None = None):
+    def __init__(self, kind: str, params: Sequence[float] = ()):
         super().__init__(kind, params)
         if kind == "constant-one":  # one cache key for both spellings of the default
             self.params = self.params or (1.0,)
@@ -424,13 +427,12 @@ class InitialFunction(_Catalog):
             self._spline = CubicSpline(xk, vk)
             self._x_range = (xk[0], xk[-1])
             self._edge_vals = (vk[0], vk[-1])
-        self.sup_norm = (float(require_number(sup_norm, "sup_norm", ge=0))
-                         if sup_norm is not None else self._infer_sup())
+        self.sup_norm = self._sup()
 
     @property
     def key(self) -> tuple:
         """The value that identifies this function in caches."""
-        return (self.kind, self.params, self.sup_norm)
+        return (self.kind, self.params)
 
     @classmethod
     def one(cls) -> "InitialFunction":
@@ -446,19 +448,30 @@ class InitialFunction(_Catalog):
         v = np.asarray(values, float)
         return cls("tabulated", [len(x)] + list(x) + list(v))
 
-    def _infer_sup(self) -> float:
-        if self.kind == "constant-one":
-            return abs(self(0.0))
-        if self.kind == "gaussian-bump":
+    def _sup(self) -> float:
+        """sup |phi|: in closed form, else the largest |phi| at the ends of
+        its polynomial pieces and at the roots of phi' inside them (the
+        spline's pieces; the polynomial and its two taper ramps).  A complex
+        root counts by its real part: a close pair of real roots can come out
+        complex, and an extra point cannot lift the max above the sup."""
+        if self.kind in ("constant-one", "gaussian-bump"):
             return abs(self.params[0])
         if self.kind == "indicator-smoothed":
             return 1.0
-        if self.kind == "polynomial-clamped":
-            c, _, r_out = self.params[:3]
-            xs = np.linspace(c - r_out, c + r_out, 4001)
-            return float(np.max(np.abs(self(xs))))
-        xs = np.linspace(self._x_range[0], self._x_range[1], 4001)
-        return float(np.max(np.abs(self._spline(xs))))
+        if self.kind == "tabulated":
+            roots = self._spline.derivative().roots(extrapolate=False)
+            xs = [self._spline.x, roots[np.isfinite(roots)]]  # nan: phi' = 0 on a piece
+        else:
+            c, r_in, r_out = self.params[:3]
+            ends = c + np.array([-r_out, -r_in, r_in, r_out])
+            xs = [ends]
+            degree = len(self.params) - 4  # of the polynomial; a ramp adds the taper's 3
+            for lo, hi, deg in zip(ends[:-1], ends[1:], (degree + 3, degree, degree + 3)):
+                if lo < hi:
+                    piece = np.polynomial.Chebyshev.interpolate(self, deg, domain=[lo, hi])
+                    roots = piece.deriv().roots().real
+                    xs.append(roots[(roots > lo) & (roots < hi)])
+        return float(np.max(np.abs(self(np.concatenate(xs)))))
 
     def __call__(self, x):
         return self._values(x, 0)
@@ -518,9 +531,6 @@ class InitialFunction(_Catalog):
             return p[1] * taper[0] + p[0] * taper[1]
         return p[2] * taper[0] + 2.0 * p[1] * taper[1] + p[0] * taper[2]
 
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "sup_norm": self.sup_norm}
-
 
 # ---------------------------------------------------------------------------
 # the assembled problem
@@ -539,15 +549,9 @@ class Problem:
     membrane: MembranePath
     wentzell: WentzellData
     horizon: float
-    x_window: tuple | None = None
 
     def __post_init__(self):
         require_number(self.horizon, "horizon", gt=0)
-        if self.x_window is not None:
-            if not (isinstance(self.x_window, tuple) and len(self.x_window) == 2):
-                raise ConfigError(f"bad x_window: expected [lo, hi], got {self.x_window!r}")
-            lo = require_number(self.x_window[0], "x_window lo")
-            require_number(self.x_window[1], "x_window hi", gt=lo)
 
     def side(self, i: int) -> SideSpec:
         if i == 1:
@@ -612,9 +616,10 @@ class Problem:
         return -0.5
 
     def sample_window(self) -> tuple:
-        """x-range used for validation sampling and coefficient bounds."""
-        if self.x_window is not None:
-            return self.x_window
+        """The x-range that validate samples, worked out from the problem:
+        the membrane's range over [0, horizon], padded by
+        R_CUT sqrt(b horizon) + 1 with b the largest rough diffusion sample,
+        and widened to reach 1 past every atom."""
         ss = np.linspace(0.0, self.horizon, 33)
         hs = self.membrane(ss)
         b_guess = max(self.diffusion_bounds_rough())
@@ -657,30 +662,23 @@ class Problem:
         return SIDE_NAMES[int(self.side_index(s, x))]
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "left": self.left.to_dict(),
             "right": self.right.to_dict(),
             "membrane": self.membrane.to_dict(),
             "wentzell": self.wentzell.to_dict(),
             "horizon": self.horizon,
         }
-        if self.x_window is not None:
-            d["x_window"] = list(self.x_window)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Problem":
-        d = require_object(d, "problem", ("left", "right", "membrane", "wentzell", "horizon"),
-                           ("x_window",))
-        if not isinstance(d.get("x_window", []), list):
-            raise ConfigError(f"bad x_window: expected [lo, hi], got {d['x_window']!r}")
+        d = require_object(d, "problem", ("left", "right", "membrane", "wentzell", "horizon"))
         return cls(
             left=SideSpec.from_dict(d["left"]),
             right=SideSpec.from_dict(d["right"]),
             membrane=MembranePath.from_dict(d["membrane"]),
             wentzell=WentzellData.from_dict(d["wentzell"]),
             horizon=d["horizon"],
-            x_window=tuple(d["x_window"]) if "x_window" in d else None,
         )
 
 
@@ -726,15 +724,16 @@ def _holder_quotient(values: np.ndarray, dists: np.ndarray, exponent: float) -> 
     return float(np.max(values[mask] / dists[mask] ** exponent))
 
 
-def validate(problem: Problem, grid_resolution: int = 65,
-             phi: InitialFunction | None = None) -> ValidationReport:
-    """Audit conditions I-V by sampling on an n x n grid, n = grid_resolution >= 3.
+def validate(problem: Problem, phi: InitialFunction | None = None) -> ValidationReport:
+    """Audit conditions I-V by sampling a 65 x 65 grid of [0, horizon] x
+    problem.sample_window(), and phi at 260 points of the window.
 
     Hard failures (a nonpositive diffusion sample, a vanishing q1+q2, an atom
-    on the membrane) raise immediately; soft failures (a declared bound
-    violated by a sample) are reported in the per-condition entries.
+    on the membrane) raise immediately; soft failures (a declared diffusion
+    bound or phi's measured sup_norm exceeded by a sample) are reported in
+    the per-condition entries.
     """
-    n = require_number(grid_resolution, "grid_resolution", integer=True, ge=3, le=2049)
+    n = 65
     lo, hi = problem.sample_window()
     ss = np.linspace(0.0, problem.horizon, n)
     xs = np.linspace(lo, hi, n)

@@ -19,7 +19,7 @@ from memdiff.boundary_system import SolverConfig
 from memdiff.cli import fmt_sig, main
 from memdiff.errors import ConvergenceFailureError, SingularIntegrandError
 from memdiff.mc_oracle import SimConfig
-from memdiff.problem import InitialFunction, Problem, validate
+from memdiff.problem import InitialFunction, Problem
 from memdiff.semigroup import SemigroupOperator
 
 REPO = Path(__file__).resolve().parent.parent
@@ -394,23 +394,47 @@ def test_nonparabolic_diffusion_on_both_sides_exits_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "check", "compare-mc"])
-def test_phi_above_its_declared_sup_norm_exits_2(tmp_path, capsys, command):
-    # condition III: the amplitude-1 Gaussian declares sup_norm 0.1; the
-    # validate command reports the failed condition, the others refuse it
+@pytest.mark.parametrize("command", ["validate", "solve", "check", "compare-mc"])
+@pytest.mark.filterwarnings("error")
+def test_diffusion_negative_far_from_the_membrane_exits_2(tmp_path, capsys, command):
+    # b = 1 + 0.3 x falls below 0 at x = -3.3, far from the membrane but
+    # inside the window that validate works out (down to -13.6), so every
+    # command refuses the problem before any solve
     cfg = read_json(CONFIGS / "skew.json")
-    cfg["phi"]["sup_norm"] = 0.1
+    cfg["problem"]["left"]["diffusion"] = {"kind": "affine-in-x", "params": [1.0, 0.3]}
+    cfg["problem"]["horizon"] = 1.0
+    cfg["t"] = 0.5
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "report.json"
-    assert run(["validate", "--config", cfg_path, "--out", out]) == 1
-    assert [c["condition"] for c in read_json(out)["checks"] if not c["passed"]] == ["III"]
-    out.unlink()
     assert run([command, "--config", cfg_path, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
-    assert "condition III" in err
+    assert err.startswith("error: diffusion sample <= 0 on side 1") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("phi", [
+    {"kind": "tabulated", "params": [7, -1.0, -0.6, -0.2, 0.2, 0.4, 0.6, 1.0,
+                                     0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+    {"kind": "polynomial-clamped", "params": [0.0, 0.0, 0.3, 1.0, -3.0, -2.0]},
+], ids=["tabulated", "polynomial-clamped"])
+def test_phi_passes_condition_iii_and_solves(tmp_path, phi):
+    # condition III checks validate's samples of phi against its measured
+    # sup_norm; each datum peaks between the points of a 4001-point grid of
+    # its support, so a sampled sup would fall below validate's samples
+    cfg = read_json(CONFIGS / "skew.json")
+    cfg["phi"] = phi
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["validate", "--config", cfg_path, "--out", out]) == 0
+    stat = next(c["statistic"] for c in read_json(out)["checks"] if c["condition"] == "III")
+    assert stat["sup_sample"] <= stat["sup_norm"]
+    csv = tmp_path / "field.csv"
+    assert run(["solve", "--config", cfg_path, "--out", csv]) == 0
+    rows = csv.read_text().strip().split("\n")[1:]
+    assert len(rows) == 13
+    assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
 
 def test_readme_range_table_lists_every_run_setting():
@@ -634,26 +658,15 @@ def test_front_door_audits_on_validate_grid(tmp_path, capsys):
         "kind": "sinusoidal-in-s-and-x",
         "params": [1.0, 0.0, 0.0, 0.5, 32.0 * math.pi / horizon]}
     cfg["problem"]["left"]["diffusion_max"] = 1.2
-    assert validate(Problem.from_dict(cfg["problem"]), 33).passed
+    # every sample of a 33-point grid of [0, horizon] lands on a zero of the sine
+    b = Problem.from_dict(cfg["problem"]).diffusion(1, np.linspace(0.0, horizon, 33), 0.0)
+    assert np.max(b) <= 1.0 + 1e-12
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "report.json"
     assert run(["validate", "--config", cfg_path, "--out", out]) == 1
     assert run(["check", "--config", cfg_path, "--out", out]) == 2
     assert "failed validation" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["validate", "check"])
-def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
-    cfg = read_json(CONFIGS / "skew.json")
-    cfg["grid_resolution"] = 2
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "report.json"
-    assert run([command, "--config", cfg_path, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,path,value", [
@@ -673,13 +686,13 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     ("check", ("problem", "horizon"), "a"),
     ("check", ("problem", "horizon"), math.nan),
     ("check", ("t",), True),
-    ("check", ("phi", "sup_norm"), -1),
-    ("check", ("problem", "x_window"), [3, -3]),
-    ("validate", ("problem", "x_window"), ["a", 1]),
-    ("validate", ("problem", "x_window"), [1.0, 2.0, 3.0]),
-    ("validate", ("problem", "x_window"), "ab"),
+    ("solve", ("phi", "sup_norm"), 1.0),
+    ("check", ("phi", "sup_norm"), 1e9),
+    ("validate", ("problem", "x_window"), [-1.0, 1.0]),
+    ("solve", ("problem", "x_window"), [-6.0, 6.0]),
     ("validate", ("problem", "left", "diffusion_min"), "a"),
-    ("validate", ("grid_resolution",), 10.5),
+    ("validate", ("grid_resolution",), 65),
+    ("check", ("grid_resolution",), 2),
     ("check", ("phi", "extra"), 1),
     ("check", ("problem", "left", "drift", "extra"), 1),
     ("check", ("problem", "left", "extra"), 1),
@@ -690,7 +703,6 @@ def test_grid_resolution_below_three_exits_2(tmp_path, capsys, command):
     ("check", ("solver", "delta"), None),
     ("check", ("solver", "delta"), 1.0),
     ("solve", ("grid", "n"), 10 ** 15),
-    ("validate", ("grid_resolution",), 10 ** 15),
     ("solve", ("solver", "mesh_n"), 10 ** 15),
     ("solve", ("solver", "n_kernel"), 10 ** 15),
     ("solve", ("solver", "n_holmgren"), 10 ** 15),
@@ -723,7 +735,9 @@ def test_out_of_range_settings_exit_2(tmp_path, capsys, command, path, value):
     # a fractional grid size, a terminal time past the horizon (1.5), a
     # start time before 0, a second start time where the command runs from
     # one, an out-of-range or non-finite setting and an unknown key, such
-    # as solver.delta at any value, are refused before any solve, by a
+    # as solver.delta, phi.sup_norm, problem.x_window or grid_resolution
+    # at any value (the program measures the last three's quantities
+    # itself), are refused before any solve, by a
     # message that names the offending key; so is a size past its upper
     # bound (10^15 points would need 8 PB, and fail in any address space),
     # a Monte Carlo dt that takes more steps over (s, t) than its bound

@@ -41,23 +41,21 @@ def _read(name):
     return json.loads((CONFIGS / name).read_text())
 
 
-def _with_atom_and_window():
+def _with_atom():
     problem = _read("moving_membrane.json")["problem"]
     problem["wentzell"]["measure"]["atoms"] = [
         {"position": {"kind": "linear", "params": [-1.0, 0.2]},
          "weight": {"kind": "constant", "params": [0.5]}}]
-    problem["x_window"] = [-6.0, 6.0]
     return problem
 
 
 PROBLEMS = [_read(name)["problem"] for name in
             ("symmetric_heat.json", "skew.json", "moving_membrane.json")]
-PROBLEMS.append(_with_atom_and_window())
+PROBLEMS.append(_with_atom())
 
 RUN_CONFIG = _read("skew.json")
-RUN_CONFIG.update(solver={f.name: f.default for f in fields(SolverConfig)}, grid_resolution=65,
-                  suite="semigroup")
-RUN_SECTIONS = ("grid", "solver", "mc", "s", "t", "precision", "grid_resolution", "suite")
+RUN_CONFIG.update(solver={f.name: f.default for f in fields(SolverConfig)}, suite="semigroup")
+RUN_SECTIONS = ("grid", "solver", "mc", "s", "t", "precision", "suite")
 
 
 def _int(lo=None, hi=None):
@@ -86,7 +84,6 @@ RUN_SCHEMA = _object_schema({
     "mc": _object_schema({
         "paths": _int(1), "dt": _num(exclusiveMinimum=0), "seed": _int(0, 2 ** 64 - 1)}),
     "precision": _int(1, 17),
-    "grid_resolution": _int(3, 2049),
 }, ("t",))
 
 VALUES = st.one_of(

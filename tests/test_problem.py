@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from memdiff.errors import AtomOnMembraneError, ConfigError, DegenerateWentzellError
 from memdiff.problem import (
@@ -19,7 +20,7 @@ from conftest import make_problem, atom_at
 
 
 def test_constant_problem_passes_all_conditions(symmetric_problem):
-    report = validate(symmetric_problem, grid_resolution=33)
+    report = validate(symmetric_problem)
     assert report.passed
     stat = report["I"].statistic
     assert stat["b_min"] == pytest.approx(1.0)
@@ -35,30 +36,30 @@ def test_sampled_diffusion_extrema_match_declared_band():
     prob = Problem(left=side, right=side, membrane=MembranePath.constant(0.0),
                    wentzell=WentzellData(TimeFunction.constant(0.5),
                                          TimeFunction.constant(0.5)),
-                   horizon=1.0, x_window=(-12.0, 12.0))
-    report = validate(prob, grid_resolution=101)
+                   horizon=1.0)
+    report = validate(prob)
     assert report.passed
     assert report["I"].statistic["b_min"] >= 0.5 - 1e-12
     assert report["I"].statistic["b_max"] <= 1.5 + 1e-12
     # independent oracle: sample the closed form on the same grid
-    xs = np.linspace(-12.0, 12.0, 101)
+    xs = np.linspace(*prob.sample_window(), 65)
     assert report["I"].statistic["b_min"] == pytest.approx(float(np.min(1 + 0.5 * np.sin(xs))))
 
 
 def test_degenerate_wentzell_raises():
     with pytest.raises(DegenerateWentzellError):
-        validate(make_problem(q1=0.0, q2=0.0), grid_resolution=17)
+        validate(make_problem(q1=0.0, q2=0.0))
 
 
 def test_atom_on_membrane_raises():
     prob = make_problem(atoms=(atom_at(0.0),))
     with pytest.raises(AtomOnMembraneError):
-        validate(prob, grid_resolution=17)
+        validate(prob)
 
 
 def test_validate_is_deterministic(symmetric_problem):
-    r1 = validate(symmetric_problem, grid_resolution=21).to_dict()
-    r2 = validate(symmetric_problem, grid_resolution=21).to_dict()
+    r1 = validate(symmetric_problem).to_dict()
+    r2 = validate(symmetric_problem).to_dict()
     assert r1 == r2
 
 
@@ -264,6 +265,40 @@ def test_initial_function_derivative_matches_central_differences(phi, xs):
         assert phi.derivative(x, 2) == pytest.approx(fd2, rel=1e-4, abs=1e-5)
 
 
+def _piecewise_polynomial_draws(count):
+    """Seeded tabulated and polynomial-clamped data with their supports,
+    then two data that peak between the points of a 4001-point grid."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        x = np.sort(rng.uniform(-3.0, 3.0, rng.integers(4, 41)))
+        yield InitialFunction.from_samples(x, rng.normal(size=len(x))), x[0], x[-1]
+    rng = np.random.default_rng(1)
+    for _ in range(count):
+        c, r_in = rng.uniform(-1.0, 1.0), max(rng.uniform(-0.5, 1.0), 0.0)
+        r_out = r_in + rng.uniform(0.1, 1.5)
+        coeffs = rng.normal(size=rng.integers(1, 7)).tolist()
+        yield InitialFunction("polynomial-clamped", [c, r_in, r_out] + coeffs), c - r_out, c + r_out
+    yield InitialFunction.from_samples([-1.0, -0.6, -0.2, 0.2, 0.4, 0.6, 1.0],
+                                       [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), -1.0, 1.0
+    yield InitialFunction("polynomial-clamped", [0.0, 0.0, 0.3, 1.0, -3.0, -2.0]), -0.3, 0.3
+
+
+def test_piecewise_polynomial_sup_norm_is_an_attained_bound():
+    # oracle: |phi| on a 200 001-point grid of the support (phi is constant
+    # or zero outside it), and at every root of phi' that a sign change on
+    # that grid brackets near the grid's max, found by brentq
+    for phi, lo, hi in _piecewise_polynomial_draws(100):
+        xs = np.linspace(lo, hi, 200_001)
+        values, slopes = np.abs(phi(xs)), phi.derivative(xs)
+        top = float(np.max(values))
+        assert phi.sup_norm >= top
+        brackets = np.flatnonzero((slopes[:-1] * slopes[1:] < 0)
+                                  & (np.maximum(values[:-1], values[1:]) >= top * (1 - 1e-6)))
+        attained = max([top] + [abs(phi(brentq(phi.derivative, xs[i], xs[i + 1], xtol=1e-15)))
+                                for i in brackets])
+        assert phi.sup_norm == pytest.approx(attained, rel=1e-12, abs=0.0)
+
+
 def test_polynomial_clamped_taper():
     # (x-0)^2 inside |x| <= 1, tapered to zero at |x| = 2
     phi = InitialFunction("polynomial-clamped", [0.0, 1.0, 2.0, 0.0, 0.0, 1.0])
@@ -313,7 +348,7 @@ def test_tabulated_kinds_json_roundtrip():
 
 def test_atom_moment_reported():
     prob = make_problem(atoms=(atom_at(-1.0, 2.0), atom_at(0.5, 1.0)))
-    report = validate(prob, grid_resolution=17)
+    report = validate(prob)
     assert report["IV"].statistic["atom_moment_max"] == pytest.approx(2.0)
 
 
